@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from .cones import ConeLabel, classify, exit_rate, partition
+from .cones import classify, partition
 from .errors import ConfigError, NumericalRefusal
 from .models import (
     CompoundPoissonExp,
@@ -40,10 +40,17 @@ from .montecarlo import (
     default_safe_level,
     estimate,
 )
-from .twodim import RuinQuery, exact, leading, two_term_and, two_term_or, two_term_sim
+from .twodim import (
+    _EVENTS,
+    _METHODS,
+    RuinQuery,
+    exact,
+    leading,
+    two_term_and,
+    two_term_or,
+    two_term_sim,
+)
 
-_EVENTS = ("OR", "SIM", "AND", "LINE1", "LINE2")
-_METHODS = ("exact", "two_term", "leading", "mc")
 _METHOD_LABELS = {"exact": "Exact", "two_term": "TwoTerm", "leading": "Leading", "mc": "MC"}
 _ROW_FIELDS = ("x1", "x2", "a", "K", "event", "method", "value", "cone",
                "exponent", "diagnostics")
@@ -195,19 +202,6 @@ def _dist_spec(raw: Any, what: str):
     raise ConfigError(f"unknown {what} kind {kind!r}, expected det or exp")
 
 
-def _net_profit_ok(model2: TwoLineModel) -> None:
-    # the slower line has the smaller drift, so checking line 2 suffices
-    d = model2.driver
-    if isinstance(d, Renewal):
-        drift = model2.p2 * d.interarrival.mean - d.claim.mean
-    else:
-        drift = model2.line2.kappa_prime(0.0)
-    if drift <= 0.0:
-        raise ConfigError(
-            f"net profit condition violated: line-2 drift {drift:g} must be positive"
-        )
-
-
 def _build_model(cfg: Dict[str, Any]):
     """Returns (model2, reserves_from_raw_triple_or_None)."""
     driver_kind = cfg.get("driver")
@@ -244,7 +238,11 @@ def _build_model(cfg: Dict[str, Any]):
         if p1 is None or p2 is None:
             raise ConfigError("premium rates p1 and p2 are required")
     model2 = TwoLineModel(driver, float(p1), float(p2))
-    _net_profit_ok(model2)
+    # the slower line has the smaller drift, so checking line 2 suffices
+    if not model2.line2.has_net_profit:
+        raise ConfigError(
+            f"net profit condition violated: line-2 drift {model2.line2.drift:g} must be positive"
+        )
     return model2, reserves
 
 

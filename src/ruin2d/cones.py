@@ -12,19 +12,12 @@ treats disagreement as an internal bug.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Literal
 
 from .errors import ConfigError, InternalInconsistency, OutOfRange
-from .models import (
-    CompoundPoissonExp,
-    StandardBrownian,
-    TwoLineModel,
-    adjustment,
-    saddle,
-)
+from .models import AdjustmentData, TwoLineModel, adjustment, saddle
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -83,30 +76,6 @@ def crossing_time(x1: float, x2: float, p1: float, p2: float) -> float:
     return (x2 - x1) / (p1 - p2)
 
 
-def _closed_form_slopes(model2: TwoLineModel, g2: float, g3: float) -> tuple[float, float, float]:
-    """Driver-specific elementary expressions for (s1, s2_raw, s3), used
-    only to cross-check the derivative-ratio route."""
-    p1, p2 = model2.p1, model2.p2
-    d = model2.line1.driver
-    if isinstance(d, CompoundPoissonExp):
-        big = p1 * p1 * d.mu / d.lam
-        s1 = (big - p1) / (big - p2)
-        small = d.mu * p2 * p2 / d.lam
-        s2_raw = (p1 - small) / (p2 - small)
-        if g3 > g2:
-            mid = d.lam * p1 * p1 / (d.mu * p2 * p2)
-            s3 = (p1 - mid) / (p2 - mid)
-        else:
-            s3 = s2_raw
-        return s1, s2_raw, s3
-    if isinstance(d, StandardBrownian):
-        s1 = p1 / (2.0 * p1 - p2)
-        s2_raw = (2.0 * p2 - p1) / p2
-        s3 = (p1 - 2.0 * p2) / (2.0 * p1 - 3.0 * p2) if g3 > g2 else s2_raw
-        return s1, s2_raw, s3
-    raise AssertionError("unreachable: adjustment already filtered drivers")
-
-
 def partition(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> ConePartition:
     """Cone slopes from the cumulant derivatives at the decay exponents,
     cross-checked against the elementary per-driver expressions.
@@ -116,7 +85,10 @@ def partition(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> ConeP
     a positive derivative means even the steepest useful ray cannot make
     the second line dominate, the sector is empty, and s2 clamps to 0.
     """
-    adj = adjustment(model2, tol)
+    return _partition(model2, adjustment(model2, tol))
+
+
+def _partition(model2: TwoLineModel, adj: AdjustmentData) -> ConePartition:
     l1, l2 = model2.line1, model2.line2
 
     def ratio(g: float) -> float:
@@ -132,7 +104,7 @@ def partition(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> ConeP
     if s2 - 1e-12 * max(1.0, abs(s2)) <= s3 < s2:
         s3 = s2  # rounding at the closing of the sector, where s3 -> s2
 
-    cf1, cf2_raw, cf3 = _closed_form_slopes(model2, adj.gamma2, adj.gamma3)
+    cf1, cf2_raw, cf3 = model2.driver.cone_slopes(model2.p1, model2.p2, adj.gamma2, adj.gamma3)
     for got, want, name in ((s1, cf1, "s1"), (s2_raw, cf2_raw, "s2"), (s3, cf3, "s3")):
         if abs(got - want) > _SLOPE_CHECK_TOL * max(1.0, abs(want)):
             raise InternalInconsistency(
@@ -163,8 +135,14 @@ def classify(model2: TwoLineModel, x1: float, x2: float,
         raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
     if x2 <= x1:
         return ConeLabel.LOWER_CONE
-    part = partition(model2, tol)
-    adj = adjustment(model2, tol)
+    return _classify(model2, adjustment(model2, tol), x1, x2, partition_kind)
+
+
+def _classify(model2: TwoLineModel, adj: AdjustmentData, x1: float, x2: float,
+              partition_kind: str) -> ConeLabel:
+    """``classify`` on the upper cone x2 > x1 > 0, with the model's
+    adjustment data supplied by the caller."""
+    part = _partition(model2, adj)
     a = x1 / x2
     low = part.s2 if partition_kind == "sim" else part.s3
     if partition_kind not in ("sim", "and"):
@@ -235,8 +213,8 @@ def exit_rate(model2: TwoLineModel, a: float, tol: ToleranceConfig = DEFAULT_TOL
     beyond s1.  The three branches touch at the junction slopes."""
     if not a > 0.0:
         raise OutOfRange(f"ray slope must be positive, got {a:g}")
-    part = partition(model2, tol)
     adj = adjustment(model2, tol)
+    part = _partition(model2, adj)
     if a <= part.s2:
         return adj.gamma2
     if a >= part.s1:

@@ -71,7 +71,11 @@ ModelLike = Union[LineModel, TiltedModel]
 
 
 def _as_line(model: ModelLike) -> LineModel:
-    return model.model if isinstance(model, TiltedModel) else model
+    if isinstance(model, TiltedModel):
+        return model.model
+    if isinstance(model, LineModel):
+        return model
+    raise UnsupportedDriver(f"expected a line model, got {type(model).__name__}")
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,33 @@ derivatives, its Legendre transform and exponential tilting, so those
 live here.  Closed forms are authoritative for the two concrete drivers;
 a bracketed root solve runs alongside them and any disagreement beyond
 1e-10 raises InternalInconsistency rather than silently picking a side.
+
+Each driver class is one row of the driver table, so the generic code
+never branches on the driver type to pick a formula.  Every method takes
+the premium rate ``p`` where the quantity depends on it:
+
+* ``theta_lower``: lower end of the cumulant domain,
+* ``kappa``, ``kappa_prime``, ``kappa_double_prime``, ``kappa_triple``,
+* ``gamma`` and ``cramer_constant``: the root of kappa(-gamma) = 0 and C,
+* ``gamma3``: the largest root of kappa_1(-s) = kappa_1(-gamma_2),
+* ``saddle_point``: theta_v with kappa'(theta_v) = -v; at v = 0 it is
+  the minimiser of kappa,
+* ``cone_slopes``: the elementary cone slopes (s1, s2, s3),
+* ``tilted`` and ``tilt_compensator``: the exponential tilt map and the
+  log-likelihood compensator of a tilt,
+* ``claim_rate``: mean claim amount per unit time,
+* ``jump_dists``: the (interarrival, claim size) sampler pair.
+
+The renewal driver has no cumulant: its cumulant rows raise
+UnsupportedDriver, its tilt is that of the claim walk (gaps by c*p,
+claims by -c) and its compensator counts steps, not time.  The Brownian
+driver has no jumps, so ``jump_dists`` raises there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -64,8 +85,16 @@ __all__ = [
 _CROSS_CHECK_TOL = 1e-10
 
 
+class _Levy:
+    """What the two Levy drivers share: the tilt's likelihood compensator
+    grows with the cumulant per unit time, whatever the claim count."""
+
+    def tilt_compensator(self, p: float, c: float, t, n):
+        return self.kappa(p, c) * t
+
+
 @dataclass(frozen=True)
-class CompoundPoissonExp:
+class CompoundPoissonExp(_Levy):
     """Compound Poisson driver: rate ``lam``, Exp(``mu``) claim sizes."""
 
     lam: float
@@ -75,10 +104,110 @@ class CompoundPoissonExp:
         if self.lam <= 0 or self.mu <= 0:
             raise ConfigError("claim rate and size rate must be positive")
 
+    @property
+    def theta_lower(self) -> float:
+        return -self.mu
+
+    @property
+    def claim_rate(self) -> float:
+        return self.lam / self.mu
+
+    def _shifted(self, theta: float) -> float:
+        """mu + theta, refusing theta outside the cumulant domain (-mu, inf)."""
+        if theta <= -self.mu:
+            raise OutOfDomain(f"theta={theta:g} at or below -mu={-self.mu:g}")
+        return self.mu + theta
+
+    def kappa(self, p: float, theta: float) -> float:
+        return p * theta - self.lam * theta / self._shifted(theta)
+
+    def kappa_prime(self, p: float, theta: float) -> float:
+        s = self._shifted(theta)
+        return p - self.lam * self.mu / (s * s)
+
+    def kappa_double_prime(self, p: float, theta: float) -> float:
+        s = self._shifted(theta)
+        return 2.0 * self.lam * self.mu / (s * s * s)
+
+    def kappa_triple(self, p: float, theta: float) -> float:
+        return -6.0 * self.lam * self.mu / self._shifted(theta) ** 4
+
+    def gamma(self, p: float) -> float:
+        return self.mu - self.lam / p
+
+    def cramer_constant(self, p: float) -> float:
+        return self.lam / (self.mu * p)
+
+    def gamma3(self, p1: float, p2: float) -> float:
+        return self.mu * (1.0 - p2 / p1)
+
+    def saddle_point(self, p: float, v: float) -> float:
+        return -self.mu + math.sqrt(self.lam * self.mu / (p + v))
+
+    def tilted(self, p: float, c: float) -> tuple[CompoundPoissonExp, float]:
+        s = self._shifted(c)
+        return CompoundPoissonExp(self.lam * self.mu / s, s), p
+
+    def cone_slopes(self, p1: float, p2: float, g2: float,
+                    g3: float) -> tuple[float, float, float]:
+        big = p1 * p1 * self.mu / self.lam
+        s1 = (big - p1) / (big - p2)
+        small = self.mu * p2 * p2 / self.lam
+        s2_raw = (p1 - small) / (p2 - small)
+        if g3 > g2:
+            mid = self.lam * p1 * p1 / (self.mu * p2 * p2)
+            s3 = (p1 - mid) / (p2 - mid)
+        else:
+            s3 = s2_raw
+        return s1, s2_raw, s3
+
+    def jump_dists(self) -> tuple[DistSpec, DistSpec]:
+        return exponential_dist(self.lam), exponential_dist(self.mu)
+
 
 @dataclass(frozen=True)
-class StandardBrownian:
+class StandardBrownian(_Levy):
     """Standard Brownian claim driver (zero drift, unit variance)."""
+
+    theta_lower = -math.inf
+    claim_rate = 0.0
+
+    def kappa(self, p: float, theta: float) -> float:
+        return 0.5 * theta * theta + p * theta
+
+    def kappa_prime(self, p: float, theta: float) -> float:
+        return theta + p
+
+    def kappa_double_prime(self, p: float, theta: float) -> float:
+        return 1.0
+
+    def kappa_triple(self, p: float, theta: float) -> float:
+        return 0.0
+
+    def gamma(self, p: float) -> float:
+        return 2.0 * p
+
+    def cramer_constant(self, p: float) -> float:
+        return 1.0
+
+    def gamma3(self, p1: float, p2: float) -> float:
+        return 2.0 * (p1 - p2)
+
+    def saddle_point(self, p: float, v: float) -> float:
+        return -(v + p)
+
+    def tilted(self, p: float, c: float) -> tuple[StandardBrownian, float]:
+        return self, p + c
+
+    def cone_slopes(self, p1: float, p2: float, g2: float,
+                    g3: float) -> tuple[float, float, float]:
+        s1 = p1 / (2.0 * p1 - p2)
+        s2_raw = (2.0 * p2 - p1) / p2
+        s3 = (p1 - 2.0 * p2) / (2.0 * p1 - 3.0 * p2) if g3 > g2 else s2_raw
+        return s1, s2_raw, s3
+
+    def jump_dists(self):
+        raise UnsupportedDriver("jump engine requires a jump driver")
 
 
 @dataclass(frozen=True)
@@ -136,12 +265,41 @@ def deterministic_dist(value: float) -> DistSpec:
     )
 
 
+def _no_cumulant(self, *args):
+    raise UnsupportedDriver("cumulant calculus is unavailable for the renewal driver")
+
+
 @dataclass(frozen=True)
 class Renewal:
     """Renewal driver: claims ``claim`` at epochs with gaps ``interarrival``."""
 
     interarrival: DistSpec
     claim: DistSpec
+
+    # the cumulant calculus and its closed forms need a Levy driver
+    theta_lower = property(_no_cumulant)
+    kappa = kappa_prime = kappa_double_prime = kappa_triple = _no_cumulant
+    gamma = cramer_constant = gamma3 = saddle_point = cone_slopes = _no_cumulant
+
+    @property
+    def claim_rate(self) -> float:
+        return self.claim.mean / self.interarrival.mean
+
+    def tilted(self, p: float, c: float) -> tuple[Renewal, float]:
+        """The tilt of the claim walk: gaps by c*p, claims by -c."""
+        if self.interarrival.tilted is None or self.claim.tilted is None:
+            raise UnsupportedDriver("renewal distributions do not expose a tilted family")
+        return Renewal(self.interarrival.tilted(c * p), self.claim.tilted(-c)), p
+
+    def tilt_compensator(self, p: float, c: float, t, n):
+        """n phi(c), with phi(c) = log E exp(c (p z - s)) per renewal step."""
+        m = self.interarrival.mgf(c * p) * self.claim.mgf(-c)
+        if not (0.0 < m < math.inf):
+            raise UnsupportedDriver(f"walk tilt {c:g} leaves the moment domain")
+        return n * math.log(m)
+
+    def jump_dists(self) -> tuple[DistSpec, DistSpec]:
+        return self.interarrival, self.claim
 
 
 ClaimDriver = Union[CompoundPoissonExp, StandardBrownian, Renewal]
@@ -158,66 +316,33 @@ class LineModel:
         if not math.isfinite(self.p):
             raise ConfigError("premium rate must be finite")
         # A tilted Brownian line may carry a negative drift coefficient,
-        # but a premium-paying jump line must earn at a positive rate.
-        if self.p <= 0 and not isinstance(self.driver, StandardBrownian):
+        # but a line that pays claims must earn at a positive rate.
+        if self.p <= 0 and self.driver.claim_rate > 0.0:
             raise ConfigError("premium rate must be positive")
 
     # -- cumulant and derivatives -------------------------------------
 
-    def _require_levy(self) -> None:
-        if isinstance(self.driver, Renewal):
-            raise UnsupportedDriver("cumulant calculus is unavailable for the renewal driver")
-
     @property
     def theta_lower(self) -> float:
         """Lower endpoint of the cumulant domain."""
-        self._require_levy()
-        if isinstance(self.driver, CompoundPoissonExp):
-            return -self.driver.mu
-        return -math.inf
-
-    @property
-    def v_lower(self) -> float:
-        """Limit of kappa' at the lower domain endpoint (-inf for both
-        concrete drivers, so every upper-cone ray is admissible)."""
-        self._require_levy()
-        return -math.inf
+        return self.driver.theta_lower
 
     def kappa(self, theta: float) -> float:
-        self._require_levy()
-        d = self.driver
-        if isinstance(d, CompoundPoissonExp):
-            if theta <= -d.mu:
-                raise OutOfDomain(f"theta={theta:g} at or below -mu={-d.mu:g}")
-            return self.p * theta - d.lam * theta / (d.mu + theta)
-        return 0.5 * theta * theta + self.p * theta
+        return self.driver.kappa(self.p, theta)
 
     def kappa_prime(self, theta: float) -> float:
-        self._require_levy()
-        d = self.driver
-        if isinstance(d, CompoundPoissonExp):
-            if theta <= -d.mu:
-                raise OutOfDomain(f"theta={theta:g} at or below -mu={-d.mu:g}")
-            s = d.mu + theta
-            return self.p - d.lam * d.mu / (s * s)
-        return theta + self.p
+        return self.driver.kappa_prime(self.p, theta)
 
     def kappa_double_prime(self, theta: float) -> float:
-        self._require_levy()
-        d = self.driver
-        if isinstance(d, CompoundPoissonExp):
-            if theta <= -d.mu:
-                raise OutOfDomain(f"theta={theta:g} at or below -mu={-d.mu:g}")
-            s = d.mu + theta
-            return 2.0 * d.lam * d.mu / (s * s * s)
-        return 1.0
+        return self.driver.kappa_double_prime(self.p, theta)
+
+    def kappa_triple(self, theta: float) -> float:
+        return self.driver.kappa_triple(self.p, theta)
 
     @property
     def drift(self) -> float:
-        """Mean reserve growth per unit time, kappa'(0)."""
-        if isinstance(self.driver, Renewal):
-            return self.p * self.driver.interarrival.mean - self.driver.claim.mean
-        return self.kappa_prime(0.0)
+        """Mean reserve growth per unit time, p minus the claim rate."""
+        return self.p - self.driver.claim_rate
 
     @property
     def has_net_profit(self) -> bool:
@@ -250,18 +375,18 @@ class TwoLineModel:
 
     @property
     def a_bar(self) -> float:
-        """Supremum of admissible ray slopes, 1 + (p1-p2)/v_lower."""
-        vl = self.line2.v_lower
-        if math.isinf(vl):
-            return 1.0
-        return 1.0 + (self.p1 - self.p2) / vl
+        """Supremum of admissible ray slopes, 1 + (p1 - p2)/w, where w is
+        the limit of kappa' at the lower end of the cumulant domain.  That
+        limit is -inf for both Levy drivers (kappa' falls without bound
+        towards -mu, and linearly for Brownian), so every slope below the
+        diagonal is admissible."""
+        return 1.0
 
 
 @dataclass(frozen=True)
 class TiltedModel:
     """A line model under the exponential change of measure of size ``shift``."""
 
-    base: LineModel
     shift: float
     model: LineModel
 
@@ -272,9 +397,8 @@ class AdjustmentData:
 
     gamma1/gamma2 are the per-line adjustment coefficients, gamma3 the
     largest root of kappa1(-s) = kappa1(-gamma2) (equal to gamma2 when
-    kappa1'(-gamma2) <= 0) and gamma_tilde = gamma3 - gamma2.  zeta_i
-    coincide with gamma_i under net profit.  C1/C2 are the Cramer-Lundberg
-    prefactors and C2_hat the prefactor of the simultaneous-ruin tail on
+    kappa1'(-gamma2) <= 0) and gamma_tilde = gamma3 - gamma2.  C1/C2 are
+    the Cramer-Lundberg prefactors and C2_hat the prefactor of the simultaneous-ruin tail on
     its lower cone.
     """
 
@@ -282,8 +406,6 @@ class AdjustmentData:
     gamma2: float
     gamma3: float
     gamma_tilde: float
-    zeta1: float
-    zeta2: float
     C1: float
     C2: float
     C2_hat: float
@@ -360,18 +482,12 @@ def line_adjustment(model: LineModel, tol: ToleranceConfig = DEFAULT_TOL) -> tup
     gamma is the positive root of kappa(-gamma) = 0 and
     C = -kappa'(0)/kappa'(-gamma).  Requires net profit.
     """
-    model._require_levy()
+    # the cumulant domain caps the bracket, and reading it refuses renewal
+    hi = -model.theta_lower * (1.0 - 1e-14)
     if not model.has_net_profit:
         raise NoAdjustment(f"net profit violated: drift {model.drift:g} <= 0")
-    d = model.driver
-    if isinstance(d, CompoundPoissonExp):
-        gamma_closed = d.mu - d.lam / model.p
-        c_closed = d.lam / (d.mu * model.p)
-        hi = d.mu * (1.0 - 1e-14)
-    else:
-        gamma_closed = 2.0 * model.p
-        c_closed = 1.0
-        hi = 4.0 * model.p
+    gamma_closed = model.driver.gamma(model.p)
+    c_closed = model.driver.cramer_constant(model.p)
     gamma_solved = root_solve(
         lambda g: model.kappa(-g), 0.5 * gamma_closed, min(1.5 * gamma_closed, hi),
         tol=tol.root_abs_tol, max_iter=tol.max_iterations,
@@ -388,12 +504,10 @@ def _gamma3(model2: TwoLineModel, gamma2: float, tol: ToleranceConfig) -> float:
     slope_at_g2 = line1.kappa_prime(-gamma2)
     if slope_at_g2 <= 0.0:
         return gamma2
-    d = model2.driver
-    if isinstance(d, CompoundPoissonExp):
-        closed = d.mu * (1.0 - model2.p2 / model2.p1)
-        hi = d.mu * (1.0 - 1e-14)
-    else:
-        closed = 2.0 * (model2.p1 - model2.p2)
+    closed = model2.driver.gamma3(model2.p1, model2.p2)
+    # bracket up to the domain edge, or a multiple of the root without one
+    hi = -line1.theta_lower * (1.0 - 1e-14)
+    if math.isinf(hi):
         hi = 4.0 * closed
     target = line1.kappa(-gamma2)
     lo = gamma2 * (1.0 + 1e-9)
@@ -427,8 +541,6 @@ def adjustment(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> Adju
         gamma2=gamma2,
         gamma3=gamma3,
         gamma_tilde=gamma3 - gamma2,
-        zeta1=gamma1,
-        zeta2=gamma2,
         C1=c1,
         C2=c2,
         C2_hat=c2_hat,
@@ -441,18 +553,13 @@ def tilt(model: LineModel, c: float) -> TiltedModel:
 
     For the compound Poisson driver this maps (lam, mu) to
     (lam*mu/(mu+c), mu+c) with the premium unchanged; for Brownian it
-    shifts the premium to p + c.
+    shifts the premium to p + c.  The tilted drift must equal kappa'(c),
+    which also refuses the renewal driver: it has no cumulant, and the
+    simulator tilts its claim walk instead.
     """
-    d = model.driver
-    if isinstance(d, CompoundPoissonExp):
-        if c <= -d.mu:
-            raise OutOfDomain(f"tilt {c:g} at or below -mu={-d.mu:g}")
-        new = LineModel(CompoundPoissonExp(d.lam * d.mu / (d.mu + c), d.mu + c), model.p)
-    elif isinstance(d, StandardBrownian):
-        new = LineModel(StandardBrownian(), model.p + c)
-    else:
-        raise UnsupportedDriver("tilting the renewal driver is handled by the simulator")
-    return TiltedModel(base=model, shift=c, model=new)
+    new = LineModel(*model.driver.tilted(model.p, c))
+    _cross_check("tilted drift", model.kappa_prime(c), new.drift)
+    return TiltedModel(shift=c, model=new)
 
 
 def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> SaddleData:
@@ -462,19 +569,10 @@ def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> Sa
     kappa(theta'_v) = kappa(theta_v) on the increasing flank, and returns
     the Legendre transform kappa*(-v) = -v*theta_v - kappa(theta_v).
     """
-    model._require_levy()
+    lo_dom = model.theta_lower  # refuses the renewal driver first
     if v <= 0:
         raise OutOfRange(f"saddle velocity must be positive, got {v:g}")
-    vl = model.v_lower
-    if not math.isinf(vl) and -v <= vl:
-        raise OutOfRange(f"velocity {v:g} beyond the cumulant's reach")
-    d = model.driver
-    if isinstance(d, CompoundPoissonExp):
-        theta_closed = -d.mu + math.sqrt(d.lam * d.mu / (model.p + v))
-        lo_dom = -d.mu
-    else:
-        theta_closed = -(v + model.p)
-        lo_dom = -math.inf
+    theta_closed = model.driver.saddle_point(model.p, v)
     # Root-solve cross-check on a bracket around the closed form.
     width = max(1.0, abs(theta_closed))
     lo = theta_closed - 0.5 * width
@@ -488,11 +586,8 @@ def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> Sa
 
     k_at = model.kappa(theta_v)
     # Conjugate: same kappa value on the increasing flank, right of the
-    # minimiser theta_m (where kappa' = 0).
-    if isinstance(d, CompoundPoissonExp):
-        theta_m = -d.mu + math.sqrt(d.lam * d.mu / model.p)
-    else:
-        theta_m = -model.p
+    # minimiser theta_m, the saddle point at zero velocity.
+    theta_m = model.driver.saddle_point(model.p, 0.0)
     if theta_v >= theta_m:
         # v = -kappa'(0) style degenerate call: conjugate equals the saddle.
         theta_conj = theta_v

@@ -30,6 +30,7 @@ cumulant, so its weight uses the per-step analogue
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple, Union
@@ -44,21 +45,18 @@ from .errors import (
     OutOfRange,
     UnsupportedDriver,
 )
-from .finite_time import limit_law
+from .finite_time import _as_line, limit_law
 from .models import (
-    CompoundPoissonExp,
     DistSpec,
     LineModel,
     Renewal,
     StandardBrownian,
-    TiltedModel,
     TwoLineModel,
-    exponential_dist,
     line_adjustment,
     renewal_adjustment,
-    tilt,
 )
 from .numerics import DEFAULT_TOL, normal_quantile, normal_logcdf
+from .twodim import _EVENTS
 
 __all__ = [
     "FixedTime",
@@ -73,7 +71,6 @@ __all__ = [
     "check_limits",
 ]
 
-_EVENTS = ("OR", "SIM", "AND", "LINE1", "LINE2")
 _BLOCK = 128  # rounds drawn per RNG refill in the jump engine
 _MASK64 = (1 << 64) - 1
 
@@ -193,15 +190,6 @@ def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _drift(line: LineModel) -> float:
-    d = line.driver
-    if isinstance(d, CompoundPoissonExp):
-        return line.p - d.lam / d.mu
-    if isinstance(d, StandardBrownian):
-        return line.p
-    return line.p - d.claim.mean / d.interarrival.mean
-
-
 def _check_safelevel(model2: TwoLineModel, x1: float, x2: float,
                      cfg: SimConfig) -> None:
     hz = cfg.horizon
@@ -213,30 +201,11 @@ def _check_safelevel(model2: TwoLineModel, x1: float, x2: float,
         )
     c = cfg.tilt
     for line in (model2.line1, model2.line2):
-        eff = _tilted_line(line, c) if c is not None else line
-        if _drift(eff) == 0.0:
+        eff = LineModel(*line.driver.tilted(line.p, c)) if c is not None else line
+        if eff.drift == 0.0:
             raise InvalidHorizon(
                 "zero effective drift: a SafeLevel run can neither ruin nor retire"
             )
-
-
-def _tilted_line(line: LineModel, c: float) -> LineModel:
-    d = line.driver
-    if isinstance(d, Renewal):
-        if d.interarrival.tilted is None or d.claim.tilted is None:
-            raise UnsupportedDriver("renewal distributions do not expose a tilted family")
-        return LineModel(
-            Renewal(d.interarrival.tilted(c * line.p), d.claim.tilted(-c)), line.p
-        )
-    return tilt(line, c).model
-
-
-def _walk_phi(driver: Renewal, p: float, c: float) -> float:
-    """log E exp(c (p z - s)) per renewal step."""
-    m = driver.interarrival.mgf(c * p) * driver.claim.mgf(-c)
-    if not (0.0 < m < math.inf):
-        raise UnsupportedDriver(f"walk tilt {c:g} leaves the moment domain")
-    return math.log(m)
 
 
 def _reserves_ok(x1: float, x2: float) -> None:
@@ -255,16 +224,8 @@ _CENSOR_NAMES = {0: None, 1: "safe_level", 2: "fixed_time"}
 
 
 def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, DistSpec]:
-    d = model2.line2.driver
-    if isinstance(d, CompoundPoissonExp):
-        if c is not None:
-            d = _tilted_line(model2.line2, c).driver
-        return exponential_dist(d.lam), exponential_dist(d.mu)
-    if isinstance(d, Renewal):
-        if c is not None:
-            d = _tilted_line(model2.line2, c).driver
-        return d.interarrival, d.claim
-    raise UnsupportedDriver("jump engine requires a jump driver")
+    d = model2.driver if c is None else model2.driver.tilted(model2.p2, c)[0]
+    return d.jump_dists()
 
 
 def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
@@ -394,7 +355,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                 dz_blk = dz_blk[:, live]
                 sz_blk = sz_blk[:, live]
 
-    weights = _jump_weights(model2, cfg, stop_t, stop_te, stop_s, nstep)
+    weights = _jump_weights(model2, cfg, ia, stop_t, stop_te, stop_s, nstep)
     return {
         "tau1": tau1, "tau2": tau2, "tsim": tsim, "censor": censor, "w": weights,
         "w1": _event_weight(model2, cfg, tau1, s1c, n1c),
@@ -403,24 +364,26 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     }
 
 
-def _jump_weights(model2: TwoLineModel, cfg: SimConfig, stop_t: np.ndarray,
-                  stop_te: np.ndarray, stop_s: np.ndarray,
+def _log_weight(model2: TwoLineModel, c: float, t, s, n):
+    """Log likelihood weight of tilt c after time t, claim total s and n
+    claims: -c Z + the driver's compensator, with Z = p2 t - s."""
+    p2 = model2.p2
+    return -c * (p2 * t - s) + model2.driver.tilt_compensator(p2, c, t, n)
+
+
+def _jump_weights(model2: TwoLineModel, cfg: SimConfig, ia: DistSpec,
+                  stop_t: np.ndarray, stop_te: np.ndarray, stop_s: np.ndarray,
                   nstep: np.ndarray) -> np.ndarray:
     c = cfg.tilt
     if c is None:
         return np.ones_like(stop_t)
-    p2 = model2.p2
-    d = model2.line2.driver
-    if isinstance(d, CompoundPoissonExp):
-        # Levy form, valid at epochs and at deterministic horizons alike
-        kap = model2.line2.kappa(c)
-        return np.exp(-c * (p2 * stop_t - stop_s) + kap * stop_t)
-    # renewal walk: per-step weight at the last epoch, and for a censored
-    # exponential gap the memoryless survival ratio extends the epoch value
-    # to exp(-c (p2 t_hor - S_n) + n phi); a deterministic gap has ratio 1
-    phi = _walk_phi(d, p2, c)
-    t_w = stop_t if math.isfinite(d.interarrival.mgf_sup) else stop_te
-    return np.exp(-c * (p2 * t_w - stop_s) + nstep * phi)
+    # A lane censored at a deterministic horizon carries the weight at the
+    # horizon when its gaps are exponential: the Levy form holds at any
+    # time, and for a renewal walk the memoryless survival ratio extends
+    # the epoch value there.  A deterministic gap has ratio 1, so its
+    # weight stays at the last epoch.
+    t_w = stop_t if math.isfinite(ia.mgf_sup) else stop_te
+    return np.exp(_log_weight(model2, c, t_w, stop_s, nstep))
 
 
 def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
@@ -431,14 +394,8 @@ def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
     hit = np.isfinite(tau)
     if c is None:
         return hit.astype(float)
-    p2 = model2.p2
-    d = model2.line2.driver
     t_e = np.where(hit, tau, 0.0)
-    if isinstance(d, Renewal):
-        expo = -c * (p2 * t_e - s_e) + n_e * _walk_phi(d, p2, c)
-    else:
-        expo = -c * (p2 * t_e - s_e) + model2.line2.kappa(c) * t_e
-    return np.where(hit, np.exp(expo), 0.0)
+    return np.where(hit, np.exp(_log_weight(model2, c, t_e, s_e, n_e)), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +515,7 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     if cfg.tilt is None:
         weights = np.ones(width)
     else:
-        kap = model2.line2.kappa(c)
-        weights = np.exp(-c * (p2 * stop_t - stop_w) + kap * stop_t)
+        weights = np.exp(_log_weight(model2, c, stop_t, stop_w, 0))
     zero = np.zeros(width, dtype=np.int64)
     return {
         "tau1": tau1, "tau2": tau2, "tsim": tsim, "censor": censor, "w": weights,
@@ -581,22 +537,24 @@ def _chunk_fn(model2: TwoLineModel):
 
 def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
     """Yield per-chunk result dicts in chunk order, fanning the chunk
-    computations out over cfg.workers threads."""
+    computations out over cfg.workers threads.  At most 2 * workers
+    chunks are in flight, so memory stays flat in n."""
     fn = _chunk_fn(model2)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
-    widths = [
-        min(cfg.chunk_size, cfg.n - i * cfg.chunk_size) for i in range(n_chunks)
-    ]
+    jobs = ((model2, x1, x2, cfg, i, min(cfg.chunk_size, cfg.n - i * cfg.chunk_size))
+            for i in range(n_chunks))
     if cfg.workers == 1:
-        for i, w in enumerate(widths):
-            yield fn(model2, x1, x2, cfg, i, w)
+        for job in jobs:
+            yield fn(*job)
         return
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futs = [
-            pool.submit(fn, model2, x1, x2, cfg, i, w) for i, w in enumerate(widths)
-        ]
-        for f in futs:
-            yield f.result()
+        window: deque = deque()
+        for job in jobs:
+            window.append(pool.submit(fn, *job))
+            if len(window) == 2 * cfg.workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
 
 
 def simulate(model2: TwoLineModel, x1: float, x2: float,
@@ -698,14 +656,6 @@ def estimate(model2: TwoLineModel, x1: float, x2: float, event: str,
 # limit checks (LLN of the ruin time; Theorem-2 conditional laws)
 
 
-def _as_line(model) -> LineModel:
-    if isinstance(model, TiltedModel):
-        return model.model
-    if isinstance(model, LineModel):
-        return model
-    raise UnsupportedDriver(f"expected a line model, got {type(model).__name__}")
-
-
 def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
                      t_cap: float, salt: int) -> np.ndarray:
     """First passage below zero for one line; inf where not ruined by t_cap."""
@@ -739,10 +689,7 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
                 t += h
             taus[lo:lo + width] = out
             continue
-        if isinstance(d, CompoundPoissonExp):
-            ia, cl = exponential_dist(d.lam), exponential_dist(d.mu)
-        else:
-            ia, cl = d.interarrival, d.claim
+        ia, cl = d.jump_dists()
         t = np.zeros(width)
         s = np.zeros(width)
         out = np.full(width, math.inf)
@@ -850,7 +797,7 @@ def check_limits(model, what, config: SimConfig) -> CheckReport:
     """
     if what == "lln_ruin_time":
         line = _as_line(model)
-        drift = _drift(line)
+        drift = line.drift
         if drift >= 0.0:
             raise OutOfRange(
                 f"lln_ruin_time needs a ruinous (negative-drift) line, drift={drift:g}"

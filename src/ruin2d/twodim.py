@@ -30,17 +30,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Literal, Optional
 
-from .cones import ConeLabel, classify, crossing_time, gamma_ray
+from .cones import ConeLabel, _classify, crossing_time, gamma_ray
 from .errors import (
     BoundaryRay,
     BoundaryVelocity,
     ConfigError,
     InternalInconsistency,
     OutOfRange,
-    UnsupportedDriver,
 )
-from .finite_time import finite_ruin, ruin_after, ultimate_ruin
+from .finite_time import _as_line, _exp_cdf, finite_ruin, ruin_after, ultimate_ruin
 from .models import (
+    AdjustmentData,
     CompoundPoissonExp,
     LineModel,
     Renewal,
@@ -51,7 +51,7 @@ from .models import (
     saddle,
     tilt,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, normal_cdf, normal_logcdf
+from .numerics import DEFAULT_TOL, ToleranceConfig, normal_cdf
 
 __all__ = [
     "Event",
@@ -131,26 +131,16 @@ class RuinEstimate:
             raise InternalInconsistency(f"exact probability {self.value!r} outside [0, 1]")
 
 
-def _require_levy(model2: TwoLineModel) -> None:
-    if isinstance(model2.driver, Renewal):
-        raise UnsupportedDriver("exact two-line values need a Levy driver")
-
-
 def _survival(model, x: float, t: float, tol: ToleranceConfig) -> tuple[float, float]:
     """P(tau > t) and its quadrature error, avoiding the 1 - psi
     subtraction when ruin is certain and survival itself is the small
     quantity."""
-    base = model.model if hasattr(model, "model") else model
+    base = _as_line(model)
     if isinstance(base.driver, CompoundPoissonExp) and base.drift <= 0.0:
         r = ruin_after(model, x, t, tol)
         return r.value, r.quad_err
     r = finite_ruin(model, x, t, tol)
     return 1.0 - r.value, r.quad_err
-
-
-def _exp_cdf(logcoef: float, z: float) -> float:
-    s = logcoef + normal_logcdf(z)
-    return math.exp(s) if s < 700.0 else math.inf
 
 
 def _brownian_closed(model2: TwoLineModel, x1: float, x2: float, T: float) -> dict:
@@ -194,7 +184,6 @@ def exact(model2: TwoLineModel, query: RuinQuery,
     the two routes must agree to 1e-8.  The OR value is checked against
     the one-line sandwich max(psi_1, psi_2) <= psi_or <= psi_1 + psi_2.
     """
-    _require_levy(model2)
     x1, x2 = query.x1, query.x2
     l1, l2 = model2.line1, model2.line2
     if query.event == "LINE1":
@@ -253,18 +242,9 @@ def exact(model2: TwoLineModel, query: RuinQuery,
             f"OR sandwich violated: psi1={psi1!r}, psi2={psi2!r}, psi_or={value!r}"
         )
     value = min(max(value, 0.0), 1.0)
-    cone = classify(model2, x1, x2, "and" if query.event == "AND" else "sim", tol) \
+    cone = _classify(model2, adj, x1, x2, "and" if query.event == "AND" else "sim") \
         if x1 > 0.0 else None
     return RuinEstimate(value=value, method="exact", cone=cone, diagnostics=diag)
-
-
-def _kappa_triple(line: LineModel, theta: float) -> float:
-    d = line.driver
-    if isinstance(d, CompoundPoissonExp):
-        return -6.0 * d.lam * d.mu / (d.mu + theta) ** 4
-    if isinstance(d, StandardBrownian):
-        return 0.0
-    raise UnsupportedDriver("third cumulant derivative needs a Levy driver")
 
 
 def _psi_star(line: LineModel, theta: float) -> float:
@@ -281,13 +261,13 @@ def _psi_star(line: LineModel, theta: float) -> float:
         raise OutOfRange("the ruin transform identity requires positive drift")
     if abs(theta) < 1e-6:
         b = line.kappa_double_prime(0.0)
-        c = _kappa_triple(line, 0.0)
+        c = line.kappa_triple(0.0)
         return b / (2.0 * a) - (b * b / (4.0 * a * a) - c / (6.0 * a)) * theta
-    root = _negative_root(line)
+    root = -line.driver.gamma(line.p)
     if abs(theta - root) < 1e-6:
         h = theta - root
         k = line.kappa_prime(root) * h + 0.5 * line.kappa_double_prime(root) * h * h \
-            + _kappa_triple(line, root) * h ** 3 / 6.0
+            + line.kappa_triple(root) * h ** 3 / 6.0
     else:
         k = line.kappa(theta)
     return 1.0 / theta - a / k
@@ -296,16 +276,6 @@ def _psi_star(line: LineModel, theta: float) -> float:
 def _psi_bar_star(line: LineModel, theta: float) -> float:
     """Laplace transform of the survival probability, kappa'(0)/kappa(theta)."""
     return line.kappa_prime(0.0) / line.kappa(theta)
-
-
-def _negative_root(line: LineModel) -> float:
-    """The nonzero root -gamma of kappa, in closed form per driver."""
-    d = line.driver
-    if isinstance(d, CompoundPoissonExp):
-        return -(d.mu - d.lam / line.p)
-    if isinstance(d, StandardBrownian):
-        return -2.0 * line.p
-    raise UnsupportedDriver("adjustment root needs a Levy driver")
 
 
 def _conjugate_pair(model2: TwoLineModel, i: int, v: float,
@@ -331,32 +301,25 @@ def _guard_velocity(v: float, boundary: float, what: str) -> None:
         )
 
 
-def _prop2_constant(model2: TwoLineModel, i: int, v: float,
-                    tol: ToleranceConfig) -> tuple[float, str, float]:
+def _prop2_constant(model2: TwoLineModel, i: int, v: float, adj: AdjustmentData,
+                    tol: ToleranceConfig) -> tuple[float, str]:
     """C-tilde_i(v): the limiting discounted-overshoot constant of the
-    second expansion term.  Returns (value, branch name, value under the
-    alternative index reading) -- the alternative uses the line's own
-    conjugate family and is reported for diagnosis only."""
-    adj = adjustment(model2, tol)
+    second expansion term.  Returns (value, branch name)."""
     l2 = model2.line2
     g = (adj.gamma1, adj.gamma2)[i - 1]
     c_const = (adj.C1, adj.C2)[i - 1]
     for gj, name in ((adj.gamma1, "-kappa_2'(-gamma_1)"), (adj.gamma2, "-kappa_2'(-gamma_2)")):
         _guard_velocity(v, -l2.kappa_prime(-gj), name)
     if v > -l2.kappa_prime(-g):
-        return c_const, "constant", c_const
+        return c_const, "constant"
     line_i = (model2.line1, model2.line2)[i - 1]
     theta_v, theta_cross = _conjugate_pair(model2, 3 - i, v, tol)
     c_norm = (theta_cross - theta_v) / ((theta_cross + g) * (theta_v + g))
     value = (_psi_star(line_i, theta_v) - _psi_star(line_i, theta_cross)) / c_norm
-    _, theta_own = _conjugate_pair(model2, i, v, tol)
-    c_alt = (theta_own - theta_v) / ((theta_own + g) * (theta_v + g))
-    alt = (_psi_star(line_i, theta_v) - _psi_star(line_i, theta_own)) / c_alt
-    return value, "laplace", alt
+    return value, "laplace"
 
 
 def _two_term_pre(model2: TwoLineModel, x1: float, x2: float) -> tuple[float, float]:
-    _require_levy(model2)
     if not x2 > x1:
         raise OutOfRange(
             f"two-term expansions need x2 > x1, got ({x1:g}, {x2:g}); "
@@ -373,14 +336,13 @@ def two_term_or(model2: TwoLineModel, x1: float, x2: float,
     """psi_or ~ psi_1(x1, T) + C-tilde_2(v) e^{-gamma_2 x2} survival_1^(-gamma_2)(x1, T)."""
     T, v = _two_term_pre(model2, x1, x2)
     adj = adjustment(model2, tol)
-    c2_tilde, branch, alt = _prop2_constant(model2, 2, v, tol)
+    c2_tilde, branch = _prop2_constant(model2, 2, v, adj, tol)
     term1 = finite_ruin(model2.line1, x1, T, tol).value
     surv, _ = _survival(tilt(model2.line1, -adj.gamma2), x1, T, tol)
     term2 = c2_tilde * math.exp(-adj.gamma2 * x2) * surv
-    cone = classify(model2, x1, x2, "sim", tol) if x1 > 0.0 else ConeLabel.D2
+    cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
     return ExpansionTerms(term1=term1, term2=term2,
-                          constants={"C2_tilde": c2_tilde, "branch": branch,
-                                     "alt_reading": alt},
+                          constants={"C2_tilde": c2_tilde, "branch": branch},
                           cone=cone, velocity=v)
 
 
@@ -389,14 +351,13 @@ def two_term_sim(model2: TwoLineModel, x1: float, x2: float,
     """psi_sim ~ psi_2(x2, T) + C-tilde_1(v) e^{-gamma_1 x1} survival_2^(-gamma_1)(x2, T)."""
     T, v = _two_term_pre(model2, x1, x2)
     adj = adjustment(model2, tol)
-    c1_tilde, branch, alt = _prop2_constant(model2, 1, v, tol)
+    c1_tilde, branch = _prop2_constant(model2, 1, v, adj, tol)
     term1 = finite_ruin(model2.line2, x2, T, tol).value
     surv, _ = _survival(tilt(model2.line2, -adj.gamma1), x2, T, tol)
     term2 = c1_tilde * math.exp(-adj.gamma1 * x1) * surv
-    cone = classify(model2, x1, x2, "sim", tol) if x1 > 0.0 else ConeLabel.D2
+    cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
     return ExpansionTerms(term1=term1, term2=term2,
-                          constants={"C1_tilde": c1_tilde, "branch": branch,
-                                     "alt_reading": alt},
+                          constants={"C1_tilde": c1_tilde, "branch": branch},
                           cone=cone, velocity=v)
 
 
@@ -410,7 +371,6 @@ def two_term_and(model2: TwoLineModel, x1: float, x2: float,
     boundary = -l2.kappa_prime(-adj.gamma3)
     _guard_velocity(v, boundary, "-kappa_2'(-gamma_3)")
     gt = adj.gamma3 - adj.gamma2
-    diag: dict = {}
     if v < boundary:
         c2_bar = 0.0
         # C2_hat handles the coincident case gamma3 == gamma2, where the
@@ -424,17 +384,16 @@ def two_term_and(model2: TwoLineModel, x1: float, x2: float,
         c2_bar = _psi_bar_star(l2, theta_2) / abs(c2_norm)
         c1_norm = (theta_1 - theta_v) / ((theta_1 + adj.gamma3) * (theta_v + adj.gamma3))
         c1_bar = (_psi_star(l2, theta_1) - 1.0 / theta_v) / abs(c1_norm)
-        diag["alt_C1_bar"] = (_psi_star(l1, theta_1) - 1.0 / theta_v) / abs(c1_norm)
         branch = "large_v"
     term1 = ruin_after(l1, x1, T, tol).value
     piece2 = c2_bar * math.exp(-adj.gamma2 * x2) * \
         finite_ruin(tilt(l2, -adj.gamma2), x2, T, tol).value if c2_bar != 0.0 else 0.0
     piece1 = c1_bar * math.exp(-adj.gamma2 * x2 - gt * x1) * \
         finite_ruin(tilt(l1, -adj.gamma3), x1, T, tol).value
-    cone = classify(model2, x1, x2, "and", tol) if x1 > 0.0 else ConeLabel.D2_HAT
+    cone = _classify(model2, adj, x1, x2, "and") if x1 > 0.0 else ConeLabel.D2_HAT
     return ExpansionTerms(term1=term1, term2=piece1 + piece2,
                           constants={"C1_bar": c1_bar, "C2_bar": c2_bar,
-                                     "gamma_tilde": gt, "branch": branch, **diag},
+                                     "gamma_tilde": gt, "branch": branch},
                           cone=cone, velocity=v)
 
 
@@ -461,7 +420,6 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
     ray law on the middle cone.  Rays inside the boundary band are
     refused since every branch degenerates there.
     """
-    _require_levy(model2)
     if not (x1 > 0.0 and x2 > 0.0):
         raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
     adj = adjustment(model2, tol)
@@ -479,7 +437,7 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
     if event not in ("SIM", "AND"):
         raise OutOfRange(f"unknown event {event!r}")
     kind = "sim" if event == "SIM" else "and"
-    label = classify(model2, x1, x2, kind, tol)
+    label = ConeLabel.LOWER_CONE if x2 <= x1 else _classify(model2, adj, x1, x2, kind)
     if label is ConeLabel.BOUNDARY_RAY:
         raise BoundaryRay(
             f"ray a={x1 / x2:g} lies on a cone boundary; the asymptotic "
