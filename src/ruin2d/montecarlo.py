@@ -256,7 +256,8 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     n2c = np.zeros(width, dtype=np.int64)
     nsc = np.zeros(width, dtype=np.int64)
 
-    # live state, compacted at refill boundaries
+    # live state, compacted whenever a lane stops; every live lane has taken
+    # the same number of steps, so one counter serves them all
     ids = np.arange(width)
     t = np.zeros(width)
     s = np.zeros(width)
@@ -265,74 +266,80 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     safe1 = np.zeros(width, dtype=bool)
     safe2 = np.zeros(width, dtype=bool)
     sim = np.zeros(width, dtype=bool)
-    steps = np.zeros(width, dtype=np.int64)
+    steps = 0
 
+    # each refill draws _BLOCK rounds for the lanes live at that moment;
+    # live lane j reads column pos[j] of the block, so compacting the
+    # state compacts pos and never copies the block
     col = _BLOCK
-    dz_blk = sz_blk = None
-    guard = 0
+    dz_blk = sz_blk = pos = None
     while ids.size:
-        guard += 1
-        if guard > 5_000_000:
+        if steps >= 5_000_000:
             raise InternalInconsistency("jump engine failed to resolve a chunk")
         if col == _BLOCK:
             nl = ids.size
             dz_blk = ia.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
             sz_blk = cl.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
+            pos = np.arange(nl)
             col = 0
-        t_next = t + dz_blk[col]
-        sz = sz_blk[col]
-        col += 1
+        t_next = t + dz_blk[col].take(pos)
 
-        over = t_next > t_hor
-        if over.any():
-            k = ids[over]
-            stop_t[k] = t_hor
-            stop_te[k] = t[over]
-            stop_s[k] = s[over]
-            nstep[k] = steps[over]
-            censor[k] = _CENSOR_TIME
-            keep = ~over
-            t_next, sz = t_next[keep], sz[keep]
-            s, steps, ids = s[keep], steps[keep], ids[keep]
-            ruin1, ruin2 = ruin1[keep], ruin2[keep]
-            safe1, safe2 = safe1[keep], safe2[keep]
-            sim = sim[keep]
-            if col < _BLOCK:
-                dz_blk = dz_blk[:, keep]
-                sz_blk = sz_blk[:, keep]
-            if not ids.size:
-                break
+        if t_hor < math.inf:
+            over = t_next > t_hor
+            if over.any():
+                k = ids[over]
+                stop_t[k] = t_hor
+                stop_te[k] = t[over]
+                stop_s[k] = s[over]
+                nstep[k] = steps
+                censor[k] = _CENSOR_TIME
+                keep = ~over
+                ids, pos, t_next, s = ids[keep], pos[keep], t_next[keep], s[keep]
+                ruin1, ruin2 = ruin1[keep], ruin2[keep]
+                safe1, safe2 = safe1[keep], safe2[keep]
+                sim = sim[keep]
+                if not ids.size:
+                    break
         t = t_next
-        s = s + sz
-        steps = steps + 1
+        s = s + sz_blk[col].take(pos)
+        col += 1
+        steps += 1
 
-        u1 = x1 + p1 * t - s
-        u2 = x2 + p2 * t - s
+        b1 = x1 + p1 * t
+        b2 = x2 + p2 * t
+        u1 = b1 - s
+        u2 = b2 - s
 
         # barrier bookkeeping cross-check: S above the lower envelope iff
         # some coordinate is negative (skip lanes within rounding of zero)
         umin = np.minimum(u1, u2)
-        mism = ((s > np.minimum(x1 + p1 * t, x2 + p2 * t)) != (umin < 0.0)) & (
-            np.abs(umin) > 1e-9 * (1.0 + np.abs(s))
-        )
-        if mism.any():
+        mism = (s > np.minimum(b1, b2)) != (umin < 0.0)
+        if mism.any() and (mism & (np.abs(umin) > 1e-9 * (1.0 + np.abs(s)))).any():
             raise InternalInconsistency("coordinate and barrier ruin bookkeeping disagree")
 
-        new1 = ~ruin1 & (u1 < 0.0)
-        new2 = ~ruin2 & (u2 < 0.0)
-        tau1[ids[new1]] = t[new1]
-        s1c[ids[new1]] = s[new1]
-        n1c[ids[new1]] = steps[new1]
-        tau2[ids[new2]] = t[new2]
-        s2c[ids[new2]] = s[new2]
-        n2c[ids[new2]] = steps[new2]
-        ruin1 |= new1
-        ruin2 |= new2
-        news = ~sim & (u1 < 0.0) & (u2 < 0.0)
-        tsim[ids[news]] = t[news]
-        ssc[ids[news]] = s[news]
-        nsc[ids[news]] = steps[news]
-        sim |= news
+        neg1 = u1 < 0.0
+        neg2 = u2 < 0.0
+        new1 = neg1 & ~ruin1
+        if new1.any():
+            k = ids[new1]
+            tau1[k] = t[new1]
+            s1c[k] = s[new1]
+            n1c[k] = steps
+            ruin1 |= new1
+        new2 = neg2 & ~ruin2
+        if new2.any():
+            k = ids[new2]
+            tau2[k] = t[new2]
+            s2c[k] = s[new2]
+            n2c[k] = steps
+            ruin2 |= new2
+        news = neg1 & neg2 & ~sim
+        if news.any():
+            k = ids[news]
+            tsim[k] = t[news]
+            ssc[k] = s[news]
+            nsc[k] = steps
+            sim |= news
         if level < math.inf:
             safe1 |= p1 * t - s >= level
             safe2 |= p2 * t - s >= level
@@ -340,20 +347,16 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         done = (ruin1 | safe1) & (ruin2 | safe2) & (sim | safe1 | safe2)
         if done.any():
             k = ids[done]
-            stop_t[k] = t[done]
-            stop_te[k] = t[done]
+            stop_t[k] = stop_te[k] = t[done]
             stop_s[k] = s[done]
-            nstep[k] = steps[done]
+            nstep[k] = steps
             declared = (safe1 | safe2)[done] & ~(ruin1 & ruin2 & sim)[done]
             censor[k[declared]] = _CENSOR_SAFE
             live = ~done
-            ids, t, s, steps = ids[live], t[live], s[live], steps[live]
+            ids, pos, t, s = ids[live], pos[live], t[live], s[live]
             ruin1, ruin2 = ruin1[live], ruin2[live]
             safe1, safe2 = safe1[live], safe2[live]
             sim = sim[live]
-            if dz_blk is not None and col < _BLOCK:
-                dz_blk = dz_blk[:, live]
-                sz_blk = sz_blk[:, live]
 
     weights = _jump_weights(model2, cfg, ia, stop_t, stop_te, stop_s, nstep)
     return {
@@ -425,6 +428,16 @@ def _bm_segments(T: float, t_hor: float) -> Iterator[Tuple[float, float]]:
             return
 
 
+def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
+    """Whether a Brownian bridge over a segment of length h, at distances
+    g0 and g1 above a linear barrier at its ends, crosses it: certain if
+    an endpoint touches, otherwise with probability exp(-2 g0 g1 / h),
+    decided by the uniform u.  The exponent overflows only where an
+    endpoint touches, and is not used there."""
+    with np.errstate(over="ignore"):
+        return (g0 <= 0.0) | (g1 <= 0.0) | (u < np.exp(-2.0 * g0 * g1 / h))
+
+
 def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
               chunk_idx: int, width: int) -> dict:
     p1, p2 = model2.p1, model2.p2
@@ -447,69 +460,71 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     z2c = np.zeros(width)
     zsc = np.zeros(width)
 
+    # live state, compacted whenever a lane stops.  The stream contract
+    # draws every segment at full width; live lane j reads column ids[j]
+    ids = np.arange(width)
     wS = np.zeros(width)  # claim process S = W at the current checkpoint
     ruin1 = np.zeros(width, dtype=bool)
     ruin2 = np.zeros(width, dtype=bool)
     safe1 = np.zeros(width, dtype=bool)
     safe2 = np.zeros(width, dtype=bool)
     sim = np.zeros(width, dtype=bool)
-    alive = np.ones(width, dtype=bool)
-
-    def _cross(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
-        # bridge against a linear barrier: certain if an endpoint touches,
-        # otherwise exp(-2 g0 g1 / h) with the shared uniform
-        inside = (g0 > 0.0) & (g1 > 0.0)
-        q = np.ones_like(g0)
-        q[inside] = np.exp(-2.0 * g0[inside] * g1[inside] / h)
-        return u < q
 
     t_retire = (level + max(x1, x2)) * 10.0 / max(abs(p2 + c), abs(p1 + c), 1e-3) + 100.0 * (T + 1.0)
     for t0, t1 in _bm_segments(T, t_hor):
-        if not alive.any():
+        if not ids.size:
             break
         if t0 > t_retire:
             raise InternalInconsistency("Brownian engine failed to resolve a chunk")
         h = t1 - t0
-        z = wS + rng.standard_normal(width) * math.sqrt(h) - c * h
-        u = rng.random(width)
+        nrm = rng.standard_normal(width)
+        u = rng.random(width).take(ids)
+        z = wS + nrm.take(ids) * math.sqrt(h) - c * h
 
-        g0_1 = (x1 + p1 * t0) - wS
-        g1_1 = (x1 + p1 * t1) - z
-        g0_2 = (x2 + p2 * t0) - wS
-        g1_2 = (x2 + p2 * t1) - z
-        c1 = _cross(g0_1, g1_1, h, u) & alive
-        c2 = _cross(g0_2, g1_2, h, u) & alive
+        c1 = _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u)
+        c2 = _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u)
 
         new1 = c1 & ~ruin1
+        if new1.any():
+            k = ids[new1]
+            tau1[k] = t1
+            z1c[k] = z[new1]
+            ruin1 |= new1
         new2 = c2 & ~ruin2
-        tau1[new1] = t1
-        z1c[new1] = z[new1]
-        tau2[new2] = t1
-        z2c[new2] = z[new2]
-        ruin1 |= new1
-        ruin2 |= new2
+        if new2.any():
+            k = ids[new2]
+            tau2[k] = t1
+            z2c[k] = z[new2]
+            ruin2 |= new2
         csim = c2 if t1 <= T else c1  # upper envelope piece
         news = csim & ~sim
-        tsim[news] = t1
-        zsc[news] = z[news]
-        sim |= news
+        if news.any():
+            k = ids[news]
+            tsim[k] = t1
+            zsc[k] = z[news]
+            sim |= news
         if level < math.inf:
-            safe1 |= alive & (z < p1 * t1 - level)
-            safe2 |= alive & (z < p2 * t1 - level)
+            safe1 |= z < p1 * t1 - level
+            safe2 |= z < p2 * t1 - level
 
-        done = alive & (ruin1 | safe1) & (ruin2 | safe2) & (sim | safe1 | safe2)
-        stop_t[done] = t1
-        stop_w[done] = z[done]
-        declared = done & (safe1 | safe2) & ~(ruin1 & ruin2 & sim)
-        censor[declared] = _CENSOR_SAFE
-        alive &= ~done
+        done = (ruin1 | safe1) & (ruin2 | safe2) & (sim | safe1 | safe2)
+        if done.any():
+            k = ids[done]
+            stop_t[k] = t1
+            stop_w[k] = z[done]
+            declared = (safe1 | safe2)[done] & ~(ruin1 & ruin2 & sim)[done]
+            censor[k[declared]] = _CENSOR_SAFE
+            live = ~done
+            ids, z = ids[live], z[live]
+            ruin1, ruin2 = ruin1[live], ruin2[live]
+            safe1, safe2 = safe1[live], safe2[live]
+            sim = sim[live]
         wS = z
 
         if t1 >= t_hor:
-            stop_t[alive] = t_hor
-            stop_w[alive] = z[alive]
-            censor[alive] = _CENSOR_TIME
-            alive[:] = False
+            stop_t[ids] = t_hor
+            stop_w[ids] = z
+            censor[ids] = _CENSOR_TIME
             break
 
     if cfg.tilt is None:
@@ -677,12 +692,7 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
             while alive.any() and t < t_cap:
                 z = wS + rng.standard_normal(width) * math.sqrt(h)
                 u = rng.random(width)
-                g0 = (x + p * t) - wS
-                g1 = (x + p * (t + h)) - z
-                inside = (g0 > 0.0) & (g1 > 0.0)
-                q = np.ones(width)
-                q[inside] = np.exp(-2.0 * g0[inside] * g1[inside] / h)
-                hit = alive & (u < q)
+                hit = alive & _bridge_hit((x + p * t) - wS, (x + p * (t + h)) - z, h, u)
                 out[hit] = t + h
                 alive &= ~hit
                 wS = z
@@ -695,24 +705,22 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
         out = np.full(width, math.inf)
         ids = np.arange(width)
         col = _BLOCK
-        dz_blk = sz_blk = None
+        dz_blk = sz_blk = pos = None
         while ids.size:
-            if col == _BLOCK:
+            if col == _BLOCK:  # blocks are read through pos, as in _jump_chunk
                 nl = ids.size
                 dz_blk = ia.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
                 sz_blk = cl.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
+                pos = np.arange(nl)
                 col = 0
-            t = t + dz_blk[col]
-            s = s + sz_blk[col]
+            t = t + dz_blk[col].take(pos)
+            s = s + sz_blk[col].take(pos)
             col += 1
             ruin = x + p * t - s < 0.0
             out[ids[ruin]] = t[ruin]
             live = ~ruin & (t < t_cap)
             if not live.all():
-                ids, t, s = ids[live], t[live], s[live]
-                if col < _BLOCK:
-                    dz_blk = dz_blk[:, live]
-                    sz_blk = sz_blk[:, live]
+                ids, pos, t, s = ids[live], pos[live], t[live], s[live]
         taus[lo:lo + width] = out
     return taus
 
