@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from .cones import classify, partition
+from .cones import _classify, _partition, classify
 from .errors import ConfigError, NumericalRefusal
 from .models import (
     CompoundPoissonExp,
@@ -43,6 +43,7 @@ from .montecarlo import (
 from .twodim import (
     _EVENTS,
     _METHODS,
+    RuinEstimate,
     RuinQuery,
     exact,
     leading,
@@ -322,15 +323,21 @@ def _cone_name(model2: TwoLineModel, x1: float, x2: float) -> str:
         return ""
 
 
+def _exact_row(model2: TwoLineModel, x1: float, x2: float, event: str,
+               est: RuinEstimate) -> OutputRow:
+    row = OutputRow(x1=x1, x2=x2, event=event, method=_METHOD_LABELS["exact"])
+    row.value = est.value
+    row.cone = est.cone.value if est.cone else _cone_name(model2, x1, x2)
+    row.diagnostics = dict(est.diagnostics)
+    return row
+
+
 def _one_row(model2: TwoLineModel, x1: float, x2: float, event: str,
              method: str, cfg: Dict[str, Any]) -> OutputRow:
-    row = OutputRow(x1=x1, x2=x2, event=event, method=_METHOD_LABELS[method])
     if method == "exact":
-        est = exact(model2, RuinQuery(event, x1, x2))
-        row.value = est.value
-        row.cone = est.cone.value if est.cone else _cone_name(model2, x1, x2)
-        row.diagnostics = dict(est.diagnostics)
-    elif method == "two_term":
+        return _exact_row(model2, x1, x2, event, exact(model2, RuinQuery(event, x1, x2)))
+    row = OutputRow(x1=x1, x2=x2, event=event, method=_METHOD_LABELS[method])
+    if method == "two_term":
         fn = {"OR": two_term_or, "SIM": two_term_sim, "AND": two_term_and}.get(event)
         if fn is None:
             raise ConfigError(f"method two_term supports or/sim/and, not {event.lower()}")
@@ -386,8 +393,10 @@ def _run_sweep(model2, cfg, scaled) -> List[OutputRow]:
 
 
 def _run_cones(model2, cfg) -> List[OutputRow]:
-    part = partition(model2)
+    # one AdjustmentData serves the partition and every ray; each ray
+    # (a, 1) with 0 < a < 1 lies in the upper cone that _classify covers
     adj = adjustment(model2)
+    part = _partition(model2, adj)
     head = OutputRow(method="cones", diagnostics={
         "s1": part.s1, "s2": part.s2, "s3": part.s3,
         "gamma1": adj.gamma1, "gamma2": adj.gamma2, "gamma3": adj.gamma3,
@@ -397,7 +406,7 @@ def _run_cones(model2, cfg) -> List[OutputRow]:
     for i in range(1, 50):  # ray grid below the diagonal, Fig.-2 style data
         a = i / 50.0
         rows.append(OutputRow(a=a, method="cones",
-                              cone=classify(model2, a, 1.0).value))
+                              cone=_classify(model2, adj, a, 1.0, "sim").value))
     return rows
 
 
@@ -418,9 +427,11 @@ def _run_compare(model2, cfg, scaled) -> List[OutputRow]:
     methods = _methods(cfg, _METHODS)
     rows = []
     for ev in events:
-        base = exact(model2, RuinQuery(ev, x1, x2)).value
+        base_est = exact(model2, RuinQuery(ev, x1, x2))
+        base = base_est.value
         for m in methods:
-            row = _one_row(model2, x1, x2, ev, m, cfg)
+            row = (_exact_row(model2, x1, x2, ev, base_est) if m == "exact"
+                   else _one_row(model2, x1, x2, ev, m, cfg))
             if base > 0.0:
                 row.diagnostics["ratio_to_exact"] = row.value / base
             if m == "mc":

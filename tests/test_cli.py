@@ -5,6 +5,7 @@ console script.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import sys
 
 import pytest
 
+from ruin2d import cli
 from ruin2d.cli import OutputRow, emit, run
 from ruin2d.models import CompoundPoissonExp, TwoLineModel
 from ruin2d.twodim import RuinQuery, exact
@@ -176,6 +178,27 @@ class TestCompare:
         assert rows[2]["diagnostics"]["ratio_to_exact"] == pytest.approx(1.0, rel=0.25)
         mc = rows[3]["diagnostics"]
         assert mc["agree_3sigma"] is True
+
+    # sha256 prefixes of the output, unchanged since compare called exact
+    # a second time for each event's Exact row
+    @pytest.mark.parametrize("fmt, digest", [("json", "3f75443fefc456c6"),
+                                             ("csv", "a2de72549bacd3ef")])
+    def test_one_exact_call_per_event(self, fmt, digest, capsys, monkeypatch):
+        calls = []
+        real = cli.exact
+
+        def counted(model2, query):
+            calls.append(query.event)
+            return real(model2, query)
+
+        monkeypatch.setattr(cli, "exact", counted)
+        code, out, _ = run_cli(
+            ["compare", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--n", "2048",
+             "--seed", "5", "--format", fmt],
+            capsys)
+        assert code == 0
+        assert sorted(calls) == ["AND", "OR", "SIM"]
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 class TestPrecedence:

@@ -2,6 +2,7 @@
 agree with the generic cumulant calculus, per-unit-time drifts, one
 AdjustmentData per public two-line call, and the reserve axis x1 = 0."""
 
+import hashlib
 import math
 
 import pytest
@@ -82,6 +83,7 @@ def adjustment_calls(monkeypatch):
 
     monkeypatch.setattr(twodim, "adjustment", counted)
     monkeypatch.setattr(cones, "adjustment", counted)
+    monkeypatch.setattr(cli, "adjustment", counted)
     return calls
 
 
@@ -96,6 +98,24 @@ def test_each_two_line_call_builds_one_adjustment(model2, adjustment_calls):
         adjustment_calls.clear()
         call()
         assert len(adjustment_calls) == 1
+
+
+# sha256 prefixes of the ``ruin2d cones`` CSV, unchanged since the command
+# classified each ray through the public, self-contained ``classify``
+CONES_CSV = {
+    "cpe": (["--driver", "cpe", "--lambda", "1", "--mu", "2", "--p1", "3", "--p2", "1"],
+            "d051ce7d4125b6e4"),
+    "brownian": (["--driver", "brownian", "--p1", "3", "--p2", "1"], "df7559c0ca0502b5"),
+}
+
+
+@pytest.mark.parametrize("driver", sorted(CONES_CSV))
+def test_cli_cones_builds_one_adjustment(driver, adjustment_calls, capsys):
+    flags, digest = CONES_CSV[driver]
+    assert cli.run(["cones", *flags, "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert len(adjustment_calls) == 1
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("model2", [CPE, BM], ids=["cpe", "brownian"])
