@@ -233,7 +233,7 @@ def _digest(a: np.ndarray) -> str:
 def _run(case):
     name, x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[case]
     model2 = MODELS[name]
-    cfg = SimConfig(n=(chunk_idx * chunk_size) + width, seed=7,
+    cfg = SimConfig(n=chunk_idx * chunk_size + width, seed=7,
                     horizon=horizon or default_safe_level(model2),
                     tilt=None if tilt is None else _tilt(name, tilt),
                     chunk_size=chunk_size)
