@@ -19,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .cones import _classify, _partition, classify
 from .errors import ConfigError, NumericalRefusal
@@ -332,10 +332,35 @@ def _exact_row(model2: TwoLineModel, x1: float, x2: float, event: str,
     return row
 
 
+def _mc_rows(model2: TwoLineModel, x1: float, x2: float, events: List[str],
+             cfg: Dict[str, Any]) -> Callable[[str], OutputRow]:
+    """The MC row of any of ``events`` at (x1, x2).  The first row asked
+    for runs one estimate over all of them, where a per-event estimate of
+    that row would have run, so refusals surface in the same order."""
+    rows: Dict[str, OutputRow] = {}
+
+    def row(event: str) -> OutputRow:
+        if not rows:
+            ests = estimate(model2, x1, x2, events, _sim_config(cfg, model2))
+            cone = _cone_name(model2, x1, x2)
+            for ev, est in ests.items():
+                rows[ev] = OutputRow(
+                    x1=x1, x2=x2, event=ev, method=_METHOD_LABELS["mc"],
+                    value=est.p_hat, cone=cone,
+                    diagnostics={"std_err": est.std_err, "ci_lo": est.ci[0],
+                                 "ci_hi": est.ci[1], "n": est.n,
+                                 "bias_bound": est.bias_bound})
+        return rows[event]
+
+    return row
+
+
 def _one_row(model2: TwoLineModel, x1: float, x2: float, event: str,
-             method: str, cfg: Dict[str, Any]) -> OutputRow:
+             method: str, mc: Callable[[str], OutputRow]) -> OutputRow:
     if method == "exact":
         return _exact_row(model2, x1, x2, event, exact(model2, RuinQuery(event, x1, x2)))
+    if method == "mc":
+        return mc(event)
     row = OutputRow(x1=x1, x2=x2, event=event, method=_METHOD_LABELS[method])
     if method == "two_term":
         fn = {"OR": two_term_or, "SIM": two_term_sim, "AND": two_term_and}.get(event)
@@ -346,21 +371,13 @@ def _one_row(model2: TwoLineModel, x1: float, x2: float, event: str,
         row.cone = terms.cone.value
         row.diagnostics = {"term1": terms.term1, "term2": terms.term2,
                            "velocity": terms.velocity, **terms.constants}
-    elif method == "leading":
+    else:
         if event not in ("OR", "SIM", "AND"):
             raise ConfigError(f"method leading supports or/sim/and, not {event.lower()}")
         est = leading(model2, x1, x2, event)
         row.value = est.value
         row.cone = est.cone.value if est.cone else ""
         row.diagnostics = dict(est.diagnostics)
-    else:
-        sim_cfg = _sim_config(cfg, model2)
-        est = estimate(model2, x1, x2, event, sim_cfg)
-        row.value = est.p_hat
-        row.cone = _cone_name(model2, x1, x2)
-        row.diagnostics = {"std_err": est.std_err, "ci_lo": est.ci[0],
-                           "ci_hi": est.ci[1], "n": est.n,
-                           "bias_bound": est.bias_bound}
     return row
 
 
@@ -368,10 +385,11 @@ def _run_compute(model2, cfg, scaled) -> List[OutputRow]:
     xs = _reserves(cfg, scaled)
     if xs is None:
         raise ConfigError("compute needs reserves (x1, x2)")
+    x1, x2 = xs
     events = _events(cfg, ("OR",))
     methods = _methods(cfg, ("exact",))
-    return [_one_row(model2, xs[0], xs[1], ev, m, cfg)
-            for ev in events for m in methods]
+    mc = _mc_rows(model2, x1, x2, events, cfg)
+    return [_one_row(model2, x1, x2, ev, m, mc) for ev in events for m in methods]
 
 
 def _run_sweep(model2, cfg, scaled) -> List[OutputRow]:
@@ -382,9 +400,10 @@ def _run_sweep(model2, cfg, scaled) -> List[OutputRow]:
     methods = _methods(cfg, ("exact",))
     rows = []
     for K in ks:
+        mc = _mc_rows(model2, a * K, K, events, cfg)
         for ev in events:
             for m in methods:
-                row = _one_row(model2, a * K, K, ev, m, cfg)
+                row = _one_row(model2, a * K, K, ev, m, mc)
                 row.a, row.K = a, K
                 if row.value is not None and row.value > 0.0 and K > 0.0:
                     row.exponent = -math.log(row.value) / K
@@ -415,7 +434,8 @@ def _run_mc(model2, cfg, scaled) -> List[OutputRow]:
     if xs is None:
         raise ConfigError("mc needs reserves (x1, x2)")
     events = _events(cfg, ("OR",))
-    return [_one_row(model2, xs[0], xs[1], ev, "mc", cfg) for ev in events]
+    mc = _mc_rows(model2, xs[0], xs[1], events, cfg)
+    return [mc(ev) for ev in events]
 
 
 def _run_compare(model2, cfg, scaled) -> List[OutputRow]:
@@ -425,13 +445,14 @@ def _run_compare(model2, cfg, scaled) -> List[OutputRow]:
     x1, x2 = xs
     events = _events(cfg, ("OR", "SIM", "AND"))
     methods = _methods(cfg, _METHODS)
+    mc = _mc_rows(model2, x1, x2, events, cfg)
     rows = []
     for ev in events:
         base_est = exact(model2, RuinQuery(ev, x1, x2))
         base = base_est.value
         for m in methods:
             row = (_exact_row(model2, x1, x2, ev, base_est) if m == "exact"
-                   else _one_row(model2, x1, x2, ev, m, cfg))
+                   else _one_row(model2, x1, x2, ev, m, mc))
             if base > 0.0:
                 row.diagnostics["ratio_to_exact"] = row.value / base
             if m == "mc":

@@ -33,7 +33,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
 
 _BLOCK = 128  # rounds drawn per RNG refill in the jump engine
 _MASK64 = (1 << 64) - 1
+_EXP_FLOOR = -40.0  # bridge exponents are clipped here; see _bridge_hit
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +434,20 @@ def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray) -> np.n
     g0 and g1 above a linear barrier at its ends, crosses it: certain if
     an endpoint touches, otherwise with probability exp(-2 g0 g1 / h),
     decided by the uniform u.  The exponent overflows only where an
-    endpoint touches, and is not used there."""
+    endpoint touches, and is not used there.
+
+    Most exponents of a far-from-barrier lane lie deep below zero, where
+    np.exp is many times slower (underflow and subnormal results), so
+    they are clipped at _EXP_FLOOR first.  exp(_EXP_FLOOR) < 2**-53, the
+    grid of ``Generator.random``, so a clipped lane can pass the test only
+    with u == 0; those lanes are decided again on the exact exponent."""
     with np.errstate(over="ignore"):
-        return (g0 <= 0.0) | (g1 <= 0.0) | (u < np.exp(-2.0 * g0 * g1 / h))
+        e = -2.0 * g0 * g1 / h
+        hit = (g0 <= 0.0) | (g1 <= 0.0) | (u < np.exp(np.maximum(e, _EXP_FLOOR)))
+        redo = (u < math.exp(_EXP_FLOOR)) & (e < _EXP_FLOOR)
+        if redo.any():
+            hit[redo] = (g0[redo] <= 0.0) | (g1[redo] <= 0.0) | (u[redo] < np.exp(e[redo]))
+    return hit
 
 
 def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
@@ -618,28 +630,36 @@ def _event_value(res: dict, event: str) -> np.ndarray:
     return res["w2"]
 
 
-def _bias_bound(model2: TwoLineModel, event: str, cfg: SimConfig) -> float:
+def _bias_bounds(model2: TwoLineModel, cfg: SimConfig) -> Dict[str, float]:
+    """Declared horizon-truncation bias of every event."""
     if isinstance(cfg.horizon, FixedTime):
-        return math.nan  # truncation bias not quantified under FixedTime
+        return dict.fromkeys(_EVENTS, math.nan)  # not quantified under FixedTime
     level = cfg.horizon.L
-    g1 = _line_gamma(model2.line1)
-    g2 = _line_gamma(model2.line2)
-    if event == "LINE1":
-        return math.exp(-g1 * level)
-    if event == "LINE2":
-        return math.exp(-g2 * level)
-    return math.exp(-g1 * level) + math.exp(-g2 * level)
+    b1 = math.exp(-_line_gamma(model2.line1) * level)
+    b2 = math.exp(-_line_gamma(model2.line2) * level)
+    return {"OR": b1 + b2, "SIM": b1 + b2, "AND": b1 + b2, "LINE1": b1, "LINE2": b2}
 
 
-def estimate(model2: TwoLineModel, x1: float, x2: float, event: str,
-             config: SimConfig) -> McEstimate:
+def estimate(model2: TwoLineModel, x1: float, x2: float,
+             event: Union[str, Sequence[str]],
+             config: SimConfig) -> Union[McEstimate, Dict[str, McEstimate]]:
     """Estimate the ultimate probability of ``event`` with a normal CI.
+
+    ``event`` is one name, answered with an McEstimate, or a list or
+    tuple of names, answered with a dict of McEstimates in the order
+    given.  Every event is read off the same simulated paths, so each
+    entry equals the single-name call with the same config bit for bit.
 
     With a tilt the estimator averages likelihood_weight * indicator and
     stays unbiased up to the declared horizon truncation.
     """
-    if event not in _EVENTS:
-        raise OutOfRange(f"unknown event {event!r}")
+    many = isinstance(event, (list, tuple))
+    names = list(event) if many else [event]
+    if not names:
+        raise OutOfRange("no event to estimate")
+    for name in names:
+        if name not in _EVENTS:
+            raise OutOfRange(f"unknown event {name!r}")
     _reserves_ok(x1, x2)
     if isinstance(config.horizon, FixedTime) and config.tilt is None:
         raise InvalidHorizon(
@@ -647,24 +667,29 @@ def estimate(model2: TwoLineModel, x1: float, x2: float, event: str,
         )
     _check_safelevel(model2, x1, x2, config)
 
-    s1 = 0.0
-    s2 = 0.0
+    # per-event sums of the values and their squares, in chunk order; a
+    # repeated name shares one entry
+    sums = {name: [0.0, 0.0] for name in names}
     for res in _run_chunks(model2, x1, x2, config):
-        wi = _event_value(res, event)
-        s1 += float(wi.sum())
-        s2 += float((wi * wi).sum())
+        for name, acc in sums.items():
+            wi = _event_value(res, name)
+            acc[0] += float(wi.sum())
+            acc[1] += float((wi * wi).sum())
     n = config.n
-    p_hat = s1 / n
-    var = max(s2 / n - p_hat * p_hat, 0.0) / n
-    se = math.sqrt(var)
     q = normal_quantile(0.5 + config.ci_level / 2.0)
-    return McEstimate(
-        p_hat=p_hat,
-        std_err=se,
-        ci=(p_hat - q * se, p_hat + q * se),
-        n=n,
-        bias_bound=_bias_bound(model2, event, config),
-    )
+    bias = _bias_bounds(model2, config)
+    out = {}
+    for name, (s1, s2) in sums.items():
+        p_hat = s1 / n
+        se = math.sqrt(max(s2 / n - p_hat * p_hat, 0.0) / n)
+        out[name] = McEstimate(
+            p_hat=p_hat,
+            std_err=se,
+            ci=(p_hat - q * se, p_hat + q * se),
+            n=n,
+            bias_bound=bias[name],
+        )
+    return out if many else out[event]
 
 
 # ---------------------------------------------------------------------------
