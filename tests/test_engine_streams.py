@@ -45,7 +45,9 @@ TAIL_K = {"cpe": 20.0, "bm": 8.0}
 
 def _tilt(name, which):
     if name == "renewal":
-        return -renewal_adjustment(RW.driver, RW.p1)
+        if which == "g1":
+            return -renewal_adjustment(RW.driver, RW.p1)
+        return -0.75 * renewal_adjustment(RW.driver, RW.p2)
     adj = adjustment(MODELS[name])
     return -adj.gamma1 if which == "g1" else -0.75 * adj.gamma2
 
@@ -68,6 +70,9 @@ CASES = {
     "cpe-partial-chunk": ("cpe", 1.0, 3.0, None, None, 3, 777, 1024),
     "bm-partial-chunk": ("bm", 1.0, 3.0, None, None, 3, 777, 1024),
     "renewal-tail-g1": ("renewal", 6.0, 12.0, "g1", None, 0, WIDTH, 8192),
+    # deterministic gaps weigh a horizon-censored lane at its last claim
+    # epoch, not at the horizon; 3827 of the 4096 lanes end censored here
+    "renewal-fixed-time": ("renewal", 1.0, 3.0, "g2", FixedTime(5.5), 0, WIDTH, 8192),
 }
 
 DIGESTS = {
@@ -210,6 +215,16 @@ DIGESTS = {
         "w1": "aadc1f451dd6cc42",
         "w2": "7b1a16472bfd900c",
         "wsim": "744a27c7bc517d9e",
+    },
+    "renewal-fixed-time": {
+        "tau1": "19ce595f4a1dcbb1",
+        "tau2": "3a64aaf5d138a0ad",
+        "tsim": "19ce595f4a1dcbb1",
+        "censor": "13d045bdd3d7a8f1",
+        "w": "a0ce693369b773c1",
+        "w1": "bae0db85a62e0193",
+        "w2": "53f63f05e7cdf36a",
+        "wsim": "bae0db85a62e0193",
     },
     "renewal-tail-g1": {
         "tau1": "98bbfe6abcba164c",
