@@ -15,6 +15,7 @@ stderr), 4 output IO failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -333,15 +334,16 @@ def _exact_row(model2: TwoLineModel, x1: float, x2: float, event: str,
 
 
 def _mc_rows(model2: TwoLineModel, x1: float, x2: float, events: List[str],
-             cfg: Dict[str, Any]) -> Callable[[str], OutputRow]:
+             sim_cfg: Callable[[], SimConfig]) -> Callable[[str], OutputRow]:
     """The MC row of any of ``events`` at (x1, x2).  The first row asked
-    for runs one estimate over all of them, where a per-event estimate of
-    that row would have run, so refusals surface in the same order."""
+    for calls sim_cfg and runs one estimate over all of them, where a
+    per-event estimate of that row would have run, so refusals surface in
+    the same order."""
     rows: Dict[str, OutputRow] = {}
 
     def row(event: str) -> OutputRow:
         if not rows:
-            ests = estimate(model2, x1, x2, events, _sim_config(cfg, model2))
+            ests = estimate(model2, x1, x2, events, sim_cfg())
             cone = _cone_name(model2, x1, x2)
             for ev, est in ests.items():
                 rows[ev] = OutputRow(
@@ -388,7 +390,7 @@ def _run_compute(model2, cfg, scaled) -> List[OutputRow]:
     x1, x2 = xs
     events = _events(cfg, ("OR",))
     methods = _methods(cfg, ("exact",))
-    mc = _mc_rows(model2, x1, x2, events, cfg)
+    mc = _mc_rows(model2, x1, x2, events, functools.partial(_sim_config, cfg, model2))
     return [_one_row(model2, x1, x2, ev, m, mc) for ev in events for m in methods]
 
 
@@ -398,9 +400,11 @@ def _run_sweep(model2, cfg, scaled) -> List[OutputRow]:
     a, ks = _ray(cfg)
     events = _events(cfg, ("OR",))
     methods = _methods(cfg, ("exact",))
+    # the horizon does not depend on K: the first MC row builds the SimConfig
+    sim_cfg = functools.cache(functools.partial(_sim_config, cfg, model2))
     rows = []
     for K in ks:
-        mc = _mc_rows(model2, a * K, K, events, cfg)
+        mc = _mc_rows(model2, a * K, K, events, sim_cfg)
         for ev in events:
             for m in methods:
                 row = _one_row(model2, a * K, K, ev, m, mc)
@@ -434,7 +438,7 @@ def _run_mc(model2, cfg, scaled) -> List[OutputRow]:
     if xs is None:
         raise ConfigError("mc needs reserves (x1, x2)")
     events = _events(cfg, ("OR",))
-    mc = _mc_rows(model2, xs[0], xs[1], events, cfg)
+    mc = _mc_rows(model2, xs[0], xs[1], events, functools.partial(_sim_config, cfg, model2))
     return [mc(ev) for ev in events]
 
 
@@ -445,7 +449,7 @@ def _run_compare(model2, cfg, scaled) -> List[OutputRow]:
     x1, x2 = xs
     events = _events(cfg, ("OR", "SIM", "AND"))
     methods = _methods(cfg, _METHODS)
-    mc = _mc_rows(model2, x1, x2, events, cfg)
+    mc = _mc_rows(model2, x1, x2, events, functools.partial(_sim_config, cfg, model2))
     rows = []
     for ev in events:
         base_est = exact(model2, RuinQuery(ev, x1, x2))

@@ -11,6 +11,11 @@ linear on every segment and the event indicators carry no
 discretisation bias.  Checkpoint spacing only limits the resolution of
 the reported crossing times.
 
+Both engines keep their per-chunk bookkeeping (outputs, live-lane flags,
+first sightings, stopping, FixedTime censoring, weights) in one core,
+``_Events``, and add only their draws, crossing and safe-level tests; the
+jump engine and ``_line_ruin_times`` read their draws through ``_Blocks``.
+
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
 substream (key ``[seed, chunk index]``) in a fixed round order; partial
@@ -33,7 +38,7 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -216,12 +221,155 @@ def _reserves_ok(x1: float, x2: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# jump-driver chunk engine (compound Poisson and renewal)
+# per-chunk event bookkeeping, shared by both chunk engines
 
-_CENSOR_NONE = 0
 _CENSOR_SAFE = 1
 _CENSOR_TIME = 2
 _CENSOR_NAMES = {0: None, 1: "safe_level", 2: "fixed_time"}
+
+
+def _at(x, mask):
+    """x[mask] for a per-lane array, x itself for a value all lanes share."""
+    return x[mask] if isinstance(x, np.ndarray) else x
+
+
+class _Events:
+    """The outputs of one chunk and the event flags of its live lanes.
+
+    Outputs are indexed by original lane; live lane j is original lane
+    ids[j].  ``step`` and ``stop`` compact the flags and ids, and return
+    the keep mask with which the engine compacts its own state.  Each
+    event (LINE1, LINE2, SIM) records the time, claim level and step count
+    of its first sighting in its entry of tau, s_e and n_e, so its
+    importance weight stops accumulating variance once the event is
+    decided instead of drifting until the whole record resolves.  stop_te
+    is a lane's last claim epoch and stop_t its stopping time (the horizon
+    for lanes censored there).  The flags are separate 1-D arrays:
+    compacting one (3, width) array along its second axis is several
+    times slower."""
+
+    def __init__(self, width: int):
+        # one 1-D array per event: a (3, width) array outgrows malloc's mmap
+        # threshold at 8192 lanes, and its pages then fault in every chunk
+        self.tau = [np.full(width, math.inf) for _ in range(3)]
+        self.s_e = [np.zeros(width) for _ in range(3)]
+        self.n_e = [np.zeros(width, dtype=np.int64) for _ in range(3)]
+        self.stop_t = np.zeros(width)
+        self.stop_te = np.zeros(width)
+        self.stop_s = np.zeros(width)
+        self.nstep = np.zeros(width, dtype=np.int64)
+        self.censor = np.zeros(width, dtype=np.int8)
+        self.ids = np.arange(width)
+        self.ruin1 = np.zeros(width, dtype=bool)
+        self.ruin2 = np.zeros(width, dtype=bool)
+        self.sim = np.zeros(width, dtype=bool)
+        self.safe1 = np.zeros(width, dtype=bool)
+        self.safe2 = np.zeros(width, dtype=bool)
+
+    def step(self, hit1, hit2, hit_sim, t, s, n, safe1=None, safe2=None):
+        """Record the first sightings among the live lanes at time t, claim
+        level s and step count n, retire the lines that cleared the safe
+        level, and stop every lane whose record is decided: each line is
+        ruined or retired, and SIM has happened or cannot be told apart
+        from a retirement.  Returns the keep mask, or None if none stop."""
+        for e, (hit, seen) in enumerate(((hit1, self.ruin1), (hit2, self.ruin2),
+                                         (hit_sim, self.sim))):
+            new = hit & ~seen
+            if new.any():
+                k = self.ids[new]
+                self.tau[e][k] = _at(t, new)
+                self.s_e[e][k] = s[new]
+                self.n_e[e][k] = n
+                seen |= new
+        if safe1 is not None:
+            self.safe1 |= safe1
+            self.safe2 |= safe2
+        done = ((self.ruin1 | self.safe1) & (self.ruin2 | self.safe2)
+                & (self.sim | self.safe1 | self.safe2))
+        if not done.any():
+            return None
+        # a decided lane that misses an event has retired a line
+        declared = ~(self.ruin1 & self.ruin2 & self.sim)[done]
+        return self.stop(done, t, s, n, _CENSOR_SAFE, coded=declared)
+
+    def stop(self, mask, t, s, n, code, coded=None, t_e=None) -> np.ndarray:
+        """Stop the live lanes in mask at time t, claim level s and step
+        count n, and give the censor code to those of them in coded (all if
+        None); t_e is their last claim epoch if that is not t."""
+        k = self.ids[mask]
+        self.stop_t[k] = t_k = _at(t, mask)
+        self.stop_te[k] = t_k if t_e is None else t_e[mask]
+        self.stop_s[k] = s[mask]
+        self.nstep[k] = n
+        self.censor[k if coded is None else k[coded]] = code
+        live = ~mask
+        self.ids = self.ids[live]
+        self.ruin1, self.ruin2 = self.ruin1[live], self.ruin2[live]
+        self.safe1, self.safe2 = self.safe1[live], self.safe2[live]
+        self.sim = self.sim[live]
+        return live
+
+    def result(self, model2: TwoLineModel, cfg: SimConfig, at_epoch: bool) -> dict:
+        """The chunk's arrays; the path weight is taken at stop_te if
+        at_epoch, else at stop_t."""
+        c = cfg.tilt
+        if c is None:
+            w = np.ones_like(self.stop_t)
+        else:
+            t_w = self.stop_te if at_epoch else self.stop_t
+            w = np.exp(_log_weight(model2, c, t_w, self.stop_s, self.nstep))
+        w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
+        return {"tau1": self.tau[0], "tau2": self.tau[1], "tsim": self.tau[2],
+                "censor": self.censor, "w": w, "w1": w1, "w2": w2, "wsim": wsim}
+
+
+def _log_weight(model2: TwoLineModel, c: float, t, s, n):
+    """Log likelihood weight of tilt c after time t, claim total s and n
+    claims: -c Z + the driver's compensator, with Z = p2 t - s."""
+    p2 = model2.p2
+    return -c * (p2 * t - s) + model2.driver.tilt_compensator(p2, c, t, n)
+
+
+def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
+                  s_e: np.ndarray, n_e: np.ndarray) -> np.ndarray:
+    """Likelihood weight frozen at an event epoch; 0 where the event never
+    happened (any finite placeholder would do, the indicator kills it)."""
+    c = cfg.tilt
+    hit = np.isfinite(tau)
+    if c is None:
+        return hit.astype(float)
+    t_e = np.where(hit, tau, 0.0)
+    return np.where(hit, np.exp(_log_weight(model2, c, t_e, s_e, n_e)), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# jump-driver chunk engine (compound Poisson and renewal)
+
+
+class _Blocks:
+    """Gap and claim draws of a jump-driven chunk.  Each refill draws
+    _BLOCK rounds for the lanes live at that moment; live lane j reads
+    column pos[j] of the block, so compacting the lanes compacts pos and
+    never copies the block."""
+
+    def __init__(self, rng: np.random.Generator, ia: DistSpec, cl: DistSpec):
+        self.rng, self.ia, self.cl = rng, ia, cl
+        self.dz = self.sz = self.pos = None
+        self.col = _BLOCK
+
+    def draw(self, nl: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One round of (gap, claim) for the nl live lanes."""
+        if self.col == _BLOCK:
+            self.dz = self.ia.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
+            self.sz = self.cl.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
+            self.pos = np.arange(nl)
+            self.col = 0
+        col = self.col
+        self.col += 1
+        return self.dz[col].take(self.pos), self.sz[col].take(self.pos)
+
+    def keep(self, live: np.ndarray) -> None:
+        self.pos = self.pos[live]
 
 
 def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, DistSpec]:
@@ -232,78 +380,33 @@ def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, Dis
 def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                 chunk_idx: int, width: int) -> dict:
     p1, p2 = model2.p1, model2.p2
-    rng = _chunk_rng(cfg.seed, chunk_idx)
     ia, cl = _jump_dists(model2, cfg.tilt)
+    blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
     t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
     level = cfg.horizon.L if isinstance(cfg.horizon, SafeLevel) else math.inf
-
-    # outputs, indexed by original lane; stop_te is the last claim epoch,
-    # stop_t the weight-evaluation time (the horizon for censored lanes)
-    tau1 = np.full(width, math.inf)
-    tau2 = np.full(width, math.inf)
-    tsim = np.full(width, math.inf)
-    stop_t = np.zeros(width)
-    stop_te = np.zeros(width)
-    stop_s = np.zeros(width)
-    nstep = np.zeros(width, dtype=np.int64)
-    censor = np.zeros(width, dtype=np.int8)
-    # weight checkpoints (S, step count) frozen at each event's own epoch,
-    # so importance weights stop accumulating variance once the event is
-    # decided instead of drifting until the whole record resolves
-    s1c = np.zeros(width)
-    s2c = np.zeros(width)
-    ssc = np.zeros(width)
-    n1c = np.zeros(width, dtype=np.int64)
-    n2c = np.zeros(width, dtype=np.int64)
-    nsc = np.zeros(width, dtype=np.int64)
+    ev = _Events(width)
 
     # live state, compacted whenever a lane stops; every live lane has taken
     # the same number of steps, so one counter serves them all
-    ids = np.arange(width)
     t = np.zeros(width)
     s = np.zeros(width)
-    ruin1 = np.zeros(width, dtype=bool)
-    ruin2 = np.zeros(width, dtype=bool)
-    safe1 = np.zeros(width, dtype=bool)
-    safe2 = np.zeros(width, dtype=bool)
-    sim = np.zeros(width, dtype=bool)
     steps = 0
-
-    # each refill draws _BLOCK rounds for the lanes live at that moment;
-    # live lane j reads column pos[j] of the block, so compacting the
-    # state compacts pos and never copies the block
-    col = _BLOCK
-    dz_blk = sz_blk = pos = None
-    while ids.size:
+    while ev.ids.size:
         if steps >= 5_000_000:
             raise InternalInconsistency("jump engine failed to resolve a chunk")
-        if col == _BLOCK:
-            nl = ids.size
-            dz_blk = ia.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
-            sz_blk = cl.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
-            pos = np.arange(nl)
-            col = 0
-        t_next = t + dz_blk[col].take(pos)
+        dz, sz = blocks.draw(ev.ids.size)
+        t_next = t + dz
 
         if t_hor < math.inf:
             over = t_next > t_hor
             if over.any():
-                k = ids[over]
-                stop_t[k] = t_hor
-                stop_te[k] = t[over]
-                stop_s[k] = s[over]
-                nstep[k] = steps
-                censor[k] = _CENSOR_TIME
-                keep = ~over
-                ids, pos, t_next, s = ids[keep], pos[keep], t_next[keep], s[keep]
-                ruin1, ruin2 = ruin1[keep], ruin2[keep]
-                safe1, safe2 = safe1[keep], safe2[keep]
-                sim = sim[keep]
-                if not ids.size:
+                keep = ev.stop(over, t_hor, s, steps, _CENSOR_TIME, t_e=t)
+                blocks.keep(keep)
+                t_next, s, sz = t_next[keep], s[keep], sz[keep]
+                if not ev.ids.size:
                     break
         t = t_next
-        s = s + sz_blk[col].take(pos)
-        col += 1
+        s = s + sz
         steps += 1
 
         b1 = x1 + p1 * t
@@ -320,86 +423,18 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
         neg1 = u1 < 0.0
         neg2 = u2 < 0.0
-        new1 = neg1 & ~ruin1
-        if new1.any():
-            k = ids[new1]
-            tau1[k] = t[new1]
-            s1c[k] = s[new1]
-            n1c[k] = steps
-            ruin1 |= new1
-        new2 = neg2 & ~ruin2
-        if new2.any():
-            k = ids[new2]
-            tau2[k] = t[new2]
-            s2c[k] = s[new2]
-            n2c[k] = steps
-            ruin2 |= new2
-        news = neg1 & neg2 & ~sim
-        if news.any():
-            k = ids[news]
-            tsim[k] = t[news]
-            ssc[k] = s[news]
-            nsc[k] = steps
-            sim |= news
-        if level < math.inf:
-            safe1 |= p1 * t - s >= level
-            safe2 |= p2 * t - s >= level
+        safe = (p1 * t - s >= level, p2 * t - s >= level) if level < math.inf else ()
+        live = ev.step(neg1, neg2, neg1 & neg2, t, s, steps, *safe)
+        if live is not None:
+            blocks.keep(live)
+            t, s = t[live], s[live]
 
-        done = (ruin1 | safe1) & (ruin2 | safe2) & (sim | safe1 | safe2)
-        if done.any():
-            k = ids[done]
-            stop_t[k] = stop_te[k] = t[done]
-            stop_s[k] = s[done]
-            nstep[k] = steps
-            declared = (safe1 | safe2)[done] & ~(ruin1 & ruin2 & sim)[done]
-            censor[k[declared]] = _CENSOR_SAFE
-            live = ~done
-            ids, pos, t, s = ids[live], pos[live], t[live], s[live]
-            ruin1, ruin2 = ruin1[live], ruin2[live]
-            safe1, safe2 = safe1[live], safe2[live]
-            sim = sim[live]
-
-    weights = _jump_weights(model2, cfg, ia, stop_t, stop_te, stop_s, nstep)
-    return {
-        "tau1": tau1, "tau2": tau2, "tsim": tsim, "censor": censor, "w": weights,
-        "w1": _event_weight(model2, cfg, tau1, s1c, n1c),
-        "w2": _event_weight(model2, cfg, tau2, s2c, n2c),
-        "wsim": _event_weight(model2, cfg, tsim, ssc, nsc),
-    }
-
-
-def _log_weight(model2: TwoLineModel, c: float, t, s, n):
-    """Log likelihood weight of tilt c after time t, claim total s and n
-    claims: -c Z + the driver's compensator, with Z = p2 t - s."""
-    p2 = model2.p2
-    return -c * (p2 * t - s) + model2.driver.tilt_compensator(p2, c, t, n)
-
-
-def _jump_weights(model2: TwoLineModel, cfg: SimConfig, ia: DistSpec,
-                  stop_t: np.ndarray, stop_te: np.ndarray, stop_s: np.ndarray,
-                  nstep: np.ndarray) -> np.ndarray:
-    c = cfg.tilt
-    if c is None:
-        return np.ones_like(stop_t)
     # A lane censored at a deterministic horizon carries the weight at the
     # horizon when its gaps are exponential: the Levy form holds at any
     # time, and for a renewal walk the memoryless survival ratio extends
     # the epoch value there.  A deterministic gap has ratio 1, so its
     # weight stays at the last epoch.
-    t_w = stop_t if math.isfinite(ia.mgf_sup) else stop_te
-    return np.exp(_log_weight(model2, c, t_w, stop_s, nstep))
-
-
-def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
-                  s_e: np.ndarray, n_e: np.ndarray) -> np.ndarray:
-    """Likelihood weight frozen at an event epoch; 0 where the event never
-    happened (any finite placeholder would do, the indicator kills it)."""
-    c = cfg.tilt
-    hit = np.isfinite(tau)
-    if c is None:
-        return hit.astype(float)
-    t_e = np.where(hit, tau, 0.0)
-    return np.where(hit, np.exp(_log_weight(model2, c, t_e, s_e, n_e)), 0.0)
+    return ev.result(model2, cfg, at_epoch=not math.isfinite(ia.mgf_sup))
 
 
 # ---------------------------------------------------------------------------
@@ -407,26 +442,18 @@ def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
 
 
 def _bm_segments(T: float, t_hor: float) -> Iterator[Tuple[float, float]]:
-    t = 0.0
-    if T > 0.0:
-        n1 = max(1, math.ceil(T / (min(T, 1.0) / 64.0)))
-        h1 = T / n1
-        for k in range(1, n1 + 1):
-            t1 = min(k * h1, t_hor)
-            if t1 <= t:
-                return
-            yield t, t1
-            t = t1
-            if t >= t_hor:
-                return
-    while True:
-        t1 = min(t + 1.0, t_hor)
+    """Checkpoint pairs up to t_hor: at least 64 per unit time up to T, so
+    that T is a checkpoint, then one per unit time."""
+    n1 = max(1, math.ceil(T / (min(T, 1.0) / 64.0))) if T > 0.0 else 0
+    h1 = T / max(n1, 1)
+    t, k = 0.0, 0
+    while t < t_hor:
+        k += 1
+        t1 = min(k * h1 if k <= n1 else t + 1.0, t_hor)
         if t1 <= t:
             return
         yield t, t1
         t = t1
-        if t >= t_hor:
-            return
 
 
 def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
@@ -458,98 +485,38 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
     level = cfg.horizon.L if isinstance(cfg.horizon, SafeLevel) else math.inf
     T = max(x2 - x1, 0.0) / (p1 - p2)
-
-    tau1 = np.full(width, math.inf)
-    tau2 = np.full(width, math.inf)
-    tsim = np.full(width, math.inf)
-    stop_t = np.zeros(width)
-    stop_w = np.zeros(width)
-    censor = np.zeros(width, dtype=np.int8)
-    # W at the end of the segment where each event was first detected;
-    # crossings are only localised to a segment, so that endpoint is the
-    # earliest stopping time at which the indicator is known
-    z1c = np.zeros(width)
-    z2c = np.zeros(width)
-    zsc = np.zeros(width)
+    ev = _Events(width)
 
     # live state, compacted whenever a lane stops.  The stream contract
     # draws every segment at full width; live lane j reads column ids[j]
-    ids = np.arange(width)
     wS = np.zeros(width)  # claim process S = W at the current checkpoint
-    ruin1 = np.zeros(width, dtype=bool)
-    ruin2 = np.zeros(width, dtype=bool)
-    safe1 = np.zeros(width, dtype=bool)
-    safe2 = np.zeros(width, dtype=bool)
-    sim = np.zeros(width, dtype=bool)
-
     t_retire = (level + max(x1, x2)) * 10.0 / max(abs(p2 + c), abs(p1 + c), 1e-3) + 100.0 * (T + 1.0)
     for t0, t1 in _bm_segments(T, t_hor):
-        if not ids.size:
+        if not ev.ids.size:
             break
         if t0 > t_retire:
             raise InternalInconsistency("Brownian engine failed to resolve a chunk")
         h = t1 - t0
+        ids = ev.ids
         nrm = rng.standard_normal(width)
         u = rng.random(width).take(ids)
         z = wS + nrm.take(ids) * math.sqrt(h) - c * h
 
         c1 = _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u)
         c2 = _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u)
-
-        new1 = c1 & ~ruin1
-        if new1.any():
-            k = ids[new1]
-            tau1[k] = t1
-            z1c[k] = z[new1]
-            ruin1 |= new1
-        new2 = c2 & ~ruin2
-        if new2.any():
-            k = ids[new2]
-            tau2[k] = t1
-            z2c[k] = z[new2]
-            ruin2 |= new2
         csim = c2 if t1 <= T else c1  # upper envelope piece
-        news = csim & ~sim
-        if news.any():
-            k = ids[news]
-            tsim[k] = t1
-            zsc[k] = z[news]
-            sim |= news
-        if level < math.inf:
-            safe1 |= z < p1 * t1 - level
-            safe2 |= z < p2 * t1 - level
-
-        done = (ruin1 | safe1) & (ruin2 | safe2) & (sim | safe1 | safe2)
-        if done.any():
-            k = ids[done]
-            stop_t[k] = t1
-            stop_w[k] = z[done]
-            declared = (safe1 | safe2)[done] & ~(ruin1 & ruin2 & sim)[done]
-            censor[k[declared]] = _CENSOR_SAFE
-            live = ~done
-            ids, z = ids[live], z[live]
-            ruin1, ruin2 = ruin1[live], ruin2[live]
-            safe1, safe2 = safe1[live], safe2[live]
-            sim = sim[live]
+        # crossings are only localised to a segment, so its end is the
+        # earliest stopping time at which an event is known
+        safe = (z < p1 * t1 - level, z < p2 * t1 - level) if level < math.inf else ()
+        live = ev.step(c1, c2, csim, t1, z, 0, *safe)
+        if live is not None:
+            z = z[live]
         wS = z
 
         if t1 >= t_hor:
-            stop_t[ids] = t_hor
-            stop_w[ids] = z
-            censor[ids] = _CENSOR_TIME
+            ev.stop(np.ones(ev.ids.size, dtype=bool), t_hor, z, 0, _CENSOR_TIME)
             break
-
-    if cfg.tilt is None:
-        weights = np.ones(width)
-    else:
-        weights = np.exp(_log_weight(model2, c, stop_t, stop_w, 0))
-    zero = np.zeros(width, dtype=np.int64)
-    return {
-        "tau1": tau1, "tau2": tau2, "tsim": tsim, "censor": censor, "w": weights,
-        "w1": _event_weight(model2, cfg, tau1, z1c, zero),
-        "w2": _event_weight(model2, cfg, tau2, z2c, zero),
-        "wsim": _event_weight(model2, cfg, tsim, zsc, zero),
-    }
+    return ev.result(model2, cfg, at_epoch=False)
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +568,6 @@ def simulate(model2: TwoLineModel, x1: float, x2: float,
                 censor_reason=_CENSOR_NAMES[int(cen[k])],
                 likelihood_weight=float(w[k]),
             )
-
-
-def _indicator(res: dict, event: str) -> np.ndarray:
-    if event == "OR":
-        return np.isfinite(np.minimum(res["tau1"], res["tau2"]))
-    if event == "SIM":
-        return np.isfinite(res["tsim"])
-    if event == "AND":
-        return np.isfinite(res["tau1"]) & np.isfinite(res["tau2"])
-    if event == "LINE1":
-        return np.isfinite(res["tau1"])
-    return np.isfinite(res["tau2"])
 
 
 def _event_value(res: dict, event: str) -> np.ndarray:
@@ -707,11 +662,10 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
     for ci in range(n_chunks):
         width = min(chunk, n - ci * chunk)
         rng = _chunk_rng(seed, (salt << 32) | ci)
-        lo = ci * chunk
+        out = taus[ci * chunk:ci * chunk + width]
         if isinstance(d, StandardBrownian):
             h = 0.25
             wS = np.zeros(width)
-            out = np.full(width, math.inf)
             alive = np.ones(width, dtype=bool)
             t = 0.0
             while alive.any() and t < t_cap:
@@ -722,60 +676,52 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
                 alive &= ~hit
                 wS = z
                 t += h
-            taus[lo:lo + width] = out
             continue
-        ia, cl = d.jump_dists()
+        blocks = _Blocks(rng, *d.jump_dists())
         t = np.zeros(width)
         s = np.zeros(width)
-        out = np.full(width, math.inf)
         ids = np.arange(width)
-        col = _BLOCK
-        dz_blk = sz_blk = pos = None
         while ids.size:
-            if col == _BLOCK:  # blocks are read through pos, as in _jump_chunk
-                nl = ids.size
-                dz_blk = ia.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
-                sz_blk = cl.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
-                pos = np.arange(nl)
-                col = 0
-            t = t + dz_blk[col].take(pos)
-            s = s + sz_blk[col].take(pos)
-            col += 1
+            dz, sz = blocks.draw(ids.size)
+            t = t + dz
+            s = s + sz
             ruin = x + p * t - s < 0.0
             out[ids[ruin]] = t[ruin]
             live = ~ruin & (t < t_cap)
             if not live.all():
-                ids, pos, t, s = ids[live], pos[live], t[live], s[live]
-        taus[lo:lo + width] = out
+                ids, t, s = ids[live], t[live], s[live]
+                blocks.keep(live)
     return taus
+
+
+def _fill(n: int, batch: Callable[[int], np.ndarray]) -> np.ndarray:
+    """n draws of a rejection sampler; batch(k) proposes a round sized for
+    k missing draws and returns the accepted ones."""
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        z = batch(n - filled)
+        take = min(z.size, n - filled)
+        out[filled:filled + take] = z[:take]
+        filled += take
+    return out
 
 
 def _truncated_std_normal(rng: np.random.Generator, n: int, alpha: float) -> np.ndarray:
     """Standard normal conditioned on exceeding alpha; exact for any alpha."""
     if alpha < 3.0:
-        out = np.empty(n)
-        filled = 0
-        while filled < n:
-            m = max(int((n - filled) / max(1.0 - 0.5 * (1 + math.erf(alpha / math.sqrt(2))), 1e-3)) + 16, 64)
-            z = rng.standard_normal(m)
-            z = z[z > alpha]
-            take = min(z.size, n - filled)
-            out[filled:filled + take] = z[:take]
-            filled += take
-        return out
-    # exponential proposal (Robert): z = alpha + E/alpha
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = int((n - filled) * 1.5) + 16
+        tail = max(1.0 - 0.5 * (1 + math.erf(alpha / math.sqrt(2))), 1e-3)
+
+        def batch(k: int) -> np.ndarray:
+            z = rng.standard_normal(max(int(k / tail) + 16, 64))
+            return z[z > alpha]
+        return _fill(n, batch)
+
+    def robert(k: int) -> np.ndarray:  # exponential proposal: z = alpha + E/alpha
+        m = int(k * 1.5) + 16
         e = rng.exponential(1.0 / alpha, m)
-        z = alpha + e
-        acc = rng.random(m) < np.exp(-0.5 * e * e)
-        z = z[acc]
-        take = min(z.size, n - filled)
-        out[filled:filled + take] = z[:take]
-        filled += take
-    return out
+        return (alpha + e)[rng.random(m) < np.exp(-0.5 * e * e)]
+    return _fill(n, robert)
 
 
 def _limit_law_samples(line: LineModel, v: float, side: str, n: int,
@@ -804,17 +750,12 @@ def _limit_law_samples(line: LineModel, v: float, side: str, n: int,
     # survival: density on y > 0 proportional to
     # phi_t(y - x - pt) * (1 - exp(-2 x y / t)); rejection from the first factor
     a = -(x + p * t) / sd
-    out = np.empty(n)
-    filled = 0
-    while filled < n:
-        m = int((n - filled) * 2) + 16
+
+    def batch(k: int) -> np.ndarray:
+        m = int(k * 2) + 16
         y = (x + p * t) + sd * _truncated_std_normal(rng, m, a)
-        acc = rng.random(m) < -np.expm1(-2.0 * x * y / t)
-        y = y[acc]
-        take = min(y.size, n - filled)
-        out[filled:filled + take] = y[:take]
-        filled += take
-    return out
+        return y[rng.random(m) < -np.expm1(-2.0 * x * y / t)]
+    return _fill(n, batch)
 
 
 def check_limits(model, what, config: SimConfig) -> CheckReport:

@@ -133,6 +133,23 @@ class TestSweep:
         # the decay exponent approaches the quadrant exit rate 3.125
         assert rows[1]["exponent"] == pytest.approx(3.125, rel=0.05)
 
+    def test_one_default_safe_level_per_run(self, capsys, monkeypatch):
+        calls = []
+        real = cli.default_safe_level
+
+        def counted(model2):
+            calls.append(model2)
+            return real(model2)
+
+        monkeypatch.setattr(cli, "default_safe_level", counted)
+        code, out, _ = run_cli(
+            ["sweep", *CPE_FLAGS, "--a", "0.5", "--k", "2,4,6", "--method", "mc",
+             "--n", "256", "--seed", "5", "--format", "json"],
+            capsys)
+        assert code == 0
+        assert [r["K"] for r in rows_json(out)] == [2.0, 4.0, 6.0]
+        assert len(calls) == 1
+
     def test_sweep_rejects_reserves(self, capsys):
         code, _, err = run_cli(
             ["sweep", *BM_FLAGS, "--x1", "1", "--x2", "3", "--a", "0.5", "--k", "10"],
