@@ -3,8 +3,9 @@
 Each pin is the ``repr`` of ``(value, err)``, so a change in how the
 panels are evaluated (node batching, summation order, panel order) must
 leave every float as it was.  The integrands need from a dozen to a few
-dozen bisections, and the ``_cpe_deferred`` points include one deep in
-the tail of the ray (K/2, K) at K = 40.
+dozen bisections, one of them down to floating-point resolution, and
+the ``_cpe_deferred`` points include one deep in the tail of the ray
+(K/2, K) at K = 40.
 """
 
 import numpy as np
@@ -24,6 +25,10 @@ INTEGRALS = {
               "(0.5493603067780047, 4.9231452248221785e-15)"),
     "reversed_log": (np.log, 2.0, 1e-3, 1e-12,
                      "(0.6057978836011253, 8.967540252036166e-13)"),
+    # bisects down to panels at floating-point resolution (twice)
+    "step_at_resolution": (lambda x: np.where(x > 1e3 + 1.0 / 3.0, 1e3, 0.0),
+                           1e3, 1e3 + 1.0, 1e-11,
+                           "(666.6666666666268, 2.2737367544321913e-12)"),
 }
 
 
