@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Literal
 
 from .errors import ConfigError, InternalInconsistency, OutOfRange
-from .models import AdjustmentData, TwoLineModel, adjustment, saddle
+from .models import AdjustmentData, TwoLineModel, _solved_once, adjustment, saddle
 from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
@@ -88,6 +88,7 @@ def partition(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> ConeP
     return _partition(model2, adjustment(model2, tol))
 
 
+@_solved_once
 def _partition(model2: TwoLineModel, adj: AdjustmentData) -> ConePartition:
     l1, l2 = model2.line1, model2.line2
 

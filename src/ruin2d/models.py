@@ -17,6 +17,9 @@ derivatives, its Legendre transform and exponential tilting, so those
 live here.  Closed forms are authoritative for the two concrete drivers;
 a bracketed root solve runs alongside them and any disagreement beyond
 1e-10 raises InternalInconsistency rather than silently picking a side.
+``line_adjustment``, ``adjustment`` and ``renewal_adjustment`` keep their
+results per argument key in a bounded LRU cache, so each model's
+constants are solved, and cross-checked, on the first call only.
 
 Each driver class is one row of the driver table, so the generic code
 never branches on the driver type to pick a formula.  Every method takes
@@ -42,6 +45,8 @@ driver has no jumps, so ``jump_dists`` raises there.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -83,6 +88,33 @@ __all__ = [
 ]
 
 _CROSS_CHECK_TOL = 1e-10
+
+# Entries per memoised solve: a model contributes a handful of keys (its
+# two lines, their tilts, the pair), so this holds many models at once.
+_CACHE_SIZE = 256
+
+
+def _solved_once(fn):
+    """Memoise a solve on its frozen, hashable arguments in a bounded LRU
+    cache.  The key is the whole argument list with defaults filled in, so
+    ``f(m)`` and ``f(m, DEFAULT_TOL)`` share one entry.  Exceptions are not
+    cached: a refusal raises on every call, and the cross-checks inside
+    ``fn`` run on the first solve of each key."""
+    cached = functools.lru_cache(maxsize=_CACHE_SIZE)(fn)
+    sig = inspect.signature(fn)
+    arity = len(sig.parameters)
+
+    @functools.wraps(fn)
+    def solve(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        return cached(*args)
+
+    solve.cache_info = cached.cache_info
+    solve.cache_clear = cached.cache_clear
+    return solve
 
 
 class _Levy:
@@ -476,6 +508,7 @@ def _cross_check(label: str, closed: float, solved: float) -> float:
     return closed
 
 
+@_solved_once
 def line_adjustment(model: LineModel, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
     """Adjustment coefficient and Cramer constant ``(gamma, C)`` of a line.
 
@@ -522,6 +555,7 @@ def _gamma3(model2: TwoLineModel, gamma2: float, tol: ToleranceConfig) -> float:
     return _cross_check("gamma3", closed, solved)
 
 
+@_solved_once
 def adjustment(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> AdjustmentData:
     """All Lundberg exponents and tail constants of a two-line model."""
     gamma1, c1 = line_adjustment(model2.line1, tol)
@@ -620,6 +654,7 @@ def joint_cumulant(model2: TwoLineModel, t1: float, t2: float) -> float:
     return model2.line1.kappa(t1 + t2) - t2 * (model2.p1 - model2.p2)
 
 
+@_solved_once
 def renewal_adjustment(driver: Renewal, p: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
     """Lundberg exponent of a renewal line: the positive root of
     E[exp(-gamma*p*interarrival)] * E[exp(gamma*claim)] = 1.

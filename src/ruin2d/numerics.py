@@ -157,14 +157,29 @@ _WG_FULL = _wg_full
 del _wg_full
 
 
-def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 evaluation on [a, b]: (value, error estimate)."""
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _NODES
-    y = np.asarray(f(x), dtype=float)
+def _gk_sums(h: float, y: np.ndarray) -> tuple[float, float]:
+    """Kronrod value and Gauss/Kronrod defect of one panel of half-width h
+    from its 15 integrand values."""
     k = h * float(np.dot(_WK, y))
     g = h * float(np.dot(_WG_FULL, y))
     return k, abs(k - g)
+
+
+def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
+    """One Gauss-Kronrod 7/15 evaluation on [a, b]: (value, error estimate)."""
+    h = 0.5 * (b - a)
+    return _gk_sums(h, np.asarray(f(0.5 * (a + b) + h * _NODES), dtype=float))
+
+
+def _gk_pair(f: Callable[[np.ndarray], np.ndarray], lo: float, mid: float,
+             hi: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``_gk_panel`` on [lo, mid] and on [mid, hi], from one call of ``f``
+    on the 30 nodes of both halves.  The nodes and the sums are those of
+    two separate panels, so both results are the same floats."""
+    h1, h2 = 0.5 * (mid - lo), 0.5 * (hi - mid)
+    x = np.concatenate((0.5 * (lo + mid) + h1 * _NODES, 0.5 * (mid + hi) + h2 * _NODES))
+    y = np.asarray(f(x), dtype=float)
+    return _gk_sums(h1, y[:15]), _gk_sums(h2, y[15:])
 
 
 def integrate(
@@ -178,7 +193,9 @@ def integrate(
     """Adaptively integrate ``f`` over ``[a, b]`` to absolute tolerance.
 
     ``f`` must accept a numpy array of abscissae and return values of the
-    same shape.  Returns ``(value, err_est)`` where ``err_est`` is the
+    same shape, each depending on its own abscissa only: the first panel
+    passes 15 nodes, and each bisection passes the 30 nodes of both
+    halves in one call.  Returns ``(value, err_est)`` where ``err_est`` is the
     final conservative error bound (the summed Gauss/Kronrod defects).
     The worst panel is bisected until the bound drops below ``tol``;
     exceeding ``max_panels`` splits raises MaxIterations.
@@ -197,15 +214,13 @@ def integrate(
         if total_err <= tol:
             break
         panels.sort()  # worst (most negative first entry) panel first
-        _, lo, hi, _ = panels.pop(0)
+        _, lo, hi, v = panels.pop(0)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # Panel at floating-point resolution; keep its estimate as is.
-            v1, e1 = _gk_panel(f, lo, hi)
-            panels.append((-0.0, lo, hi, v1))
+            panels.append((-0.0, lo, hi, v))
             continue
-        v1, e1 = _gk_panel(f, lo, mid)
-        v2, e2 = _gk_panel(f, mid, hi)
+        (v1, e1), (v2, e2) = _gk_pair(f, lo, mid, hi)
         panels.append((-e1, lo, mid, v1))
         panels.append((-e2, mid, hi, v2))
     else:
