@@ -41,7 +41,7 @@ def root_solves(monkeypatch):
     real = models.root_solve
 
     def counted(*args, **kwargs):
-        calls.append(args[1:3])
+        calls.append(args)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(models, "root_solve", counted)
