@@ -75,7 +75,9 @@ class OutputRow:
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, Dict[str, argparse.Action]]:
+    """The argument parser, and the flag of each config key (every
+    subcommand has the same flags)."""
     ap = argparse.ArgumentParser(
         prog="ruin2d",
         description="Ruin probabilities for two lines sharing one claim process.",
@@ -86,7 +88,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file {model, query, mc, output}")
         # model block
         p.add_argument("--driver", choices=("cpe", "brownian", "renewal"))
-        p.add_argument("--lambda", dest="lam", type=float, help="claim arrival rate (cpe)")
+        p.add_argument("--lambda", type=float, help="claim arrival rate (cpe)")
         p.add_argument("--mu", type=float, help="claim size rate (cpe)")
         p.add_argument("--interarrival", help="renewal interarrival, det:V or exp:RATE")
         p.add_argument("--claim", help="renewal claim size, det:V or exp:RATE")
@@ -114,7 +116,7 @@ def _parser() -> argparse.ArgumentParser:
         # output block
         p.add_argument("--format", choices=("json", "csv"))
         p.add_argument("--out", help="destination path (default: standard output)")
-    return ap
+    return ap, {a.dest: a for a in p._actions}
 
 
 _BLOCK_KEYS = {
@@ -127,7 +129,22 @@ _BLOCK_KEYS = {
 }
 
 
-def _load_config(path: Optional[str]) -> Dict[str, Any]:
+def _config_value(flag: argparse.Action, value: Any, where: str) -> Any:
+    """A config-file value read as its flag reads the same text: converted
+    to the flag's type and checked against its choices (None is unset)."""
+    if value is None:
+        return None
+    if flag.type is not None:
+        try:
+            value = flag.type(value if isinstance(value, str) else json.dumps(value))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: expected {flag.type.__name__}, got {value!r}") from exc
+    if flag.choices is not None and value not in flag.choices:
+        raise ConfigError(f"{where}: {value!r} is not one of {', '.join(flag.choices)}")
+    return value
+
+
+def _load_config(path: Optional[str], flags: Dict[str, argparse.Action]) -> Dict[str, Any]:
     if path is None:
         return {}
     try:
@@ -144,22 +161,22 @@ def _load_config(path: Optional[str]) -> Dict[str, Any]:
         sub = doc.get(block, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"config block {block!r} must be an object")
-        for key in sub:
+        for key, value in sub.items():
+            where = f"key {key!r} in config block {block!r}"
             if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in config block {block!r}")
-        flat.update(sub)
+                raise ConfigError(f"unknown {where}")
+            flat[key] = _config_value(flags[key], value, where)
     return flat
 
 
 def _merge(args: argparse.Namespace, cfg: Dict[str, Any]) -> Dict[str, Any]:
     """Flag value wins over the config-file value; None means unset."""
     merged = dict(cfg)
-    rename = {"lam": "lambda"}
     for key, val in vars(args).items():
         if key in ("command", "config"):
             continue
         if val is not None:
-            merged[rename.get(key, key)] = val
+            merged[key] = val
     return merged
 
 
@@ -213,7 +230,7 @@ def _build_model(cfg: Dict[str, Any]):
         lam, mu = cfg.get("lambda"), cfg.get("mu")
         if lam is None or mu is None:
             raise ConfigError("cpe driver requires --lambda and --mu")
-        driver = CompoundPoissonExp(float(lam), float(mu))
+        driver = CompoundPoissonExp(lam, mu)
     elif driver_kind == "brownian":
         driver = StandardBrownian()
     elif driver_kind == "renewal":
@@ -231,15 +248,12 @@ def _build_model(cfg: Dict[str, Any]):
             raise ConfigError(f"raw triple needs all of u1,u2,c1,c2,delta1,delta2; missing {missing}")
         if any(cfg.get(k) is not None for k in ("p1", "p2", "x1", "x2")):
             raise ConfigError("give either the raw (u, c, delta) triple or p1/p2 with reserves, not both")
-        reserves, (pp1, pp2) = scale_to_canonical(
-            float(cfg["u1"]), float(cfg["u2"]), float(cfg["c1"]), float(cfg["c2"]),
-            float(cfg["delta1"]), float(cfg["delta2"]))
-        p1, p2 = pp1, pp2
+        reserves, (p1, p2) = scale_to_canonical(*(cfg[k] for k in raw_keys))
     else:
         p1, p2 = cfg.get("p1"), cfg.get("p2")
         if p1 is None or p2 is None:
             raise ConfigError("premium rates p1 and p2 are required")
-    model2 = TwoLineModel(driver, float(p1), float(p2))
+    model2 = TwoLineModel(driver, p1, p2)
     # the slower line has the smaller drift, so checking line 2 suffices
     if not model2.line2.has_net_profit:
         raise ConfigError(
@@ -285,33 +299,28 @@ def _reserves(cfg: Dict[str, Any], scaled) -> tuple:
         raise ConfigError("exactly one of reserves (x1, x2) or a ray spec (a, k) must be given")
     if x1 is None:
         return None
-    return float(x1), float(x2)
+    return x1, x2
 
 
 def _ray(cfg: Dict[str, Any]) -> tuple:
     a, ks = cfg.get("a"), cfg.get("k")
     if a is None or ks is None:
         raise ConfigError("sweeps need a ray spec: --a and --k")
-    return float(a), _float_list(ks, "k")
+    return a, _float_list(ks, "k")
 
 
 def _sim_config(cfg: Dict[str, Any], model2: TwoLineModel) -> SimConfig:
     if cfg.get("horizon_time") is not None and cfg.get("safe_level") is not None:
         raise ConfigError("give at most one of --horizon-time and --safe-level")
     if cfg.get("horizon_time") is not None:
-        horizon = FixedTime(float(cfg["horizon_time"]))
+        horizon = FixedTime(cfg["horizon_time"])
     elif cfg.get("safe_level") is not None:
-        horizon = SafeLevel(float(cfg["safe_level"]))
+        horizon = SafeLevel(cfg["safe_level"])
     else:
         horizon = default_safe_level(model2)
-    kw: Dict[str, Any] = {"horizon": horizon}
-    for key, cast in (("n", int), ("seed", int), ("workers", int),
-                      ("chunk_size", int), ("ci_level", float), ("tilt", float)):
-        if cfg.get(key) is not None:
-            kw[key] = cast(cfg[key])
-    kw.setdefault("n", 100_000)
-    kw.setdefault("seed", 0)
-    return SimConfig(**kw)
+    given = {k: cfg[k] for k in ("n", "seed", "workers", "chunk_size", "ci_level", "tilt")
+             if cfg.get(k) is not None}
+    return SimConfig(horizon=horizon, **{"n": 100_000, "seed": 0, **given})
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +533,10 @@ class _EmitError(Exception):
 # entry point
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    ap, flags = _parser()
+    args = ap.parse_args(argv)
     try:
-        cfg = _merge(args, _load_config(args.config))
+        cfg = _merge(args, _load_config(args.config, flags))
         model2, scaled = _build_model(cfg)
         if args.command == "compute":
             rows = _run_compute(model2, cfg, scaled)

@@ -17,9 +17,11 @@ derivatives, its Legendre transform and exponential tilting, so those
 live here.  Closed forms are authoritative for the two concrete drivers;
 a bracketed root solve runs alongside them and any disagreement beyond
 1e-10 raises InternalInconsistency rather than silently picking a side.
-``line_adjustment``, ``adjustment`` and ``renewal_adjustment`` keep their
-results per argument key in a bounded LRU cache, so each model's
-constants are solved, and cross-checked, on the first call only.
+``line_adjustment``, ``adjustment``, ``renewal_adjustment`` and ``saddle``
+keep their results per argument key in a bounded LRU cache, so each
+model's constants are solved, and cross-checked, on the first call only;
+the two ``DistSpec`` builders are kept so too, so equal renewal drivers
+compare equal.
 
 Each driver class is one row of the driver table, so the generic code
 never branches on the driver type to pick a formula.  Every method takes
@@ -133,8 +135,9 @@ class CompoundPoissonExp(_Levy):
     mu: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.mu <= 0:
-            raise ConfigError("claim rate and size rate must be positive")
+        for name, value in (("claim rate lam", self.lam), ("claim size rate mu", self.mu)):
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
 
     @property
     def theta_lower(self) -> float:
@@ -263,10 +266,11 @@ class DistSpec:
             raise ConfigError(f"{self.name}: mean must be positive")
 
 
+@_solved_once
 def exponential_dist(rate: float) -> DistSpec:
     """Exponential distribution of the given rate, tiltable within (-inf, rate)."""
-    if rate <= 0:
-        raise ConfigError("exponential rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise ConfigError(f"exponential rate must be positive and finite, got {rate!r}")
 
     def _tilt(theta: float) -> DistSpec:
         if theta >= rate:
@@ -283,10 +287,11 @@ def exponential_dist(rate: float) -> DistSpec:
     )
 
 
+@_solved_once
 def deterministic_dist(value: float) -> DistSpec:
     """Point mass at ``value``; invariant under exponential tilting."""
-    if value <= 0:
-        raise ConfigError("deterministic value must be positive")
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"deterministic value must be positive and finite, got {value!r}")
     return DistSpec(
         name=f"det({value:g})",
         mean=value,
@@ -596,6 +601,7 @@ def tilt(model: LineModel, c: float) -> TiltedModel:
     return TiltedModel(shift=c, model=new)
 
 
+@_solved_once
 def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> SaddleData:
     """Saddle point data of one line at downward velocity ``v > 0``.
 

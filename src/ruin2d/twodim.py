@@ -38,10 +38,9 @@ from .errors import (
     InternalInconsistency,
     OutOfRange,
 )
-from .finite_time import _as_line, _exp_cdf, finite_ruin, ruin_after, ultimate_ruin
+from .finite_time import _exp_cdf, finite_ruin, ruin_after, ultimate_ruin
 from .models import (
     AdjustmentData,
-    CompoundPoissonExp,
     LineModel,
     Renewal,
     StandardBrownian,
@@ -131,48 +130,54 @@ class RuinEstimate:
             raise InternalInconsistency(f"exact probability {self.value!r} outside [0, 1]")
 
 
-def _survival(model, x: float, t: float, tol: ToleranceConfig) -> tuple[float, float]:
-    """P(tau > t) and its quadrature error, avoiding the 1 - psi
-    subtraction when ruin is certain and survival itself is the small
-    quantity."""
-    base = _as_line(model)
-    if isinstance(base.driver, CompoundPoissonExp) and base.drift <= 0.0:
-        r = ruin_after(model, x, t, tol)
-        return r.value, r.quad_err
-    r = finite_ruin(model, x, t, tol)
-    return 1.0 - r.value, r.quad_err
-
-
-def _brownian_closed(model2: TwoLineModel, x1: float, x2: float, T: float) -> dict:
-    """Reflection-formula expressions for the three probabilities, used
-    as an independent route against the conditioning assembly."""
+def _brownian_closed(model2: TwoLineModel, x1: float, x2: float, T: float,
+                     event: str) -> float:
+    """Reflection-formula expression for the OR, SIM or AND probability,
+    used as an independent route against the conditioning assembly."""
     p1, p2 = model2.p1, model2.p2
+    if event == "SIM":  # OR with the lines exchanged
+        x1, x2, p1, p2 = x2, x1, p2, p1
     rt = math.sqrt(T)
 
     def a(x: float, p: float) -> float:
         return (x + p * T) / rt
 
-    q1 = p1 - 2.0 * p2
-    psi_or = (
+    q = p1 - 2.0 * p2
+    if event == "AND":
+        return (
+            -normal_cdf(-a(x1, p1))
+            + _exp_cdf(-2.0 * p1 * x1, -a(-x1, p1))
+            + _exp_cdf(-2.0 * p2 * x2 - 2.0 * x1 * q, a(-x1, q))
+            + _exp_cdf(-2.0 * p2 * x2, -a(x1, q))
+        )
+    return (
         normal_cdf(-a(x1, p1))
         + _exp_cdf(-2.0 * p1 * x1, a(-x1, p1))
-        + _exp_cdf(-2.0 * p2 * x2, a(x1, q1))
-        - _exp_cdf(-2.0 * p2 * x2 - 2.0 * x1 * q1, a(-x1, q1))
+        + _exp_cdf(-2.0 * p2 * x2, a(x1, q))
+        - _exp_cdf(-2.0 * p2 * x2 - 2.0 * x1 * q, a(-x1, q))
     )
-    q2 = p2 - 2.0 * p1
-    psi_sim = (
-        normal_cdf(-a(x2, p2))
-        + _exp_cdf(-2.0 * p2 * x2, a(-x2, p2))
-        + _exp_cdf(-2.0 * p1 * x1, a(x2, q2))
-        - _exp_cdf(-2.0 * p1 * x1 - 2.0 * x2 * q2, a(-x2, q2))
-    )
-    psi_and = (
-        -normal_cdf(-a(x1, p1))
-        + _exp_cdf(-2.0 * p1 * x1, -a(-x1, p1))
-        + _exp_cdf(-2.0 * p2 * x2 - 2.0 * x1 * q1, a(-x1, q1))
-        + _exp_cdf(-2.0 * p2 * x2, -a(x1, q1))
-    )
-    return {"OR": psi_or, "SIM": psi_sim, "AND": psi_and}
+
+
+def _conditioned(model2: TwoLineModel, x1: float, x2: float, T: float, event: str,
+                 adj: AdjustmentData, tol: ToleranceConfig):
+    """(A, B, B's quadrature error, j) with psi = A + psi_j(x_j) * B for OR,
+    SIM or AND at x2 > x1: A is settled by T on the leading line i (ruin by
+    T, or after T for AND) and B is taken under the -gamma_j tilt of line i."""
+    i, j = (2, 1) if event == "SIM" else (1, 2)
+    line, x = (model2.line1, model2.line2)[i - 1], (x1, x2)[i - 1]
+    tilted = tilt(line, -(adj.gamma1, adj.gamma2)[j - 1])
+    if event == "AND":
+        settled = ruin_after(line, x, T, tol)
+        r = finite_ruin(tilted, x, T, tol)
+        return settled, r.value, r.quad_err, j
+    settled = finite_ruin(line, x, T, tol)
+    # B is the survival P(tau > T) of the tilted line; where its ruin is
+    # certain that is the ruin after T, taken without the 1 - psi subtraction
+    if tilted.model.drift <= 0.0:
+        r = ruin_after(tilted, x, T, tol)
+        return settled, r.value, r.quad_err, j
+    r = finite_ruin(tilted, x, T, tol)
+    return settled, 1.0 - r.value, r.quad_err, j
 
 
 def exact(model2: TwoLineModel, query: RuinQuery,
@@ -180,17 +185,15 @@ def exact(model2: TwoLineModel, query: RuinQuery,
     """Exact ruin probability for the queried event.
 
     Upper-cone values come from the conditioning-at-T assembly; for the
-    Brownian driver the reflection closed forms are evaluated as well and
-    the two routes must agree to 1e-8.  The OR value is checked against
+    Brownian driver the reflection closed form of the event is evaluated
+    as well and the two routes must agree to 1e-8.  The OR value is checked against
     the one-line sandwich max(psi_1, psi_2) <= psi_or <= psi_1 + psi_2.
     """
     x1, x2 = query.x1, query.x2
     l1, l2 = model2.line1, model2.line2
-    if query.event == "LINE1":
-        return RuinEstimate(value=ultimate_ruin(l1, x1, tol), method="exact",
-                            cone=None, diagnostics={"quad_err": 0.0})
-    if query.event == "LINE2":
-        return RuinEstimate(value=ultimate_ruin(l2, x2, tol), method="exact",
+    if query.event in ("LINE1", "LINE2"):
+        line, x = (l1, x1) if query.event == "LINE1" else (l2, x2)
+        return RuinEstimate(value=ultimate_ruin(line, x, tol), method="exact",
                             cone=None, diagnostics={"quad_err": 0.0})
 
     psi1 = ultimate_ruin(l1, x1, tol)
@@ -202,31 +205,14 @@ def exact(model2: TwoLineModel, query: RuinQuery,
 
     T = crossing_time(x1, x2, model2.p1, model2.p2)
     adj = adjustment(model2, tol)
-    diag: dict = {"T": T, "v": x2 / T}
-    if query.event == "OR":
-        base = finite_ruin(l1, x1, T, tol)
-        surv, tilt_err = _survival(tilt(l1, -adj.gamma2), x1, T, tol)
-        value = base.value + psi2 * surv
-        err = base.quad_err + psi2 * tilt_err
-        diag["terms"] = (base.value, psi2 * surv)
-    elif query.event == "SIM":
-        base = finite_ruin(l2, x2, T, tol)
-        surv, tilt_err = _survival(tilt(l2, -adj.gamma1), x2, T, tol)
-        value = base.value + psi1 * surv
-        err = base.quad_err + psi1 * tilt_err
-        diag["terms"] = (base.value, psi1 * surv)
-    elif query.event == "AND":
-        after = ruin_after(l1, x1, T, tol)
-        tilted = finite_ruin(tilt(l1, -adj.gamma2), x1, T, tol)
-        value = after.value + psi2 * tilted.value
-        err = after.quad_err + psi2 * tilted.quad_err
-        diag["terms"] = (after.value, psi2 * tilted.value)
-    else:  # pragma: no cover - exhausted above
-        raise AssertionError(query.event)
-    diag["quad_err"] = err
+    settled, b, b_err, j = _conditioned(model2, x1, x2, T, query.event, adj, tol)
+    psi_j = (psi1, psi2)[j - 1]
+    value = settled.value + psi_j * b
+    err = settled.quad_err + psi_j * b_err
+    diag: dict = {"T": T, "v": x2 / T, "terms": (settled.value, psi_j * b), "quad_err": err}
 
     if isinstance(model2.driver, StandardBrownian):
-        closed = _brownian_closed(model2, x1, x2, T)[query.event]
+        closed = _brownian_closed(model2, x1, x2, T, query.event)
         if abs(closed - value) > _BROWNIAN_ROUTE_TOL:
             raise InternalInconsistency(
                 f"{query.event}: conditioning route {value!r} vs reflection "
@@ -319,7 +305,8 @@ def _prop2_constant(model2: TwoLineModel, i: int, v: float, adj: AdjustmentData,
     return value, "laplace"
 
 
-def _two_term_pre(model2: TwoLineModel, x1: float, x2: float) -> tuple[float, float]:
+def _two_term_pre(model2: TwoLineModel, x1: float, x2: float,
+                  tol: ToleranceConfig) -> tuple[float, float, AdjustmentData]:
     if not x2 > x1:
         raise OutOfRange(
             f"two-term expansions need x2 > x1, got ({x1:g}, {x2:g}); "
@@ -328,49 +315,44 @@ def _two_term_pre(model2: TwoLineModel, x1: float, x2: float) -> tuple[float, fl
     if x1 < 0.0:
         raise OutOfRange(f"reserves must be nonnegative, got x1={x1:g}")
     T = crossing_time(x1, x2, model2.p1, model2.p2)
-    return T, x2 / T
+    return T, x2 / T, adjustment(model2, tol)
+
+
+def _two_term_or_sim(model2: TwoLineModel, x1: float, x2: float, event: str,
+                     tol: ToleranceConfig) -> ExpansionTerms:
+    """The exact assembly A + psi_j(x_j) * B with psi_j(x_j) replaced by
+    C-tilde_j(v) e^{-gamma_j x_j}."""
+    T, v, adj = _two_term_pre(model2, x1, x2, tol)
+    settled, b, _, j = _conditioned(model2, x1, x2, T, event, adj, tol)
+    c_tilde, branch = _prop2_constant(model2, j, v, adj, tol)
+    term2 = c_tilde * math.exp(-(adj.gamma1, adj.gamma2)[j - 1] * (x1, x2)[j - 1]) * b
+    cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
+    return ExpansionTerms(term1=settled.value, term2=term2,
+                          constants={f"C{j}_tilde": c_tilde, "branch": branch},
+                          cone=cone, velocity=v)
 
 
 def two_term_or(model2: TwoLineModel, x1: float, x2: float,
                 tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionTerms:
     """psi_or ~ psi_1(x1, T) + C-tilde_2(v) e^{-gamma_2 x2} survival_1^(-gamma_2)(x1, T)."""
-    T, v = _two_term_pre(model2, x1, x2)
-    adj = adjustment(model2, tol)
-    c2_tilde, branch = _prop2_constant(model2, 2, v, adj, tol)
-    term1 = finite_ruin(model2.line1, x1, T, tol).value
-    surv, _ = _survival(tilt(model2.line1, -adj.gamma2), x1, T, tol)
-    term2 = c2_tilde * math.exp(-adj.gamma2 * x2) * surv
-    cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
-    return ExpansionTerms(term1=term1, term2=term2,
-                          constants={"C2_tilde": c2_tilde, "branch": branch},
-                          cone=cone, velocity=v)
+    return _two_term_or_sim(model2, x1, x2, "OR", tol)
 
 
 def two_term_sim(model2: TwoLineModel, x1: float, x2: float,
                  tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionTerms:
     """psi_sim ~ psi_2(x2, T) + C-tilde_1(v) e^{-gamma_1 x1} survival_2^(-gamma_1)(x2, T)."""
-    T, v = _two_term_pre(model2, x1, x2)
-    adj = adjustment(model2, tol)
-    c1_tilde, branch = _prop2_constant(model2, 1, v, adj, tol)
-    term1 = finite_ruin(model2.line2, x2, T, tol).value
-    surv, _ = _survival(tilt(model2.line2, -adj.gamma1), x2, T, tol)
-    term2 = c1_tilde * math.exp(-adj.gamma1 * x1) * surv
-    cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
-    return ExpansionTerms(term1=term1, term2=term2,
-                          constants={"C1_tilde": c1_tilde, "branch": branch},
-                          cone=cone, velocity=v)
+    return _two_term_or_sim(model2, x1, x2, "SIM", tol)
 
 
 def two_term_and(model2: TwoLineModel, x1: float, x2: float,
                  tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionTerms:
     """psi_and ~ w_1(x1, T) + {C-bar_2 e^{-g2 x2} psi_2^(-g2)(x2, T)
     + C-bar_1 e^{-g2 x2 - gtilde x1} psi_1^(-g3)(x1, T)}."""
-    T, v = _two_term_pre(model2, x1, x2)
-    adj = adjustment(model2, tol)
+    T, v, adj = _two_term_pre(model2, x1, x2, tol)
     l1, l2 = model2.line1, model2.line2
     boundary = -l2.kappa_prime(-adj.gamma3)
     _guard_velocity(v, boundary, "-kappa_2'(-gamma_3)")
-    gt = adj.gamma3 - adj.gamma2
+    gt = adj.gamma_tilde
     if v < boundary:
         c2_bar = 0.0
         # C2_hat handles the coincident case gamma3 == gamma2, where the
@@ -423,12 +405,10 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
     if not (x1 > 0.0 and x2 > 0.0):
         raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
     adj = adjustment(model2, tol)
-    if event == "LINE1":
-        return RuinEstimate(value=adj.C1 * math.exp(-adj.gamma1 * x1),
-                            method="leading", cone=None, diagnostics={"C": adj.C1})
-    if event == "LINE2":
-        return RuinEstimate(value=adj.C2 * math.exp(-adj.gamma2 * x2),
-                            method="leading", cone=None, diagnostics={"C": adj.C2})
+    if event in ("LINE1", "LINE2"):
+        c, g, x = (adj.C1, adj.gamma1, x1) if event == "LINE1" else (adj.C2, adj.gamma2, x2)
+        return RuinEstimate(value=c * math.exp(-g * x), method="leading", cone=None,
+                            diagnostics={"C": c})
     if event == "OR":
         value = adj.C2 * math.exp(-adj.gamma2 * x2) + adj.C1 * math.exp(-adj.gamma1 * x1)
         return RuinEstimate(value=value, method="leading", cone=None,

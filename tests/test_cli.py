@@ -348,6 +348,10 @@ class TestExitCodes:
             ('["list"]', "must be a JSON object"),
             ('{"model": []}', "must be an object"),
             ('{"model": {"speed": 3}}', "unknown key"),
+            ('{"model": {"p1": "x"}}', "key 'p1' in config block 'model'"),
+            ('{"mc": {"n": "many"}}', "key 'n' in config block 'mc'"),
+            ('{"model": {"p1": [3]}}', "key 'p1' in config block 'model'"),
+            ('{"output": {"format": "xml"}}', "key 'format' in config block 'output'"),
         ],
     )
     def test_config_file_validation(self, capsys, tmp_path, doc, needle):
