@@ -76,7 +76,6 @@ from .montecarlo import (
     estimate,
     simulate,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig
 from .twodim import (
     ExpansionTerms,
     RuinEstimate,

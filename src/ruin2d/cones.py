@@ -18,7 +18,6 @@ from typing import Literal
 
 from .errors import ConfigError, InternalInconsistency, OutOfRange
 from .models import AdjustmentData, TwoLineModel, _solved_once, adjustment, saddle
-from .numerics import DEFAULT_TOL, ToleranceConfig
 
 __all__ = [
     "RAY_TOL",
@@ -76,7 +75,7 @@ def crossing_time(x1: float, x2: float, p1: float, p2: float) -> float:
     return (x2 - x1) / (p1 - p2)
 
 
-def partition(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> ConePartition:
+def partition(model2: TwoLineModel) -> ConePartition:
     """Cone slopes from the cumulant derivatives at the decay exponents,
     cross-checked against the elementary per-driver expressions.
 
@@ -85,7 +84,7 @@ def partition(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> ConeP
     a positive derivative means even the steepest useful ray cannot make
     the second line dominate, the sector is empty, and s2 clamps to 0.
     """
-    return _partition(model2, adjustment(model2, tol))
+    return _partition(model2, adjustment(model2))
 
 
 @_solved_once
@@ -124,8 +123,7 @@ def _partition(model2: TwoLineModel, adj: AdjustmentData) -> ConePartition:
 
 
 def classify(model2: TwoLineModel, x1: float, x2: float,
-             partition_kind: Literal["sim", "and"] = "sim",
-             tol: ToleranceConfig = DEFAULT_TOL) -> ConeLabel:
+             partition_kind: Literal["sim", "and"] = "sim") -> ConeLabel:
     """Locate the reserve ray (x1, x2) in the cone partition.
 
     Classifies twice, by slope comparison and by the hitting-time
@@ -136,7 +134,7 @@ def classify(model2: TwoLineModel, x1: float, x2: float,
         raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
     if x2 <= x1:
         return ConeLabel.LOWER_CONE
-    return _classify(model2, adjustment(model2, tol), x1, x2, partition_kind)
+    return _classify(model2, adjustment(model2), x1, x2, partition_kind)
 
 
 def _classify(model2: TwoLineModel, adj: AdjustmentData, x1: float, x2: float,
@@ -179,18 +177,17 @@ def _classify(model2: TwoLineModel, adj: AdjustmentData, x1: float, x2: float,
     return by_slope
 
 
-def gamma_ray(model2: TwoLineModel, a: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def gamma_ray(model2: TwoLineModel, a: float) -> float:
     """Decay exponent along the ray x = (a, 1)K:
     gamma(a) = kappa_2*(-v_a)/v_a with v_a = (p1 - p2)/(1 - a)."""
     if not (0.0 < a < model2.a_bar) or a == 1.0:
         raise OutOfRange(f"ray slope must lie in (0, {model2.a_bar:g}) \\ {{1}}, got {a:g}")
     v = (model2.p1 - model2.p2) / (1.0 - a)
-    sd = saddle(model2.line2, v, tol)
+    sd = saddle(model2.line2, v)
     return sd.kstar / v
 
 
-def rate_function(model2: TwoLineModel, x1: float, x2: float,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def rate_function(model2: TwoLineModel, x1: float, x2: float) -> float:
     """Large-deviation cost |x2| gamma(x1/x2) of driving the scaled pair
     to the point (x1, x2) in the open negative quadrant.
 
@@ -205,19 +202,19 @@ def rate_function(model2: TwoLineModel, x1: float, x2: float,
     a = x1 / x2
     if abs(a - 1.0) <= 1e-12:
         return abs(x2) * (-model2.line2.theta_lower)
-    return abs(x2) * gamma_ray(model2, a, tol)
+    return abs(x2) * gamma_ray(model2, a)
 
 
-def exit_rate(model2: TwoLineModel, a: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def exit_rate(model2: TwoLineModel, a: float) -> float:
     """Exponential rate of the quadrant-exit probability from (a, 1)K:
     gamma_2 on (0, s2], gamma(a) inside the middle sector, a gamma_1
     beyond s1.  The three branches touch at the junction slopes."""
     if not a > 0.0:
         raise OutOfRange(f"ray slope must be positive, got {a:g}")
-    adj = adjustment(model2, tol)
+    adj = adjustment(model2)
     part = _partition(model2, adj)
     if a <= part.s2:
         return adj.gamma2
     if a >= part.s1:
         return a * adj.gamma1
-    return gamma_ray(model2, a, tol)
+    return gamma_ray(model2, a)

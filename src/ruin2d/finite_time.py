@@ -50,7 +50,7 @@ from .models import (
     line_adjustment,
     saddle,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, integrate, normal_cdf, normal_logcdf
+from .numerics import integrate, normal_cdf, normal_logcdf
 
 __all__ = [
     "FiniteRuinResult",
@@ -127,15 +127,15 @@ class LimitLaw:
     cdf: Callable[[float], float]
 
 
-def _zeta_and_constant(line: LineModel, tol: ToleranceConfig) -> tuple[float, float]:
+def _zeta_and_constant(line: LineModel) -> tuple[float, float]:
     """Decay exponent zeta = -min{theta : kappa(theta) = 0} and its
     prefactor: (gamma, C) under net profit, (0, 1) otherwise."""
     if line.drift > 0.0:
-        return line_adjustment(line, tol)
+        return line_adjustment(line)
     return 0.0, 1.0
 
 
-def ultimate_ruin(model: ModelLike, x: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def ultimate_ruin(model: ModelLike, x: float) -> float:
     """Probability of ever hitting 0 from reserve x: C e^{-gamma x} under
     net profit, 1 otherwise."""
     line = _as_line(model)
@@ -145,7 +145,7 @@ def ultimate_ruin(model: ModelLike, x: float, tol: ToleranceConfig = DEFAULT_TOL
         raise OutOfRange(f"reserve must be nonnegative, got {x:g}")
     if line.drift <= 0.0:
         return 1.0
-    gamma, c = line_adjustment(line, tol)
+    gamma, c = line_adjustment(line)
     return c * math.exp(-gamma * x)
 
 
@@ -178,8 +178,7 @@ def _cpe_band(lam: float, mu: float, p: float) -> tuple[float, float]:
     return sm, sp
 
 
-def _cpe_deferred(line: LineModel, x: float, t: float,
-                  tol: ToleranceConfig) -> tuple[float, float]:
+def _cpe_deferred(line: LineModel, x: float, t: float) -> tuple[float, float]:
     """The deferred-ruin integral w(x, t) for the compound Poisson line,
     with the integrand rescaled by its peak so deep-tail values keep
     relative accuracy.  Returns (value, error bound)."""
@@ -199,20 +198,15 @@ def _cpe_deferred(line: LineModel, x: float, t: float,
         phase = (width / (4.0 * p)) * s2u * x + 2.0 * u
         return np.exp(expo) * np.sin(phase) * width * s2u / q
 
-    # Integrate the unit-peak integrand tightly; the requested absolute
-    # tolerance then applies after scaling by exp(peak) <= 1 in the
-    # net-profit regime and by the true peak otherwise.
-    raw, raw_err = integrate(
-        integrand, 0.0, 0.5 * math.pi,
-        tol=min(tol.quad_abs_tol, 1e-12),
-        max_panels=max(tol.max_iterations, 200),
-    )
+    # Integrate the unit-peak integrand to 1e-12 absolute; the bound then
+    # scales by exp(peak) <= 1 in the net-profit regime and by the true
+    # peak otherwise.
+    raw, raw_err = integrate(integrand, 0.0, 0.5 * math.pi, tol=1e-12)
     scale = math.exp(peak) / math.pi * math.sqrt(lam / (mu * p))
     return raw * scale, raw_err * scale
 
 
-def ruin_after(model: ModelLike, x: float, t: float,
-               tol: ToleranceConfig = DEFAULT_TOL) -> FiniteRuinResult:
+def ruin_after(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     """P(t < tau < infinity): ruin strictly after time t.
 
     Computed directly (not as a difference of ruin probabilities), so it
@@ -222,7 +216,7 @@ def ruin_after(model: ModelLike, x: float, t: float,
     if x < 0.0 or t <= 0.0:
         raise OutOfRange(f"need x >= 0 and t > 0, got x={x:g}, t={t:g}")
     if isinstance(line.driver, CompoundPoissonExp):
-        w, err = _cpe_deferred(line, x, t, tol)
+        w, err = _cpe_deferred(line, x, t)
         return FiniteRuinResult(value=_clamp_prob(w, err), method="exact_cpe", quad_err=err)
     if isinstance(line.driver, StandardBrownian):
         return FiniteRuinResult(value=_brownian_after(line, x, t),
@@ -239,8 +233,7 @@ def _clamp_prob(value: float, err: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def finite_ruin(model: ModelLike, x: float, t: float,
-                tol: ToleranceConfig = DEFAULT_TOL) -> FiniteRuinResult:
+def finite_ruin(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     """Ruin probability by time t from reserve x, exact per driver.
 
     Exponential-claim lines use the spectral integral, Brownian lines the
@@ -252,9 +245,9 @@ def finite_ruin(model: ModelLike, x: float, t: float,
         raise OutOfRange(f"need x >= 0 and t > 0, got x={x:g}, t={t:g}")
     d = line.driver
     if isinstance(d, CompoundPoissonExp):
-        w, err = _cpe_deferred(line, x, t, tol)
+        w, err = _cpe_deferred(line, x, t)
         if line.drift > 0.0:
-            gamma, c = line_adjustment(line, tol)
+            gamma, c = line_adjustment(line)
             raw = c * math.exp(-gamma * x) - w
         else:
             raw = 1.0 - w
@@ -265,8 +258,7 @@ def finite_ruin(model: ModelLike, x: float, t: float,
     raise UnsupportedDriver("finite-time ruin is exact only for Levy drivers")
 
 
-def ah_branches(model: ModelLike, x: float, t: float,
-                tol: ToleranceConfig = DEFAULT_TOL) -> AhAsymptotics:
+def ah_branches(model: ModelLike, x: float, t: float) -> AhAsymptotics:
     """Evaluate both large-time branches of psi(x, t) at v = x/t.
 
     The Cramer branch dominates for v below the critical velocity
@@ -279,13 +271,13 @@ def ah_branches(model: ModelLike, x: float, t: float,
     if x <= 0.0 or t <= 0.0:
         raise OutOfRange(f"need x > 0 and t > 0, got x={x:g}, t={t:g}")
     v = x / t
-    zeta, c = _zeta_and_constant(line, tol)
+    zeta, c = _zeta_and_constant(line)
     w_c = -line.kappa_prime(-zeta)
     if abs(v - w_c) <= _VELOCITY_BAND * max(1.0, w_c):
         raise BoundaryVelocity(
             f"velocity {v:g} within the guard band of the critical velocity {w_c:g}"
         )
-    sd = saddle(line, v, tol)
+    sd = saddle(line, v)
     c_v = (sd.theta_conj - sd.theta_v) / (sd.theta_v * sd.theta_conj)
     saddle_val = abs(c_v) / math.sqrt(2.0 * math.pi * sd.kpp * t) * math.exp(-t * sd.kstar)
     return AhAsymptotics(
@@ -299,25 +291,22 @@ def ah_branches(model: ModelLike, x: float, t: float,
     )
 
 
-def ah_asymptotic(model: ModelLike, x: float, t: float,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> FiniteRuinResult:
+def ah_asymptotic(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     """Large-time approximation of psi(x, t), regime-correct branch."""
-    br = ah_branches(model, x, t, tol)
+    br = ah_branches(model, x, t)
     value = br.cramer if br.regime == "cramer" else br.saddle
     return FiniteRuinResult(value=min(max(value, 0.0), 1.0),
                             method="ah_asymptotic", quad_err=0.0)
 
 
-def ah_ruin_after(model: ModelLike, x: float, t: float,
-                  tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def ah_ruin_after(model: ModelLike, x: float, t: float) -> float:
     """Large-time approximation of w(x, t) = P(t < tau < inf); it follows
     the branch complementary to psi's."""
-    br = ah_branches(model, x, t, tol)
+    br = ah_branches(model, x, t)
     return br.saddle if br.regime == "cramer" else br.cramer
 
 
-def limit_law(model: ModelLike, v: float, side: Literal["survival", "ruin"],
-              tol: ToleranceConfig = DEFAULT_TOL) -> LimitLaw:
+def limit_law(model: ModelLike, v: float, side: Literal["survival", "ruin"]) -> LimitLaw:
     """Limiting law of X(t) on x = vt conditioned on survival past t or
     on ruin before t.
 
@@ -327,7 +316,7 @@ def limit_law(model: ModelLike, v: float, side: Literal["survival", "ruin"],
     Violations raise OutOfRange rather than returning a signed "density".
     """
     line = _as_line(model)
-    sd = saddle(line, v, tol)
+    sd = saddle(line, v)
     th, thc = sd.theta_v, sd.theta_conj
     c_v = (thc - th) / (th * thc) if th != 0.0 and thc != 0.0 else math.nan
     if side == "survival":

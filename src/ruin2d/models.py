@@ -65,7 +65,7 @@ from .errors import (
     OutOfRange,
     UnsupportedDriver,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, root_solve
+from .numerics import root_solve
 
 __all__ = [
     "CompoundPoissonExp",
@@ -98,20 +98,17 @@ _CACHE_SIZE = 256
 
 def _solved_once(fn):
     """Memoise a solve on its frozen, hashable arguments in a bounded LRU
-    cache.  The key is the whole argument list with defaults filled in, so
-    ``f(m)`` and ``f(m, DEFAULT_TOL)`` share one entry.  Exceptions are not
-    cached: a refusal raises on every call, and the cross-checks inside
-    ``fn`` run on the first solve of each key."""
+    cache.  The key is the positional argument list, so ``f(m, v)`` and
+    ``f(m, v=v)`` share one entry.  Exceptions are not cached: a refusal
+    raises on every call, and the cross-checks inside ``fn`` run on the
+    first solve of each key."""
     cached = functools.lru_cache(maxsize=_CACHE_SIZE)(fn)
     sig = inspect.signature(fn)
-    arity = len(sig.parameters)
 
     @functools.wraps(fn)
     def solve(*args, **kwargs):
-        if kwargs or len(args) != arity:
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+        if kwargs:
+            args = sig.bind(*args, **kwargs).args
         return cached(*args)
 
     solve.cache_info = cached.cache_info
@@ -514,7 +511,7 @@ def _cross_check(label: str, closed: float, solved: float) -> float:
 
 
 @_solved_once
-def line_adjustment(model: LineModel, tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float]:
+def line_adjustment(model: LineModel) -> tuple[float, float]:
     """Adjustment coefficient and Cramer constant ``(gamma, C)`` of a line.
 
     gamma is the positive root of kappa(-gamma) = 0 and
@@ -526,17 +523,15 @@ def line_adjustment(model: LineModel, tol: ToleranceConfig = DEFAULT_TOL) -> tup
         raise NoAdjustment(f"net profit violated: drift {model.drift:g} <= 0")
     gamma_closed = model.driver.gamma(model.p)
     c_closed = model.driver.cramer_constant(model.p)
-    gamma_solved = root_solve(
-        lambda g: model.kappa(-g), 0.5 * gamma_closed, min(1.5 * gamma_closed, hi),
-        tol=tol.root_abs_tol, max_iter=tol.max_iterations,
-    )
+    gamma_solved = root_solve(lambda g: model.kappa(-g), 0.5 * gamma_closed,
+                              min(1.5 * gamma_closed, hi))
     gamma = _cross_check("adjustment coefficient", gamma_closed, gamma_solved)
     c_general = -model.kappa_prime(0.0) / model.kappa_prime(-gamma)
     c = _cross_check("Cramer constant", c_closed, c_general)
     return gamma, c
 
 
-def _gamma3(model2: TwoLineModel, gamma2: float, tol: ToleranceConfig) -> float:
+def _gamma3(model2: TwoLineModel, gamma2: float) -> float:
     """Largest root of kappa1(-s) = kappa1(-gamma2)."""
     line1 = model2.line1
     slope_at_g2 = line1.kappa_prime(-gamma2)
@@ -553,19 +548,16 @@ def _gamma3(model2: TwoLineModel, gamma2: float, tol: ToleranceConfig) -> float:
         # nearly coincident roots: the bracketed solve has no resolution
         # inside the guard band, and the elementary expression is exact
         return max(closed, gamma2)
-    solved = root_solve(
-        lambda s: line1.kappa(-s) - target, lo, hi,
-        tol=tol.root_abs_tol, max_iter=tol.max_iterations,
-    )
+    solved = root_solve(lambda s: line1.kappa(-s) - target, lo, hi)
     return _cross_check("gamma3", closed, solved)
 
 
 @_solved_once
-def adjustment(model2: TwoLineModel, tol: ToleranceConfig = DEFAULT_TOL) -> AdjustmentData:
+def adjustment(model2: TwoLineModel) -> AdjustmentData:
     """All Lundberg exponents and tail constants of a two-line model."""
-    gamma1, c1 = line_adjustment(model2.line1, tol)
-    gamma2, c2 = line_adjustment(model2.line2, tol)
-    gamma3 = _gamma3(model2, gamma2, tol)
+    gamma1, c1 = line_adjustment(model2.line1)
+    gamma2, c2 = line_adjustment(model2.line2)
+    gamma3 = _gamma3(model2, gamma2)
     if gamma3 > gamma2 * (1.0 + 3e-9):
         c2_hat = -c2 * model2.line1.kappa_prime(-gamma2) / model2.line1.kappa_prime(-gamma3)
     else:
@@ -602,7 +594,7 @@ def tilt(model: LineModel, c: float) -> TiltedModel:
 
 
 @_solved_once
-def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> SaddleData:
+def saddle(model: LineModel, v: float) -> SaddleData:
     """Saddle point data of one line at downward velocity ``v > 0``.
 
     Solves kappa'(theta_v) = -v, finds the conjugate point theta'_v with
@@ -618,10 +610,8 @@ def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> Sa
     lo = theta_closed - 0.5 * width
     if not math.isinf(lo_dom):
         lo = max(lo, lo_dom + (theta_closed - lo_dom) * 1e-8)
-    theta_solved = root_solve(
-        lambda th: model.kappa_prime(th) + v, lo, theta_closed + 0.5 * width,
-        tol=tol.root_abs_tol, max_iter=tol.max_iterations,
-    )
+    theta_solved = root_solve(lambda th: model.kappa_prime(th) + v, lo,
+                              theta_closed + 0.5 * width)
     theta_v = _cross_check("saddle point", theta_closed, theta_solved)
 
     k_at = model.kappa(theta_v)
@@ -639,10 +629,7 @@ def saddle(model: LineModel, v: float, tol: ToleranceConfig = DEFAULT_TOL) -> Sa
             hi = theta_m + 2.0 * (hi - theta_m)
         else:
             raise NoConjugate(f"no conjugate point for v={v:g}")
-        theta_conj = root_solve(
-            lambda th: model.kappa(th) - k_at, theta_m, hi,
-            tol=tol.root_abs_tol, max_iter=tol.max_iterations,
-        )
+        theta_conj = root_solve(lambda th: model.kappa(th) - k_at, theta_m, hi)
     return SaddleData(
         v=v,
         theta_v=theta_v,
@@ -661,7 +648,7 @@ def joint_cumulant(model2: TwoLineModel, t1: float, t2: float) -> float:
 
 
 @_solved_once
-def renewal_adjustment(driver: Renewal, p: float, tol: ToleranceConfig = DEFAULT_TOL) -> float:
+def renewal_adjustment(driver: Renewal, p: float) -> float:
     """Lundberg exponent of a renewal line: the positive root of
     E[exp(-gamma*p*interarrival)] * E[exp(gamma*claim)] = 1.
     """
@@ -695,8 +682,7 @@ def renewal_adjustment(driver: Renewal, p: float, tol: ToleranceConfig = DEFAULT
             raise NoAdjustment("no Lundberg root inside the claim mgf domain")
     else:
         raise NoAdjustment("no Lundberg root inside the claim mgf domain")
-    gamma = root_solve(lambda g: logratio(g), lo, hi, tol=tol.root_abs_tol,
-                       max_iter=tol.max_iterations)
+    gamma = root_solve(logratio, lo, hi)
     if abs(logratio(gamma)) > 1e-8:
         raise NoAdjustment(f"Lundberg residual too large at gamma={gamma:g}")
     return gamma

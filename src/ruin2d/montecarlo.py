@@ -60,7 +60,7 @@ from .models import (
     line_adjustment,
     renewal_adjustment,
 )
-from .numerics import DEFAULT_TOL, normal_quantile, normal_logcdf
+from .numerics import normal_quantile, normal_logcdf
 from .twodim import _EVENTS
 
 __all__ = [
@@ -178,16 +178,16 @@ class CheckReport:
 # small helpers
 
 
-def _line_gamma(line: LineModel, tol=DEFAULT_TOL) -> float:
+def _line_gamma(line: LineModel) -> float:
     if isinstance(line.driver, Renewal):
-        return renewal_adjustment(line.driver, line.p, tol)
-    return line_adjustment(line, tol)[0]
+        return renewal_adjustment(line.driver, line.p)
+    return line_adjustment(line)[0]
 
 
-def default_safe_level(model2: TwoLineModel, tol=DEFAULT_TOL) -> SafeLevel:
+def default_safe_level(model2: TwoLineModel) -> SafeLevel:
     """SafeLevel(30 / min(gamma1, gamma2)): truncation bias below
     exp(-30) per line at the default."""
-    g = min(_line_gamma(model2.line1, tol), _line_gamma(model2.line2, tol))
+    g = min(_line_gamma(model2.line1), _line_gamma(model2.line2))
     return SafeLevel(30.0 / g)
 
 

@@ -9,7 +9,6 @@ deliberately boring; the interesting mathematics happens in the callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -17,7 +16,6 @@ import numpy as np
 from .errors import MaxIterations, NoSignChange
 
 __all__ = [
-    "ToleranceConfig",
     "root_solve",
     "integrate",
     "normal_cdf",
@@ -26,37 +24,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances threaded through the analytic layers.
-
-    root_abs_tol is an absolute tolerance on the root location,
-    quad_abs_tol an absolute tolerance on integral values, and
-    max_iterations bounds both bisection steps and quadrature panel
-    splits.
-    """
-
-    root_abs_tol: float = 1e-12
-    quad_abs_tol: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if self.root_abs_tol <= 0 or self.quad_abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-DEFAULT_TOL = ToleranceConfig()
-
-
 def root_solve(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     *,
-    tol: float = DEFAULT_TOL.root_abs_tol,
-    max_iter: int = DEFAULT_TOL.max_iterations,
+    tol: float = 1e-12,
+    max_iter: int = 200,
 ) -> float:
     """Locate a root of ``f`` inside the bracket ``[lo, hi]``.
 
@@ -187,8 +161,8 @@ def integrate(
     a: float,
     b: float,
     *,
-    tol: float = DEFAULT_TOL.quad_abs_tol,
-    max_panels: int = DEFAULT_TOL.max_iterations,
+    tol: float = 1e-10,
+    max_panels: int = 200,
 ) -> tuple[float, float]:
     """Adaptively integrate ``f`` over ``[a, b]`` to absolute tolerance.
 

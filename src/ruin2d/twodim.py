@@ -50,7 +50,7 @@ from .models import (
     saddle,
     tilt,
 )
-from .numerics import DEFAULT_TOL, ToleranceConfig, normal_cdf
+from .numerics import normal_cdf
 
 __all__ = [
     "Event",
@@ -159,7 +159,7 @@ def _brownian_closed(model2: TwoLineModel, x1: float, x2: float, T: float,
 
 
 def _conditioned(model2: TwoLineModel, x1: float, x2: float, T: float, event: str,
-                 adj: AdjustmentData, tol: ToleranceConfig):
+                 adj: AdjustmentData):
     """(A, B, B's quadrature error, j) with psi = A + psi_j(x_j) * B for OR,
     SIM or AND at x2 > x1: A is settled by T on the leading line i (ruin by
     T, or after T for AND) and B is taken under the -gamma_j tilt of line i."""
@@ -167,21 +167,20 @@ def _conditioned(model2: TwoLineModel, x1: float, x2: float, T: float, event: st
     line, x = (model2.line1, model2.line2)[i - 1], (x1, x2)[i - 1]
     tilted = tilt(line, -(adj.gamma1, adj.gamma2)[j - 1])
     if event == "AND":
-        settled = ruin_after(line, x, T, tol)
-        r = finite_ruin(tilted, x, T, tol)
+        settled = ruin_after(line, x, T)
+        r = finite_ruin(tilted, x, T)
         return settled, r.value, r.quad_err, j
-    settled = finite_ruin(line, x, T, tol)
+    settled = finite_ruin(line, x, T)
     # B is the survival P(tau > T) of the tilted line; where its ruin is
     # certain that is the ruin after T, taken without the 1 - psi subtraction
     if tilted.model.drift <= 0.0:
-        r = ruin_after(tilted, x, T, tol)
+        r = ruin_after(tilted, x, T)
         return settled, r.value, r.quad_err, j
-    r = finite_ruin(tilted, x, T, tol)
+    r = finite_ruin(tilted, x, T)
     return settled, 1.0 - r.value, r.quad_err, j
 
 
-def exact(model2: TwoLineModel, query: RuinQuery,
-          tol: ToleranceConfig = DEFAULT_TOL) -> RuinEstimate:
+def exact(model2: TwoLineModel, query: RuinQuery) -> RuinEstimate:
     """Exact ruin probability for the queried event.
 
     Upper-cone values come from the conditioning-at-T assembly; for the
@@ -193,19 +192,19 @@ def exact(model2: TwoLineModel, query: RuinQuery,
     l1, l2 = model2.line1, model2.line2
     if query.event in ("LINE1", "LINE2"):
         line, x = (l1, x1) if query.event == "LINE1" else (l2, x2)
-        return RuinEstimate(value=ultimate_ruin(line, x, tol), method="exact",
+        return RuinEstimate(value=ultimate_ruin(line, x), method="exact",
                             cone=None, diagnostics={"quad_err": 0.0})
 
-    psi1 = ultimate_ruin(l1, x1, tol)
-    psi2 = ultimate_ruin(l2, x2, tol)
+    psi1 = ultimate_ruin(l1, x1)
+    psi2 = ultimate_ruin(l2, x2)
     if x2 <= x1:
         value = psi2 if query.event == "OR" else psi1
         return RuinEstimate(value=value, method="exact", cone=ConeLabel.LOWER_CONE,
                             diagnostics={"quad_err": 0.0})
 
     T = crossing_time(x1, x2, model2.p1, model2.p2)
-    adj = adjustment(model2, tol)
-    settled, b, b_err, j = _conditioned(model2, x1, x2, T, query.event, adj, tol)
+    adj = adjustment(model2)
+    settled, b, b_err, j = _conditioned(model2, x1, x2, T, query.event, adj)
     psi_j = (psi1, psi2)[j - 1]
     value = settled.value + psi_j * b
     err = settled.quad_err + psi_j * b_err
@@ -264,14 +263,13 @@ def _psi_bar_star(line: LineModel, theta: float) -> float:
     return line.kappa_prime(0.0) / line.kappa(theta)
 
 
-def _conjugate_pair(model2: TwoLineModel, i: int, v: float,
-                    tol: ToleranceConfig) -> tuple[float, float]:
+def _conjugate_pair(model2: TwoLineModel, i: int, v: float) -> tuple[float, float]:
     """(theta_v, theta_v^{(i)}): the kappa_2 saddle at velocity v and its
     conjugate with respect to kappa_i, via the premium-gap shift."""
-    sd2 = saddle(model2.line2, v, tol)
+    sd2 = saddle(model2.line2, v)
     if i == 2:
         return sd2.theta_v, sd2.theta_conj
-    sd1 = saddle(model2.line1, v - (model2.p1 - model2.p2), tol)
+    sd1 = saddle(model2.line1, v - (model2.p1 - model2.p2))
     if abs(sd1.theta_v - sd2.theta_v) > 1e-9 * max(1.0, abs(sd2.theta_v)):
         raise InternalInconsistency(
             f"saddle points via kappa_1 and kappa_2 disagree: "
@@ -287,8 +285,8 @@ def _guard_velocity(v: float, boundary: float, what: str) -> None:
         )
 
 
-def _prop2_constant(model2: TwoLineModel, i: int, v: float, adj: AdjustmentData,
-                    tol: ToleranceConfig) -> tuple[float, str]:
+def _prop2_constant(model2: TwoLineModel, i: int, v: float,
+                    adj: AdjustmentData) -> tuple[float, str]:
     """C-tilde_i(v): the limiting discounted-overshoot constant of the
     second expansion term.  Returns (value, branch name)."""
     l2 = model2.line2
@@ -299,14 +297,14 @@ def _prop2_constant(model2: TwoLineModel, i: int, v: float, adj: AdjustmentData,
     if v > -l2.kappa_prime(-g):
         return c_const, "constant"
     line_i = (model2.line1, model2.line2)[i - 1]
-    theta_v, theta_cross = _conjugate_pair(model2, 3 - i, v, tol)
+    theta_v, theta_cross = _conjugate_pair(model2, 3 - i, v)
     c_norm = (theta_cross - theta_v) / ((theta_cross + g) * (theta_v + g))
     value = (_psi_star(line_i, theta_v) - _psi_star(line_i, theta_cross)) / c_norm
     return value, "laplace"
 
 
-def _two_term_pre(model2: TwoLineModel, x1: float, x2: float,
-                  tol: ToleranceConfig) -> tuple[float, float, AdjustmentData]:
+def _two_term_pre(model2: TwoLineModel, x1: float,
+                  x2: float) -> tuple[float, float, AdjustmentData]:
     if not x2 > x1:
         raise OutOfRange(
             f"two-term expansions need x2 > x1, got ({x1:g}, {x2:g}); "
@@ -315,16 +313,15 @@ def _two_term_pre(model2: TwoLineModel, x1: float, x2: float,
     if x1 < 0.0:
         raise OutOfRange(f"reserves must be nonnegative, got x1={x1:g}")
     T = crossing_time(x1, x2, model2.p1, model2.p2)
-    return T, x2 / T, adjustment(model2, tol)
+    return T, x2 / T, adjustment(model2)
 
 
-def _two_term_or_sim(model2: TwoLineModel, x1: float, x2: float, event: str,
-                     tol: ToleranceConfig) -> ExpansionTerms:
+def _two_term_or_sim(model2: TwoLineModel, x1: float, x2: float, event: str) -> ExpansionTerms:
     """The exact assembly A + psi_j(x_j) * B with psi_j(x_j) replaced by
     C-tilde_j(v) e^{-gamma_j x_j}."""
-    T, v, adj = _two_term_pre(model2, x1, x2, tol)
-    settled, b, _, j = _conditioned(model2, x1, x2, T, event, adj, tol)
-    c_tilde, branch = _prop2_constant(model2, j, v, adj, tol)
+    T, v, adj = _two_term_pre(model2, x1, x2)
+    settled, b, _, j = _conditioned(model2, x1, x2, T, event, adj)
+    c_tilde, branch = _prop2_constant(model2, j, v, adj)
     term2 = c_tilde * math.exp(-(adj.gamma1, adj.gamma2)[j - 1] * (x1, x2)[j - 1]) * b
     cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
     return ExpansionTerms(term1=settled.value, term2=term2,
@@ -332,23 +329,20 @@ def _two_term_or_sim(model2: TwoLineModel, x1: float, x2: float, event: str,
                           cone=cone, velocity=v)
 
 
-def two_term_or(model2: TwoLineModel, x1: float, x2: float,
-                tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionTerms:
+def two_term_or(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
     """psi_or ~ psi_1(x1, T) + C-tilde_2(v) e^{-gamma_2 x2} survival_1^(-gamma_2)(x1, T)."""
-    return _two_term_or_sim(model2, x1, x2, "OR", tol)
+    return _two_term_or_sim(model2, x1, x2, "OR")
 
 
-def two_term_sim(model2: TwoLineModel, x1: float, x2: float,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionTerms:
+def two_term_sim(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
     """psi_sim ~ psi_2(x2, T) + C-tilde_1(v) e^{-gamma_1 x1} survival_2^(-gamma_1)(x2, T)."""
-    return _two_term_or_sim(model2, x1, x2, "SIM", tol)
+    return _two_term_or_sim(model2, x1, x2, "SIM")
 
 
-def two_term_and(model2: TwoLineModel, x1: float, x2: float,
-                 tol: ToleranceConfig = DEFAULT_TOL) -> ExpansionTerms:
+def two_term_and(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
     """psi_and ~ w_1(x1, T) + {C-bar_2 e^{-g2 x2} psi_2^(-g2)(x2, T)
     + C-bar_1 e^{-g2 x2 - gtilde x1} psi_1^(-g3)(x1, T)}."""
-    T, v, adj = _two_term_pre(model2, x1, x2, tol)
+    T, v, adj = _two_term_pre(model2, x1, x2)
     l1, l2 = model2.line1, model2.line2
     boundary = -l2.kappa_prime(-adj.gamma3)
     _guard_velocity(v, boundary, "-kappa_2'(-gamma_3)")
@@ -360,18 +354,18 @@ def two_term_and(model2: TwoLineModel, x1: float, x2: float,
         c1_bar = adj.C2_hat
         branch = "small_v"
     else:
-        theta_v, theta_2 = _conjugate_pair(model2, 2, v, tol)
-        _, theta_1 = _conjugate_pair(model2, 1, v, tol)
+        theta_v, theta_2 = _conjugate_pair(model2, 2, v)
+        _, theta_1 = _conjugate_pair(model2, 1, v)
         c2_norm = (theta_2 - theta_v) / ((theta_2 + adj.gamma2) * (theta_v + adj.gamma2))
         c2_bar = _psi_bar_star(l2, theta_2) / abs(c2_norm)
         c1_norm = (theta_1 - theta_v) / ((theta_1 + adj.gamma3) * (theta_v + adj.gamma3))
         c1_bar = (_psi_star(l2, theta_1) - 1.0 / theta_v) / abs(c1_norm)
         branch = "large_v"
-    term1 = ruin_after(l1, x1, T, tol).value
+    term1 = ruin_after(l1, x1, T).value
     piece2 = c2_bar * math.exp(-adj.gamma2 * x2) * \
-        finite_ruin(tilt(l2, -adj.gamma2), x2, T, tol).value if c2_bar != 0.0 else 0.0
+        finite_ruin(tilt(l2, -adj.gamma2), x2, T).value if c2_bar != 0.0 else 0.0
     piece1 = c1_bar * math.exp(-adj.gamma2 * x2 - gt * x1) * \
-        finite_ruin(tilt(l1, -adj.gamma3), x1, T, tol).value
+        finite_ruin(tilt(l1, -adj.gamma3), x1, T).value
     cone = _classify(model2, adj, x1, x2, "and") if x1 > 0.0 else ConeLabel.D2_HAT
     return ExpansionTerms(term1=term1, term2=piece1 + piece2,
                           constants={"C1_bar": c1_bar, "C2_bar": c2_bar,
@@ -379,12 +373,11 @@ def two_term_and(model2: TwoLineModel, x1: float, x2: float,
                           cone=cone, velocity=v)
 
 
-def _d_constants(model2: TwoLineModel, i: int, w: float,
-                 tol: ToleranceConfig) -> tuple[float, float]:
+def _d_constants(model2: TwoLineModel, i: int, w: float) -> tuple[float, float]:
     """(D_i'(w), D_i^#(w)): the two local-limit constants of the middle
     cone, sharing the factor sqrt(w / (2 pi kappa''(theta_w)))."""
     other = (model2.line1, model2.line2)[2 - i]  # line 3-i
-    theta_w, theta_i = _conjugate_pair(model2, i, w, tol)
+    theta_w, theta_i = _conjugate_pair(model2, i, w)
     scale = math.sqrt(w / (2.0 * math.pi * other.kappa_double_prime(theta_w)))
     d_prime = (theta_i - theta_w) / abs(theta_w * theta_i) * scale
     kp0 = other.kappa_prime(0.0)
@@ -393,8 +386,7 @@ def _d_constants(model2: TwoLineModel, i: int, w: float,
     return d_prime, d_sharp
 
 
-def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
-            tol: ToleranceConfig = DEFAULT_TOL) -> RuinEstimate:
+def leading(model2: TwoLineModel, x1: float, x2: float, event: Event) -> RuinEstimate:
     """Sharp leading-order asymptotics on the ray through (x1, x2).
 
     OR follows the global two-exponential law; SIM and AND switch between
@@ -404,7 +396,7 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
     """
     if not (x1 > 0.0 and x2 > 0.0):
         raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
-    adj = adjustment(model2, tol)
+    adj = adjustment(model2)
     if event in ("LINE1", "LINE2"):
         c, g, x = (adj.C1, adj.gamma1, x1) if event == "LINE1" else (adj.C2, adj.gamma2, x2)
         return RuinEstimate(value=c * math.exp(-g * x), method="leading", cone=None,
@@ -439,12 +431,12 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
     else:  # middle cone, either partition
         a = x1 / x2
         w = (model2.p1 - model2.p2) / (1.0 - a)
-        g_a = gamma_ray(model2, a, tol)
+        g_a = gamma_ray(model2, a)
         if event == "SIM":
-            d_prime, d_sharp = _d_constants(model2, 2, w, tol)
+            d_prime, d_sharp = _d_constants(model2, 2, w)
             const = d_sharp + d_prime
         else:
-            d_prime, d_sharp = _d_constants(model2, 1, w, tol)
+            d_prime, d_sharp = _d_constants(model2, 1, w)
             const = d_prime - d_sharp
         if const <= 0.0:
             raise InternalInconsistency(
@@ -456,8 +448,8 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event,
     return RuinEstimate(value=value, method="leading", cone=label, diagnostics=diag)
 
 
-def renewal_exponents(driver: Renewal, p1: float, p2: float, a: float,
-                      tol: ToleranceConfig = DEFAULT_TOL) -> tuple[float, float, float]:
+def renewal_exponents(driver: Renewal, p1: float, p2: float,
+                      a: float) -> tuple[float, float, float]:
     """Lundberg exponents of the two lines under a renewal driver and the
     predicted OR decay rate min(gamma_2, a gamma_1) per unit of x2 along
     the ray (a K, K).  Constants are not available at this generality."""
@@ -465,6 +457,6 @@ def renewal_exponents(driver: Renewal, p1: float, p2: float, a: float,
         raise ConfigError(f"need p1 > p2, got ({p1:g}, {p2:g})")
     if not a > 0.0:
         raise OutOfRange(f"ray slope must be positive, got {a:g}")
-    g1 = renewal_adjustment(driver, p1, tol)
-    g2 = renewal_adjustment(driver, p2, tol)
+    g1 = renewal_adjustment(driver, p1)
+    g2 = renewal_adjustment(driver, p2)
     return g1, g2, min(g2, a * g1)

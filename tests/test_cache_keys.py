@@ -17,7 +17,6 @@ from ruin2d.models import (
     renewal_adjustment,
     saddle,
 )
-from ruin2d.numerics import DEFAULT_TOL
 
 # a premium that no other test uses, so the saddle keys below are fresh
 LINE = LineModel(CompoundPoissonExp(1.0, 2.0), 1.4375)
@@ -26,8 +25,7 @@ LINE = LineModel(CompoundPoissonExp(1.0, 2.0), 1.4375)
 def test_repeat_saddle_is_the_same_object():
     first = saddle(LINE, 2.0)
     assert saddle(LINE, 2.0) is first
-    assert saddle(LINE, 2.0, DEFAULT_TOL) is first
-    assert saddle(LINE, v=2.0, tol=DEFAULT_TOL) is first
+    assert saddle(LINE, v=2.0) is first
 
 
 def test_saddle_cross_check_runs_on_the_first_solve(monkeypatch):

@@ -1,5 +1,5 @@
-"""Each model's Lundberg constants are solved once per (arguments, tol)
-key and then served from a bounded cache; refusals are never cached and
+"""Each model's Lundberg constants are solved once per argument key and
+then served from a bounded cache; refusals are never cached and
 the closed-form cross-checks run on the first solve of every key."""
 
 import math
@@ -20,7 +20,6 @@ from ruin2d.models import (
     line_adjustment,
     renewal_adjustment,
 )
-from ruin2d.numerics import DEFAULT_TOL
 
 CACHED = (line_adjustment, adjustment, renewal_adjustment, cones._partition)
 
@@ -56,28 +55,26 @@ def test_repeated_adjustment_solves_nothing(driver, root_solves):
     assert root_solves  # the first call of the key solves (and cross-checks)
     root_solves.clear()
     assert adjustment(model2) == first
-    assert adjustment(model2, DEFAULT_TOL) == first
-    assert adjustment(model2, tol=DEFAULT_TOL) == first
+    assert adjustment(model2=model2) == first
     assert line_adjustment(model2.line1) == (first.gamma1, first.C1)
-    assert line_adjustment(model2.line2, DEFAULT_TOL) == (first.gamma2, first.C2)
+    assert line_adjustment(model2.line2) == (first.gamma2, first.C2)
     assert root_solves == []
 
 
-def test_default_and_explicit_tol_share_one_entry():
+def test_positional_and_keyword_share_one_entry():
     line = LineModel(CompoundPoissonExp(1.0, 2.0), P1)
     before = line_adjustment.cache_info()
     line_adjustment(line)
-    line_adjustment(line, DEFAULT_TOL)
-    line_adjustment(line, tol=DEFAULT_TOL)
+    line_adjustment(model=line)
     after = line_adjustment.cache_info()
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_renewal_adjustment_is_solved_once(root_solves):
     driver = Renewal(deterministic_dist(1.0), exponential_dist(2.0))
     g = renewal_adjustment(driver, P1)
     assert len(root_solves) == 1
-    assert renewal_adjustment(driver, P1, DEFAULT_TOL) == g
+    assert renewal_adjustment(driver, P1) == g
     assert len(root_solves) == 1
 
 

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from ruin2d.errors import MaxIterations, NoSignChange
 from ruin2d.numerics import (
-    DEFAULT_TOL,
-    ToleranceConfig,
     integrate,
     normal_cdf,
     normal_logcdf,
@@ -88,10 +86,3 @@ def test_normal_cdf_symmetry_and_tails():
 def test_normal_quantile_round_trip(q):
     assert normal_cdf(normal_quantile(q)) == pytest.approx(q, abs=1e-9)
 
-
-def test_tolerance_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(root_abs_tol=0.0)
-    with pytest.raises(ValueError):
-        ToleranceConfig(max_iterations=0)
-    assert DEFAULT_TOL.root_abs_tol == 1e-12

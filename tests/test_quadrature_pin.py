@@ -13,7 +13,7 @@ import pytest
 
 from ruin2d.finite_time import _cpe_deferred
 from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment, tilt
-from ruin2d.numerics import DEFAULT_TOL, integrate
+from ruin2d.numerics import integrate
 
 # name: (integrand, a, b, tol, repr of (value, err))
 INTEGRALS = {
@@ -66,4 +66,4 @@ def _line(which):
 @pytest.mark.parametrize("name", sorted(DEFERRED))
 def test_cpe_deferred_is_pinned(name):
     which, x, t, want = DEFERRED[name]
-    assert repr(_cpe_deferred(_line(which), x, t, DEFAULT_TOL)) == want
+    assert repr(_cpe_deferred(_line(which), x, t)) == want
