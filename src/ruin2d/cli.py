@@ -129,6 +129,12 @@ _BLOCK_KEYS = {
 }
 
 
+def _finite(value: float, what: str) -> None:
+    """Every real input is a finite number: nan and +-inf are refused."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+
+
 def _config_value(flag: argparse.Action, value: Any, where: str) -> Any:
     """A config-file value read as its flag reads the same text: converted
     to the flag's type and checked against its choices (None is unset)."""
@@ -139,6 +145,8 @@ def _config_value(flag: argparse.Action, value: Any, where: str) -> Any:
             value = flag.type(value if isinstance(value, str) else json.dumps(value))
         except ValueError as exc:
             raise ConfigError(f"{where}: expected {flag.type.__name__}, got {value!r}") from exc
+    if flag.type is float:
+        _finite(value, where)
     if flag.choices is not None and value not in flag.choices:
         raise ConfigError(f"{where}: {value!r} is not one of {', '.join(flag.choices)}")
     return value
@@ -169,14 +177,16 @@ def _load_config(path: Optional[str], flags: Dict[str, argparse.Action]) -> Dict
     return flat
 
 
-def _merge(args: argparse.Namespace, cfg: Dict[str, Any]) -> Dict[str, Any]:
+def _merge(args: argparse.Namespace, cfg: Dict[str, Any],
+           flags: Dict[str, argparse.Action]) -> Dict[str, Any]:
     """Flag value wins over the config-file value; None means unset."""
     merged = dict(cfg)
     for key, val in vars(args).items():
-        if key in ("command", "config"):
+        if key in ("command", "config") or val is None:
             continue
-        if val is not None:
-            merged[key] = val
+        if flags[key].type is float:
+            _finite(val, flags[key].option_strings[0])
+        merged[key] = val
     return merged
 
 
@@ -200,6 +210,7 @@ def _float_list(raw: Any, what: str) -> List[float]:
             out.append(float(s))
         except ValueError as exc:
             raise ConfigError(f"bad {what} entry {s!r}") from exc
+        _finite(out[-1], f"{what} entry")
     return out
 
 
@@ -536,7 +547,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     ap, flags = _parser()
     args = ap.parse_args(argv)
     try:
-        cfg = _merge(args, _load_config(args.config, flags))
+        cfg = _merge(args, _load_config(args.config, flags), flags)
         model2, scaled = _build_model(cfg)
         if args.command == "compute":
             rows = _run_compute(model2, cfg, scaled)

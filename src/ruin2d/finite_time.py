@@ -141,8 +141,8 @@ def ultimate_ruin(model: ModelLike, x: float) -> float:
     line = _as_line(model)
     if isinstance(line.driver, Renewal):
         raise UnsupportedDriver("ultimate ruin is exact only for Levy drivers")
-    if x < 0.0:
-        raise OutOfRange(f"reserve must be nonnegative, got {x:g}")
+    if not 0.0 <= x < math.inf:
+        raise OutOfRange(f"reserve must be finite and nonnegative, got {x:g}")
     if line.drift <= 0.0:
         return 1.0
     gamma, c = line_adjustment(line)
@@ -213,8 +213,8 @@ def ruin_after(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     stays accurate when it is exponentially smaller than either one.
     """
     line = _as_line(model)
-    if x < 0.0 or t <= 0.0:
-        raise OutOfRange(f"need x >= 0 and t > 0, got x={x:g}, t={t:g}")
+    if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
+        raise OutOfRange(f"need finite x >= 0 and t > 0, got x={x:g}, t={t:g}")
     if isinstance(line.driver, CompoundPoissonExp):
         w, err = _cpe_deferred(line, x, t)
         return FiniteRuinResult(value=_clamp_prob(w, err), method="exact_cpe", quad_err=err)
@@ -241,8 +241,8 @@ def finite_ruin(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     transform here and is refused.
     """
     line = _as_line(model)
-    if x < 0.0 or t <= 0.0:
-        raise OutOfRange(f"need x >= 0 and t > 0, got x={x:g}, t={t:g}")
+    if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
+        raise OutOfRange(f"need finite x >= 0 and t > 0, got x={x:g}, t={t:g}")
     d = line.driver
     if isinstance(d, CompoundPoissonExp):
         w, err = _cpe_deferred(line, x, t)
@@ -268,8 +268,8 @@ def ah_branches(model: ModelLike, x: float, t: float) -> AhAsymptotics:
     guard band of 1e-6 refuses the call.
     """
     line = _as_line(model)
-    if x <= 0.0 or t <= 0.0:
-        raise OutOfRange(f"need x > 0 and t > 0, got x={x:g}, t={t:g}")
+    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
+        raise OutOfRange(f"need finite x > 0 and t > 0, got x={x:g}, t={t:g}")
     v = x / t
     zeta, c = _zeta_and_constant(line)
     w_c = -line.kappa_prime(-zeta)

@@ -493,6 +493,8 @@ def scale_to_canonical(
     to canonical form ``x_i + p_i t - S(t)`` by dividing line ``i`` by
     ``delta_i``.  Returns ``((x1, x2), (p1, p2))``.
     """
+    if not all(map(math.isfinite, (u1, u2, c1, c2, delta1, delta2))):
+        raise ConfigError("reserves, premiums and proportions must be finite")
     if min(delta1, delta2) <= 0.0:
         raise InvalidProportions(f"proportions must be positive, got ({delta1:g}, {delta2:g})")
     if abs(delta1 + delta2 - 1.0) > 1e-12:
@@ -602,8 +604,8 @@ def saddle(model: LineModel, v: float) -> SaddleData:
     the Legendre transform kappa*(-v) = -v*theta_v - kappa(theta_v).
     """
     lo_dom = model.theta_lower  # refuses the renewal driver first
-    if v <= 0:
-        raise OutOfRange(f"saddle velocity must be positive, got {v:g}")
+    if not 0.0 < v < math.inf:
+        raise OutOfRange(f"saddle velocity must be positive and finite, got {v:g}")
     theta_closed = model.driver.saddle_point(model.p, v)
     # Root-solve cross-check on a bracket around the closed form.
     width = max(1.0, abs(theta_closed))

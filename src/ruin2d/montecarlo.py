@@ -35,6 +35,7 @@ cumulant, so its weight uses the per-step analogue
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -123,6 +124,12 @@ class SimConfig:
     chunk_size: int = 8192
 
     def __post_init__(self) -> None:
+        for name in ("n", "seed", "workers", "chunk_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            # a numpy integer would overflow the 64-bit key masks of _chunk_rng
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ConfigError(f"replication count must be >= 1, got {self.n}")
         if not isinstance(self.horizon, (FixedTime, SafeLevel)):

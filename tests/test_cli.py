@@ -352,6 +352,7 @@ class TestExitCodes:
             ('{"mc": {"n": "many"}}', "key 'n' in config block 'mc'"),
             ('{"model": {"p1": [3]}}', "key 'p1' in config block 'model'"),
             ('{"output": {"format": "xml"}}', "key 'format' in config block 'output'"),
+            ('{"query": {"x2": Infinity}}', "key 'x2' in config block 'query'"),
         ],
     )
     def test_config_file_validation(self, capsys, tmp_path, doc, needle):

@@ -1,0 +1,52 @@
+"""The public surface: the README's library quick start runs as written and
+prints what it says, and the names exported by ``ruin2d`` are pinned, so a
+change to them is a deliberate edit of this file."""
+
+import re
+from pathlib import Path
+
+import ruin2d
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+PUBLIC_NAMES = [
+    "AdjustmentData", "BoundaryRay", "BoundaryVelocity", "CheckReport",
+    "CompoundPoissonExp", "ConeLabel", "ConePartition", "ConfigError", "DistSpec",
+    "ExpansionTerms", "FixedTime", "InsufficientConditionedSamples",
+    "InternalInconsistency", "InvalidHorizon", "InvalidProportions", "LimitLaw",
+    "LineModel", "McEstimate", "NoAdjustment", "NoConjugate", "NumericalRefusal",
+    "OutOfDomain", "OutOfRange", "PathRecord", "Renewal", "Ruin2dError",
+    "RuinEstimate", "RuinQuery", "SaddleData", "SafeLevel", "SimConfig",
+    "StandardBrownian", "TiltedModel", "TwoLineModel", "UnsupportedDriver",
+    "adjustment", "ah_asymptotic", "ah_branches", "ah_ruin_after", "check_limits",
+    "classify", "cones", "crossing_time", "default_safe_level", "deterministic_dist",
+    "errors", "estimate", "exact", "exit_rate", "exponential_dist", "finite_ruin",
+    "finite_time", "gamma_ray", "joint_cumulant", "leading", "limit_law",
+    "line_adjustment", "models", "montecarlo", "numerics", "partition",
+    "rate_function", "renewal_adjustment", "renewal_exponents", "ruin_after",
+    "saddle", "scale_to_canonical", "simulate", "tilt", "two_term_and",
+    "two_term_or", "two_term_sim", "twodim", "ultimate_ruin",
+]
+
+
+def _quick_start() -> str:
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_quick_start_prints_what_it_says():
+    code = _quick_start()
+    namespace: dict = {}
+    exec(compile(code, str(README), "exec"), namespace)
+    # a comment line holding only a number is the value of the line above it
+    lines = code.splitlines()
+    printed = [(lines[i - 1], line[2:]) for i, line in enumerate(lines)
+               if re.fullmatch(r"# [-+0-9.e]+", line)]
+    assert printed == [('exact(model, RuinQuery("OR", 1.0, 3.0)).value',
+                        "0.048051495658607446")]
+    for expr, want in printed:
+        assert repr(eval(expr, namespace)) == want
+
+
+def test_public_names_are_pinned():
+    assert sorted(ruin2d.__all__) == PUBLIC_NAMES
