@@ -1,0 +1,103 @@
+"""More array-level pins of the jump chunk engine, at the edges of its
+claim pieces and refills.
+
+The jump engine draws a block of rounds at each refill and reads it in
+pieces.  These cases sit where that bookkeeping can slip: a chunk that
+stops inside its first few rounds, chunks whose late refills hold a
+handful of lanes (so their rounds run many at a time), and horizon
+censoring on both sides of a refill.  The digests were computed with the
+one-round-at-a-time engine; any engine change must leave them unchanged.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment
+from ruin2d.montecarlo import FixedTime, SimConfig, _jump_chunk, default_safe_level
+
+CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
+ARRAYS = ("tau1", "tau2", "tsim", "censor", "w", "w1", "w2", "wsim")
+
+# case id: (x1, x2, tilt ("g1" = -gamma1, "g2" = -0.75 gamma2),
+#           horizon (None = default_safe_level), chunk index, width, chunk_size)
+CASES = {
+    # every lane stops within 7 rounds: the chunk never leaves its first piece
+    "cpe-g1-first-piece": (0.5, 1.0, "g1", None, 0, 8192, 8192),
+    # refills of 8192, 681, 54, 6 and 1 lanes; the 6-lane block runs all
+    # 128 rounds and the 1-lane block 2
+    "cpe-g2-thin-refills": (5.0, 10.0, "g2", None, 1, 8192, 8192),
+    # refills of 2048, 61, 4 and 1 lanes; the last runs 46 rounds
+    "cpe-g2-thin-partial": (3.0, 6.0, "g2", None, 2, 2048, 2048),
+    # 1804 of 2048 lanes are censored at the horizon, between rounds 113
+    # and 204, on both sides of the refill at round 128
+    "cpe-fixed-time-refill": (1.0, 3.0, "g2", FixedTime(100.0), 1, 2048, 2048),
+}
+
+DIGESTS = {
+    "cpe-fixed-time-refill": {
+        "tau1": "d40a7f9ce47c0f08",
+        "tau2": "8086fa40c9c7eefd",
+        "tsim": "6f8b0acdfb13f887",
+        "censor": "572e13d79db42452",
+        "w": "0b8d99bb7c125ba2",
+        "w1": "7762da319027636c",
+        "w2": "99b94b311d055395",
+        "wsim": "3fc41a5b5308d66a",
+    },
+    "cpe-g1-first-piece": {
+        "tau1": "5c29da776e84c042",
+        "tau2": "30661d36390d0b68",
+        "tsim": "2b4d1d58a27a7ecf",
+        "censor": "906a76d3372ecf96",
+        "w": "efa315f3c9ce0e50",
+        "w1": "090483b714327cb8",
+        "w2": "2c5c4fc367bdc2e1",
+        "wsim": "efa315f3c9ce0e50",
+    },
+    "cpe-g2-thin-partial": {
+        "tau1": "223b7ce993945204",
+        "tau2": "f4c89b16ca36447e",
+        "tsim": "ab067c2aa8b23e37",
+        "censor": "0fd0fd93cf998661",
+        "w": "36bab03db05a3933",
+        "w1": "e6b496daf862007a",
+        "w2": "6236c9872d32e12d",
+        "wsim": "ed4beefdfa2c4aaa",
+    },
+    "cpe-g2-thin-refills": {
+        "tau1": "a6b092d5db08286c",
+        "tau2": "154d86cafd6c03c8",
+        "tsim": "e400007421eed96d",
+        "censor": "bc8db246ea1d64c5",
+        "w": "0bf25ef1d6bf0ade",
+        "w1": "d9be86227799a413",
+        "w2": "13a6d67b72d74ec5",
+        "wsim": "e3307df18029bad1",
+    },
+}
+
+
+def _digest(a: np.ndarray) -> str:
+    h = hashlib.sha256(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _run(case):
+    x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[case]
+    adj = adjustment(CPE)
+    c = -adj.gamma1 if tilt == "g1" else -0.75 * adj.gamma2
+    cfg = SimConfig(n=chunk_idx * chunk_size + width, seed=7,
+                    horizon=horizon or default_safe_level(CPE), tilt=c,
+                    chunk_size=chunk_size)
+    return _jump_chunk(CPE, x1, x2, cfg, chunk_idx, width)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_jump_engine_arrays_are_pinned(case):
+    res = _run(case)
+    assert set(res) == set(ARRAYS)
+    assert all(res[k].shape == (CASES[case][5],) for k in ARRAYS)
+    assert {k: _digest(res[k]) for k in ARRAYS} == DIGESTS[case]
