@@ -78,6 +78,9 @@ __all__ = [
 ]
 
 _BLOCK = 128  # rounds drawn per RNG refill in the jump engine
+_PIECE = 8  # claim rows of a block's first piece; each later piece ends at twice its start
+_SUB_BLOCK = 8192  # rounds x live lanes advanced per step of the jump engine
+_MAX_ROUNDS = 5_000_000  # a jump chunk still live after this many rounds is a bug
 _MASK64 = (1 << 64) - 1
 _EXP_FLOOR = -40.0  # bridge exponents are clipped here; see _bridge_hit
 
@@ -235,85 +238,116 @@ _CENSOR_TIME = 2
 _CENSOR_NAMES = {0: None, 1: "safe_level", 2: "fixed_time"}
 
 
-def _at(x, mask):
-    """x[mask] for a per-lane array, x itself for a value all lanes share."""
-    return x[mask] if isinstance(x, np.ndarray) else x
-
-
 class _Events:
     """The outputs of one chunk and the event flags of its live lanes.
 
     Outputs are indexed by original lane; live lane j is original lane
-    ids[j].  ``step`` and ``stop`` compact the flags and ids, and return
-    the keep mask with which the engine compacts its own state.  Each
-    event (LINE1, LINE2, SIM) records the time, claim level and step count
-    of its first sighting in its entry of tau, s_e and n_e, so its
-    importance weight stops accumulating variance once the event is
-    decided instead of drifting until the whole record resolves.  stop_te
-    is a lane's last claim epoch and stop_t its stopping time (the horizon
-    for lanes censored there).  The flags are separate 1-D arrays:
-    compacting one (3, width) array along its second axis is several
-    times slower."""
+    ids[j].  ``step`` takes a sub-block of R rounds at once, and ``step``
+    and ``stop`` compact the flags and ids and return the keep mask with
+    which the engine compacts its own state.  Each event (LINE1, LINE2,
+    SIM) records the time, claim level and step count of its first
+    sighting in its entry of tau, s_e and n_e, so its importance weight
+    stops accumulating variance once the event is decided instead of
+    drifting until the whole record resolves.  stop_te is a lane's last
+    claim epoch and stop_t its stopping time (the horizon for lanes
+    censored there).
+
+    Cost model: a sub-block costs a few passes over its (5, R, live)
+    sightings to find the lanes with something new, plus a fixed number
+    of numpy calls on those lanes alone, so the Python overhead of a step
+    is paid once per sub-block, not once per round."""
 
     def __init__(self, width: int):
-        # one 1-D array per event: a (3, width) array outgrows malloc's mmap
-        # threshold at 8192 lanes, and its pages then fault in every chunk
-        self.tau = [np.full(width, math.inf) for _ in range(3)]
-        self.s_e = [np.zeros(width) for _ in range(3)]
-        self.n_e = [np.zeros(width, dtype=np.int64) for _ in range(3)]
+        # rows: LINE1, LINE2, SIM
+        self.tau = np.full((3, width), math.inf)
+        self.s_e = np.zeros((3, width))
+        self.n_e = np.zeros((3, width), dtype=np.int64)
         self.stop_t = np.zeros(width)
         self.stop_te = np.zeros(width)
         self.stop_s = np.zeros(width)
         self.nstep = np.zeros(width, dtype=np.int64)
         self.censor = np.zeros(width, dtype=np.int8)
         self.ids = np.arange(width)
-        self.ruin1 = np.zeros(width, dtype=bool)
-        self.ruin2 = np.zeros(width, dtype=bool)
-        self.sim = np.zeros(width, dtype=bool)
-        self.safe1 = np.zeros(width, dtype=bool)
-        self.safe2 = np.zeros(width, dtype=bool)
+        # sighted so far, per live lane: line 1 ruined, line 2 ruined, SIM,
+        # line 1 retired, line 2 retired (the rows of step's hits)
+        self.seen = np.zeros((5, width), dtype=bool)
+        self.dead = 0  # stopped lanes that still hold a slot (see stop)
 
-    def step(self, hit1, hit2, hit_sim, t, s, n, safe1=None, safe2=None):
-        """Record the first sightings among the live lanes at time t, claim
-        level s and step count n, retire the lines that cleared the safe
-        level, and stop every lane whose record is decided: each line is
-        ruined or retired, and SIM has happened or cannot be told apart
-        from a retirement.  Returns the keep mask, or None if none stop."""
-        for e, (hit, seen) in enumerate(((hit1, self.ruin1), (hit2, self.ruin2),
-                                         (hit_sim, self.sim))):
-            new = hit & ~seen
-            if new.any():
-                k = self.ids[new]
-                self.tau[e][k] = _at(t, new)
-                self.s_e[e][k] = s[new]
-                self.n_e[e][k] = n
-                seen |= new
-        if safe1 is not None:
-            self.safe1 |= safe1
-            self.safe2 |= safe2
-        done = ((self.ruin1 | self.safe1) & (self.ruin2 | self.safe2)
-                & (self.sim | self.safe1 | self.safe2))
+    def step(self, hits: np.ndarray, t, s: np.ndarray, n: int):
+        """Record the first sightings among the live lanes over a
+        sub-block of R rounds and stop every lane whose record is decided:
+        each line is ruined or retired, and SIM has happened or cannot be
+        told apart from a retirement.  A lane stops at the round where that
+        happens, and nothing it shows later in the sub-block is recorded.
+
+        hits is a (5, R, live) bool array, in the order of ``seen``: a
+        line below zero, both at once, a line past the safe level.  t and s
+        are the times and claim levels of the rounds, (R, live) arrays, or
+        for t one time that every lane shares; round r is step n + r.
+        Returns the keep mask, or None if no lane stops."""
+        R = hits.shape[1]
+        news = np.greater(hits[:, 0] if R == 1 else hits.any(axis=1), self.seen)
+        cand = news.any(axis=0)
+        if not cand.any():
+            return None
+        idx = np.flatnonzero(cand)
+        new = news.take(idx, axis=1)
+        # round of each first sighting: -1 if sighted before, R if not yet
+        first = np.where(new, hits.take(idx, axis=2).argmax(axis=1) if R > 1 else 0, R)
+        first[self.seen.take(idx, axis=1)] = -1
+        f1, f2, fs, g1, g2 = first
+        k = np.maximum(np.maximum(np.minimum(f1, g1), np.minimum(f2, g2)),
+                       np.minimum(fs, np.minimum(g1, g2)))
+        e, j = np.nonzero(new[:3] & (first[:3] <= k))
+        if e.size:
+            r, lanes = first[e, j], idx[j]
+            dest = self.ids[lanes]
+            self.tau[e, dest] = t if np.ndim(t) == 0 else t[r, lanes]
+            self.s_e[e, dest] = s[r, lanes]
+            self.n_e[e, dest] = n + r
+        # the lanes that stop below get every flag, so the extra ones are moot
+        self.seen |= news
+        done = k < R
         if not done.any():
             return None
+        lanes, r = idx[done], k[done]
+        t_k = t if np.ndim(t) == 0 else t[r, lanes]
         # a decided lane that misses an event has retired a line
-        declared = ~(self.ruin1 & self.ruin2 & self.sim)[done]
-        return self.stop(done, t, s, n, _CENSOR_SAFE, coded=declared)
+        declared = first[:3, done].max(axis=0) > r
+        return self.stop(lanes, t_k, t_k, s[r, lanes], n + r,
+                         np.where(declared, _CENSOR_SAFE, 0))
 
-    def stop(self, mask, t, s, n, code, coded=None, t_e=None) -> np.ndarray:
-        """Stop the live lanes in mask at time t, claim level s and step
-        count n, and give the censor code to those of them in coded (all if
-        None); t_e is their last claim epoch if that is not t."""
-        k = self.ids[mask]
-        self.stop_t[k] = t_k = _at(t, mask)
-        self.stop_te[k] = t_k if t_e is None else t_e[mask]
-        self.stop_s[k] = s[mask]
+    def stop(self, lanes: np.ndarray, t, t_e, s, n, code) -> Optional[np.ndarray]:
+        """Stop the live lanes at indices lanes at time t, last claim
+        epoch t_e, claim level s and step count n, with censor code code;
+        each is one value per stopped lane or one value for all.
+
+        A stopped lane keeps its slot, with every flag set so that it never
+        shows anything new, until an eighth of the slots are stopped ones:
+        compacting every array of a wide chunk costs far more than carrying
+        a few dead lanes.  Returns the keep mask when it compacts, else
+        None."""
+        k = self.ids[lanes]
+        self.stop_t[k] = t
+        self.stop_te[k] = t_e
+        self.stop_s[k] = s
         self.nstep[k] = n
-        self.censor[k if coded is None else k[coded]] = code
-        live = ~mask
+        self.censor[k] = code
+        self.seen[:, lanes] = True
+        self.dead += lanes.size
+        return self.compact() if 8 * self.dead >= self.ids.size else None
+
+    def live(self) -> np.ndarray:
+        """Mask of the slots whose lanes have not stopped: a live lane never
+        has every flag, since that decides its record."""
+        return ~self.seen.all(axis=0)
+
+    def compact(self) -> np.ndarray:
+        """Drop the slots of stopped lanes; returns the keep mask."""
+        live = self.live()
         self.ids = self.ids[live]
-        self.ruin1, self.ruin2 = self.ruin1[live], self.ruin2[live]
-        self.safe1, self.safe2 = self.safe1[live], self.safe2[live]
-        self.sim = self.sim[live]
+        self.seen = np.compress(live, self.seen, axis=1)
+        self.dead = 0
         return live
 
     def result(self, model2: TwoLineModel, cfg: SimConfig, at_epoch: bool) -> dict:
@@ -354,29 +388,63 @@ def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
 
 
 class _Blocks:
-    """Gap and claim draws of a jump-driven chunk.  Each refill draws
-    _BLOCK rounds for the lanes live at that moment; live lane j reads
-    column pos[j] of the block, so compacting the lanes compacts pos and
-    never copies the block."""
+    """Gap and claim draws of a jump-driven chunk.
+
+    Each refill draws the gaps of _BLOCK rounds for the lanes live at that
+    moment; live lane j reads column pos[j] of the block (pos is None
+    while every lane of the block is live), so compacting the lanes
+    compacts pos and never copies the block.  The claims of a block are
+    drawn on demand, in pieces of 8, 8, 16, 32 and 64 rows as the lanes
+    reach them: a chunk that resolves in its first rounds never draws the
+    rest.  numpy's samplers consume the stream one sample after another,
+    so every claim has the value, and every refill starts at the stream
+    position, of one eager draw of (_BLOCK, lanes) gaps and then claims.
+    A refill only follows the last row of a block, when every piece of its
+    claims has been drawn.
+
+    ``walk`` reads a sub-block of rounds sized by rows x lanes: about
+    _SUB_BLOCK values, so one row at full width and up to a whole piece
+    when few lanes are live.  A sub-block never crosses a piece or a
+    refill."""
 
     def __init__(self, rng: np.random.Generator, ia: DistSpec, cl: DistSpec):
         self.rng, self.ia, self.cl = rng, ia, cl
-        self.dz = self.sz = self.pos = None
-        self.col = _BLOCK
+        self.gaps = self.claims = self.pos = None
+        self.row = self.end = _BLOCK  # next round; end of the drawn claim rows
 
-    def draw(self, nl: int) -> Tuple[np.ndarray, np.ndarray]:
-        """One round of (gap, claim) for the nl live lanes."""
-        if self.col == _BLOCK:
-            self.dz = self.ia.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
-            self.sz = self.cl.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
-            self.pos = np.arange(nl)
-            self.col = 0
-        col = self.col
-        self.col += 1
-        return self.dz[col].take(self.pos), self.sz[col].take(self.pos)
+    def walk(self, t: np.ndarray, s: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Epochs and claim totals of the live lanes, at times t and claim
+        totals s now, after each of the next R <= limit rounds: two
+        (R, live) arrays, summed round by round as one round at a time
+        would."""
+        nl = t.size
+        if self.row == _BLOCK:
+            self.gaps = self.ia.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
+            self.pos = None
+            self.row = self.end = 0
+        if self.row == self.end:
+            rows = max(self.row, _PIECE)
+            width = self.gaps.shape[1]
+            self.claims = self.cl.sample(self.rng, rows * width).reshape(rows, width)
+            self.end += rows
+        r0 = self.row
+        R = min(max(1, _SUB_BLOCK // nl), self.end - r0, limit)
+        self.row += R
+        c0 = r0 - self.end + self.claims.shape[0]
+        gaps, claims = self.gaps[r0:r0 + R], self.claims[c0:c0 + R]
+        if self.pos is None:
+            T, S = gaps.copy(), claims.copy()
+        else:
+            T, S = gaps.take(self.pos, axis=1), claims.take(self.pos, axis=1)
+        T[0] += t
+        S[0] += s
+        if R > 1:
+            np.add.accumulate(T, axis=0, out=T)
+            np.add.accumulate(S, axis=0, out=S)
+        return T, S
 
     def keep(self, live: np.ndarray) -> None:
-        self.pos = self.pos[live]
+        self.pos = np.flatnonzero(live) if self.pos is None else self.pos[live]
 
 
 def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, DistSpec]:
@@ -399,42 +467,64 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     s = np.zeros(width)
     steps = 0
     while ev.ids.size:
-        if steps >= 5_000_000:
+        if steps >= _MAX_ROUNDS:
             raise InternalInconsistency("jump engine failed to resolve a chunk")
-        dz, sz = blocks.draw(ev.ids.size)
-        t_next = t + dz
+        if ev.dead and blocks.row == _BLOCK:
+            # a refill draws for the live lanes alone (and resets pos)
+            live = ev.compact()
+            t, s = t[live], s[live]
+        T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
+        R = T.shape[0]
 
-        if t_hor < math.inf:
-            over = t_next > t_hor
-            if over.any():
-                keep = ev.stop(over, t_hor, s, steps, _CENSOR_TIME, t_e=t)
-                blocks.keep(keep)
-                t_next, s, sz = t_next[keep], s[keep], sz[keep]
-                if not ev.ids.size:
-                    break
-        t = t_next
-        s = s + sz
-        steps += 1
-
-        b1 = x1 + p1 * t
-        b2 = x2 + p2 * t
-        u1 = b1 - s
-        u2 = b2 - s
-
+        p1t = p1 * T
+        p2t = p2 * T
+        b1 = p1t + x1
+        b2 = p2t + x2
+        u1 = b1 - S
+        u2 = b2 - S
         # barrier bookkeeping cross-check: S above the lower envelope iff
-        # some coordinate is negative (skip lanes within rounding of zero)
+        # some coordinate is negative (skip lanes within rounding of zero).
+        # It covers every round of the sub-block, also those after a lane
+        # stops, which hold the values that lane would have reached
         umin = np.minimum(u1, u2)
-        mism = (s > np.minimum(b1, b2)) != (umin < 0.0)
-        if mism.any() and (mism & (np.abs(umin) > 1e-9 * (1.0 + np.abs(s)))).any():
+        mism = (S > np.minimum(b1, b2, out=b1)) != (umin < 0.0)
+        if mism.any() and (mism & (np.abs(umin) > 1e-9 * (1.0 + np.abs(S)))).any():
             raise InternalInconsistency("coordinate and barrier ruin bookkeeping disagree")
 
-        neg1 = u1 < 0.0
-        neg2 = u2 < 0.0
-        safe = (p1 * t - s >= level, p2 * t - s >= level) if level < math.inf else ()
-        live = ev.step(neg1, neg2, neg1 & neg2, t, s, steps, *safe)
+        hits = np.zeros((5, R, ev.ids.size), dtype=bool)
+        np.less(u1, 0.0, out=hits[0])
+        np.less(u2, 0.0, out=hits[1])
+        np.logical_and(hits[0], hits[1], out=hits[2])
+        if level < math.inf:
+            np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
+            np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
+        late = None
+        if t_hor < math.inf:
+            over = T > t_hor
+            if over.any():
+                # a lane past the horizon stops at its last epoch before it
+                # and sees nothing from that round on
+                hits &= ~over
+                late = over.any(axis=0)
+                r = over.argmax(axis=0)
+                lane = np.arange(r.size)
+                t_e = np.where(r > 0, T[r - 1, lane], t)
+                s_e = np.where(r > 0, S[r - 1, lane], s)
+                n_e = steps + r
+        live = ev.step(hits, T, S, steps + 1)
+        t, s = T[-1], S[-1]
+        steps += R
         if live is not None:
             blocks.keep(live)
             t, s = t[live], s[live]
+            if late is not None:
+                late, t_e, s_e, n_e = late[live], t_e[live], s_e[live], n_e[live]
+        if late is not None:
+            lanes = np.flatnonzero(late & ev.live())
+            live = ev.stop(lanes, t_hor, t_e[lanes], s_e[lanes], n_e[lanes], _CENSOR_TIME)
+            if live is not None:
+                blocks.keep(live)
+                t, s = t[live], s[live]
 
     # A lane censored at a deterministic horizon carries the weight at the
     # horizon when its gaps are exponential: the Levy form holds at any
@@ -463,24 +553,34 @@ def _bm_segments(T: float, t_hor: float) -> Iterator[Tuple[float, float]]:
         t = t1
 
 
-def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray) -> np.ndarray:
+def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray,
+                small: Optional[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
     """Whether a Brownian bridge over a segment of length h, at distances
     g0 and g1 above a linear barrier at its ends, crosses it: certain if
     an endpoint touches, otherwise with probability exp(-2 g0 g1 / h),
     decided by the uniform u.  The exponent overflows only where an
-    endpoint touches, and is not used there.
+    endpoint touches, and is not used there; callers run this under
+    ``np.errstate(over="ignore")``.
 
     Most exponents of a far-from-barrier lane lie deep below zero, where
     np.exp is many times slower (underflow and subnormal results), so
-    they are clipped at _EXP_FLOOR first.  exp(_EXP_FLOOR) < 2**-53, the
-    grid of ``Generator.random``, so a clipped lane can pass the test only
-    with u == 0; those lanes are decided again on the exact exponent."""
-    with np.errstate(over="ignore"):
-        e = -2.0 * g0 * g1 / h
-        hit = (g0 <= 0.0) | (g1 <= 0.0) | (u < np.exp(np.maximum(e, _EXP_FLOOR)))
-        redo = (u < math.exp(_EXP_FLOOR)) & (e < _EXP_FLOOR)
-        if redo.any():
-            hit[redo] = (g0[redo] <= 0.0) | (g1[redo] <= 0.0) | (u[redo] < np.exp(e[redo]))
+    they are clipped at _EXP_FLOOR first, and at 0 above, where the
+    probability is 1 and u < 1 passes either way.  exp(_EXP_FLOOR) <
+    2**-53, the grid of ``Generator.random``, so a lane clipped below can
+    pass the test only with u == 0.  small is None or the lanes with
+    u < exp(_EXP_FLOOR), which the caller finds once for all barriers of a
+    segment; those lanes are decided again on the exact exponent."""
+    e = -2.0 * g0
+    e *= g1
+    e /= h
+    np.exp(np.clip(e, _EXP_FLOOR, 0.0, out=e), out=e)
+    hit = np.less(u, e, out=out)
+    hit |= g0 <= 0.0
+    hit |= g1 <= 0.0
+    if small is not None:
+        a, b = g0[small], g1[small]
+        e = np.minimum(-2.0 * a * b / h, 0.0)
+        hit[small] = (a <= 0.0) | (b <= 0.0) | (u[small] < np.exp(e))
     return hit
 
 
@@ -505,23 +605,36 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
             raise InternalInconsistency("Brownian engine failed to resolve a chunk")
         h = t1 - t0
         ids = ev.ids
-        nrm = rng.standard_normal(width)
-        u = rng.random(width).take(ids)
-        z = wS + nrm.take(ids) * math.sqrt(h) - c * h
+        z = rng.standard_normal(width)
+        u = rng.random(width)
+        if ids.size < width:
+            z, u = z.take(ids), u.take(ids)
+        z *= math.sqrt(h)
+        z += wS
+        if c:
+            z -= c * h
+        small = u < math.exp(_EXP_FLOOR)
+        small = small if small.any() else None
 
-        c1 = _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u)
-        c2 = _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u)
-        csim = c2 if t1 <= T else c1  # upper envelope piece
+        # one segment of step's sightings (see _Events.step)
+        hits = np.zeros((5, 1, ids.size), dtype=bool)
+        with np.errstate(over="ignore"):
+            _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u, small, out=hits[0, 0])
+            _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u, small, out=hits[1, 0])
+        hits[2] = hits[1] if t1 <= T else hits[0]  # upper envelope piece
+        if level < math.inf:
+            np.less(z, p1 * t1 - level, out=hits[3, 0])
+            np.less(z, p2 * t1 - level, out=hits[4, 0])
         # crossings are only localised to a segment, so its end is the
         # earliest stopping time at which an event is known
-        safe = (z < p1 * t1 - level, z < p2 * t1 - level) if level < math.inf else ()
-        live = ev.step(c1, c2, csim, t1, z, 0, *safe)
+        live = ev.step(hits, t1, z.reshape(1, -1), 0)
         if live is not None:
             z = z[live]
         wS = z
 
         if t1 >= t_hor:
-            ev.stop(np.ones(ev.ids.size, dtype=bool), t_hor, z, 0, _CENSOR_TIME)
+            lanes = np.flatnonzero(ev.live())
+            ev.stop(lanes, t_hor, t_hor, z[lanes], 0, _CENSOR_TIME)
             break
     return ev.result(model2, cfg, at_epoch=False)
 
@@ -678,7 +791,11 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
             while alive.any() and t < t_cap:
                 z = wS + rng.standard_normal(width) * math.sqrt(h)
                 u = rng.random(width)
-                hit = alive & _bridge_hit((x + p * t) - wS, (x + p * (t + h)) - z, h, u)
+                small = u < math.exp(_EXP_FLOOR)
+                with np.errstate(over="ignore"):
+                    hit = _bridge_hit((x + p * t) - wS, (x + p * (t + h)) - z, h, u,
+                                      small if small.any() else None)
+                hit &= alive
                 out[hit] = t + h
                 alive &= ~hit
                 wS = z
@@ -689,13 +806,17 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
         s = np.zeros(width)
         ids = np.arange(width)
         while ids.size:
-            dz, sz = blocks.draw(ids.size)
-            t = t + dz
-            s = s + sz
-            ruin = x + p * t - s < 0.0
-            out[ids[ruin]] = t[ruin]
-            live = ~ruin & (t < t_cap)
-            if not live.all():
+            T, S = blocks.walk(t, s, _MAX_ROUNDS)
+            ruin = x + p * T - S < 0.0
+            stop = ruin | (T >= t_cap)
+            t, s = T[-1], S[-1]
+            done = stop.any(axis=0)
+            if done.any():
+                lanes = np.flatnonzero(done)
+                r = stop[:, lanes].argmax(axis=0)
+                hit = ruin[r, lanes]
+                out[ids[lanes[hit]]] = T[r[hit], lanes[hit]]
+                live = ~done
                 ids, t, s = ids[live], t[live], s[live]
                 blocks.keep(live)
     return taus

@@ -1,0 +1,121 @@
+"""The jump engine draws claims on demand, in pieces of rows.
+
+``_Blocks`` draws a block's gaps at each refill but its claims in pieces
+of 8, 8, 16, 32 and 64 rows, as the lanes reach them.  That keeps every
+stream bit for bit only because numpy's samplers consume the stream one
+sample after another: a draw of n values in pieces gives the values, and
+leaves the stream where, one draw of n would.  These tests pin that
+premise, so that a numpy upgrade that breaks it fails here, and check
+that ``_Blocks`` reads the rows of the eager ``(128, lanes)`` draw.
+"""
+
+import numpy as np
+import pytest
+
+from ruin2d.models import deterministic_dist, exponential_dist
+from ruin2d.montecarlo import _BLOCK, _Blocks, _chunk_rng
+
+PIECES = (8, 8, 16, 32, 64)
+DISTS = {"exponential": exponential_dist(2.0), "deterministic": deterministic_dist(1.0)}
+
+
+def test_pieces_fill_one_block():
+    assert sum(PIECES) == _BLOCK
+
+
+@pytest.mark.parametrize("dist", sorted(DISTS))
+@pytest.mark.parametrize("lanes", [1, 7, 4096])
+def test_pieces_equal_one_draw(dist, lanes):
+    d = DISTS[dist]
+    eager, lazy = _chunk_rng(3, 5), _chunk_rng(3, 5)
+    whole = d.sample(eager, _BLOCK * lanes)
+    parts = np.concatenate([d.sample(lazy, rows * lanes) for rows in PIECES])
+    assert np.array_equal(parts, whole)
+    assert np.array_equal(lazy.random(4), eager.random(4))
+
+
+def _eager_blocks(seed, chunk, widths):
+    """(gaps, claims) of each refill as one (128, lanes) draw apiece."""
+    rng = _chunk_rng(seed, chunk)
+    ia, cl = exponential_dist(1.5), exponential_dist(2.0)
+    out = []
+    for nl in widths:
+        gaps = ia.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
+        out.append((gaps, cl.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)))
+    return out
+
+
+def _walk(blocks, nl, rounds):
+    """Walk `rounds` rounds for nl lanes, each walk from t = s = 0: the
+    (T, S) of every walk, and the number of rounds in each."""
+    walks, sizes = [], []
+    while sum(sizes) < rounds:
+        T, S = blocks.walk(np.zeros(nl), np.zeros(nl), rounds - sum(sizes))
+        walks.append((T, S))
+        sizes.append(T.shape[0])
+    return walks, sizes
+
+
+def _same_rows(walks, gaps, claims):
+    """Each walk's sums equal the running sums of its eager rows."""
+    r = 0
+    for T, S in walks:
+        n = T.shape[0]
+        assert np.array_equal(T, np.add.accumulate(gaps[r:r + n], axis=0))
+        assert np.array_equal(S, np.add.accumulate(claims[r:r + n], axis=0))
+        r += n
+    assert r == gaps.shape[0]
+
+
+def test_walk_reads_the_eager_rows_in_the_first_piece():
+    nl = 8192
+    (gaps, claims), = _eager_blocks(7, 0, [nl])
+    blocks = _Blocks(_chunk_rng(7, 0), exponential_dist(1.5), exponential_dist(2.0))
+    t, s = np.zeros(nl), np.zeros(nl)
+    for r in range(5):
+        T, S = blocks.walk(t, s, 5)
+        assert T.shape == (1, nl)  # one round at a time at full width
+        t, s = t + gaps[r], s + claims[r]
+        assert np.array_equal(T[0], t) and np.array_equal(S[0], s)
+    # only the first claim piece was drawn
+    assert blocks.end == PIECES[0]
+
+
+def test_walk_sums_rows_as_one_round_at_a_time_would():
+    nl = 3
+    (gaps, claims), = _eager_blocks(7, 1, [nl])
+    blocks = _Blocks(_chunk_rng(7, 1), exponential_dist(1.5), exponential_dist(2.0))
+    t, s = np.full(nl, 0.1), np.full(nl, 0.2)
+    T, S = blocks.walk(t, s, _BLOCK)
+    assert T.shape == (PIECES[0], nl)
+    for r in range(PIECES[0]):
+        t, s = t + gaps[r], s + claims[r]
+        assert np.array_equal(T[r], t) and np.array_equal(S[r], s)
+
+
+def test_walk_crosses_two_refills_on_the_eager_rows():
+    # 8192 lanes for a block, then 4096, which drop half-way through the
+    # block to three (lanes 1, 20 and 500 of the 4096); then a block of three
+    keep = np.isin(np.arange(4096), [1, 20, 500])
+    eager = _eager_blocks(11, 4, [8192, 4096, 3])
+    blocks = _Blocks(_chunk_rng(11, 4), exponential_dist(1.5), exponential_dist(2.0))
+
+    walks, sizes = _walk(blocks, 8192, _BLOCK)
+    assert sizes == [1] * _BLOCK
+    _same_rows(walks, *eager[0])
+
+    # 8192 // 4096 = 2 rounds per walk, then the three lanes read their own
+    # columns in one walk up to the end of the last piece
+    gaps, claims = eager[1]
+    walks, sizes = _walk(blocks, 4096, 64)
+    assert sizes == [2] * 32
+    _same_rows(walks, gaps[:64], claims[:64])
+    blocks.keep(keep)
+    walks, sizes = _walk(blocks, 3, 64)
+    assert sizes == [64]
+    _same_rows(walks, gaps[64:, keep], claims[64:, keep])
+
+    # a refill for the three lanes: one walk per claim piece
+    walks, sizes = _walk(blocks, 3, _BLOCK)
+    assert sizes == list(PIECES)
+    _same_rows(walks, *eager[2])
