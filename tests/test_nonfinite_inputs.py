@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from ruin2d.cli import run
+from ruin2d.cones import classify, exit_rate
 from ruin2d.errors import ConfigError, OutOfRange
 from ruin2d.finite_time import ah_branches, finite_ruin, limit_law, ruin_after, ultimate_ruin
 from ruin2d.models import CompoundPoissonExp, TwoLineModel, saddle, scale_to_canonical
 from ruin2d.montecarlo import SafeLevel, SimConfig, estimate
-from ruin2d.twodim import two_term_and, two_term_or, two_term_sim
+from ruin2d.twodim import leading, two_term_and, two_term_or, two_term_sim
 
 CPE_FLAGS = ["--driver", "cpe", "--lambda", "1", "--mu", "2", "--p1", "3", "--p2", "1"]
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
@@ -80,6 +81,25 @@ def test_nonfinite_flag_exits_2(capsys, argv, flag):
 def test_nonfinite_real_is_refused(call, exc):
     with pytest.raises(exc, match="finite"):
         call()
+
+
+@pytest.mark.parametrize("bad", [INF, NAN], ids=["inf", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda bad: leading(CPE, 1.0, bad, "OR"),
+        lambda bad: leading(CPE, bad, 3.0, "OR"),
+        lambda bad: leading(CPE, 1.0, bad, "SIM"),
+        lambda bad: classify(CPE, 1.0, bad),
+        lambda bad: classify(CPE, bad, 3.0),
+        lambda bad: exit_rate(CPE, bad),
+    ],
+    ids=["leading_or_x2", "leading_or_x1", "leading_sim_x2", "classify_x2", "classify_x1",
+         "exit_rate"],
+)
+def test_nonfinite_ray_is_refused(call, bad):
+    with pytest.raises(OutOfRange, match="finite"):
+        call(bad)
 
 
 def test_refused_saddle_key_is_not_cached():
