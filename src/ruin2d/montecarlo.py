@@ -287,10 +287,9 @@ class _Events:
         Returns the keep mask, or None if no lane stops."""
         R = hits.shape[1]
         news = np.greater(hits[:, 0] if R == 1 else hits.any(axis=1), self.seen)
-        cand = news.any(axis=0)
-        if not cand.any():
+        idx = news.any(axis=0).nonzero()[0]
+        if not idx.size:
             return None
-        idx = np.flatnonzero(cand)
         new = news.take(idx, axis=1)
         # round of each first sighting: -1 if sighted before, R if not yet
         first = np.where(new, hits.take(idx, axis=2).argmax(axis=1) if R > 1 else 0, R)
@@ -298,22 +297,23 @@ class _Events:
         f1, f2, fs, g1, g2 = first
         k = np.maximum(np.maximum(np.minimum(f1, g1), np.minimum(f2, g2)),
                        np.minimum(fs, np.minimum(g1, g2)))
+        per_lane = isinstance(t, np.ndarray)
         e, j = np.nonzero(new[:3] & (first[:3] <= k))
         if e.size:
             r, lanes = first[e, j], idx[j]
-            dest = self.ids[lanes]
-            self.tau[e, dest] = t if np.ndim(t) == 0 else t[r, lanes]
-            self.s_e[e, dest] = s[r, lanes]
-            self.n_e[e, dest] = n + r
+            dest = e * self.stop_t.size + self.ids[lanes]  # into the raveled outputs
+            self.tau.reshape(-1)[dest] = t[r, lanes] if per_lane else t
+            self.s_e.reshape(-1)[dest] = s[r, lanes]
+            self.n_e.reshape(-1)[dest] = n + r
         # the lanes that stop below get every flag, so the extra ones are moot
         self.seen |= news
-        done = k < R
-        if not done.any():
+        done = (k < R).nonzero()[0]
+        if not done.size:
             return None
         lanes, r = idx[done], k[done]
-        t_k = t if np.ndim(t) == 0 else t[r, lanes]
+        t_k = t[r, lanes] if per_lane else t
         # a decided lane that misses an event has retired a line
-        declared = first[:3, done].max(axis=0) > r
+        declared = np.maximum(np.maximum(f1[done], f2[done]), fs[done]) > r
         return self.stop(lanes, t_k, t_k, s[r, lanes], n + r,
                          np.where(declared, _CENSOR_SAFE, 0))
 
@@ -454,7 +454,9 @@ def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, Dis
 
 def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                 chunk_idx: int, width: int) -> dict:
-    p1, p2 = model2.p1, model2.p2
+    # both lines at once: row i of (2, ...) arrays is line i + 1
+    p = np.array([model2.p1, model2.p2]).reshape(2, 1, 1)
+    x = np.array([x1, x2]).reshape(2, 1, 1)
     ia, cl = _jump_dists(model2, cfg.tilt)
     blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
     t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
@@ -476,28 +478,23 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
         R = T.shape[0]
 
-        p1t = p1 * T
-        p2t = p2 * T
-        b1 = p1t + x1
-        b2 = p2t + x2
-        u1 = b1 - S
-        u2 = b2 - S
+        pt = p * T
+        b = pt + x  # the barriers
+        u = b - S  # the reserves
         # barrier bookkeeping cross-check: S above the lower envelope iff
         # some coordinate is negative (skip lanes within rounding of zero).
         # It covers every round of the sub-block, also those after a lane
         # stops, which hold the values that lane would have reached
-        umin = np.minimum(u1, u2)
-        mism = (S > np.minimum(b1, b2, out=b1)) != (umin < 0.0)
+        umin = np.minimum(u[0], u[1])
+        mism = (S > np.minimum(b[0], b[1])) != (umin < 0.0)
         if mism.any() and (mism & (np.abs(umin) > 1e-9 * (1.0 + np.abs(S)))).any():
             raise InternalInconsistency("coordinate and barrier ruin bookkeeping disagree")
 
         hits = np.zeros((5, R, ev.ids.size), dtype=bool)
-        np.less(u1, 0.0, out=hits[0])
-        np.less(u2, 0.0, out=hits[1])
+        np.less(u, 0.0, out=hits[:2])
         np.logical_and(hits[0], hits[1], out=hits[2])
         if level < math.inf:
-            np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
-            np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
+            np.greater_equal(np.subtract(pt, S, out=pt), level, out=hits[3:])
         late = None
         if t_hor < math.inf:
             over = T > t_hor
@@ -578,15 +575,18 @@ def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray,
     hit |= g0 <= 0.0
     hit |= g1 <= 0.0
     if small is not None:
-        a, b = g0[small], g1[small]
+        a, b = g0[..., small], g1[..., small]
         e = np.minimum(-2.0 * a * b / h, 0.0)
-        hit[small] = (a <= 0.0) | (b <= 0.0) | (u[small] < np.exp(e))
+        hit[..., small] = (a <= 0.0) | (b <= 0.0) | (u[small] < np.exp(e))
     return hit
 
 
 def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
               chunk_idx: int, width: int) -> dict:
     p1, p2 = model2.p1, model2.p2
+    # both lines at once: row i of (2, lanes) arrays is line i + 1
+    p = np.array([[p1], [p2]])
+    x = np.array([[x1], [x2]])
     rng = _chunk_rng(cfg.seed, chunk_idx)
     c = 0.0 if cfg.tilt is None else cfg.tilt
     t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
@@ -619,12 +619,10 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         # one segment of step's sightings (see _Events.step)
         hits = np.zeros((5, 1, ids.size), dtype=bool)
         with np.errstate(over="ignore"):
-            _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u, small, out=hits[0, 0])
-            _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u, small, out=hits[1, 0])
+            _bridge_hit((x + p * t0) - wS, (x + p * t1) - z, h, u, small, out=hits[:2, 0])
         hits[2] = hits[1] if t1 <= T else hits[0]  # upper envelope piece
         if level < math.inf:
-            np.less(z, p1 * t1 - level, out=hits[3, 0])
-            np.less(z, p2 * t1 - level, out=hits[4, 0])
+            np.less(z, p * t1 - level, out=hits[3:, 0])
         # crossings are only localised to a segment, so its end is the
         # earliest stopping time at which an event is known
         live = ev.step(hits, t1, z.reshape(1, -1), 0)
