@@ -16,6 +16,18 @@ first sightings, stopping, FixedTime censoring, weights) in one core,
 ``_Events``, and add only their draws, crossing and safe-level tests; the
 jump engine and ``_line_ruin_times`` read their draws through ``_Blocks``.
 
+Cost model.  The draws take about half of each engine's time, and the
+stream contract fixes them: a Brownian segment draws at full width and a
+jump refill draws the gaps of _BLOCK rounds for its live lanes.  Claims
+are drawn on demand, in pieces of 8, 8, 16, 32 and 64 rounds, so a chunk
+that resolves in its first rounds draws few of them.  The rest is array
+passes and a fixed Python overhead per step.  The jump engine advances
+its lanes by sub-blocks sized by rounds x lanes (about _SUB_BLOCK values:
+one round at full width, up to a claim piece when few lanes are live), so
+that overhead is paid once per sub-block.  ``_Events`` spends its calls
+on the lanes with something new only, and compacts the slots of stopped
+lanes only once an eighth of them are stopped.
+
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
 substream (key ``[seed, chunk index]``) in a fixed round order; partial
@@ -239,23 +251,24 @@ _CENSOR_NAMES = {0: None, 1: "safe_level", 2: "fixed_time"}
 
 
 class _Events:
-    """The outputs of one chunk and the event flags of its live lanes.
+    """The outputs of one chunk and the event flags of its lanes.
 
-    Outputs are indexed by original lane; live lane j is original lane
-    ids[j].  ``step`` takes a sub-block of R rounds at once, and ``step``
-    and ``stop`` compact the flags and ids and return the keep mask with
+    Outputs are indexed by original lane; the lane in slot j is original
+    lane ids[j].  ``step`` takes a sub-block of R rounds at once.  When
+    ``step`` or ``stop`` compacts the slots it returns the keep mask, with
     which the engine compacts its own state.  Each event (LINE1, LINE2,
     SIM) records the time, claim level and step count of its first
-    sighting in its entry of tau, s_e and n_e, so its importance weight
+    sighting in its row of tau, s_e and n_e, so its importance weight
     stops accumulating variance once the event is decided instead of
     drifting until the whole record resolves.  stop_te is a lane's last
     claim epoch and stop_t its stopping time (the horizon for lanes
     censored there).
 
-    Cost model: a sub-block costs a few passes over its (5, R, live)
-    sightings to find the lanes with something new, plus a fixed number
-    of numpy calls on those lanes alone, so the Python overhead of a step
-    is paid once per sub-block, not once per round."""
+    Cost model: a step makes a few passes over its (5, R, slots)
+    sightings to find the lanes with something new, then a fixed number
+    of numpy calls on those lanes alone, so its Python overhead is paid
+    once per sub-block, not once per round.  Compaction is deferred (see
+    ``stop``)."""
 
     def __init__(self, width: int):
         # rows: LINE1, LINE2, SIM
@@ -268,8 +281,9 @@ class _Events:
         self.nstep = np.zeros(width, dtype=np.int64)
         self.censor = np.zeros(width, dtype=np.int8)
         self.ids = np.arange(width)
-        # sighted so far, per live lane: line 1 ruined, line 2 ruined, SIM,
-        # line 1 retired, line 2 retired (the rows of step's hits)
+        # sighted so far, per slot: line 1 ruined, line 2 ruined, SIM, line 1
+        # retired, line 2 retired (the rows of step's hits); a stopped lane
+        # has them all
         self.seen = np.zeros((5, width), dtype=bool)
         self.dead = 0  # stopped lanes that still hold a slot (see stop)
 
@@ -280,11 +294,11 @@ class _Events:
         told apart from a retirement.  A lane stops at the round where that
         happens, and nothing it shows later in the sub-block is recorded.
 
-        hits is a (5, R, live) bool array, in the order of ``seen``: a
+        hits is a (5, R, slots) bool array, in the order of ``seen``: a
         line below zero, both at once, a line past the safe level.  t and s
-        are the times and claim levels of the rounds, (R, live) arrays, or
+        are the times and claim levels of the rounds, (R, slots) arrays, or
         for t one time that every lane shares; round r is step n + r.
-        Returns the keep mask, or None if no lane stops."""
+        Returns the keep mask if the slots were compacted, else None."""
         R = hits.shape[1]
         news = np.greater(hits[:, 0] if R == 1 else hits.any(axis=1), self.seen)
         idx = news.any(axis=0).nonzero()[0]
@@ -391,9 +405,9 @@ class _Blocks:
     """Gap and claim draws of a jump-driven chunk.
 
     Each refill draws the gaps of _BLOCK rounds for the lanes live at that
-    moment; live lane j reads column pos[j] of the block (pos is None
-    while every lane of the block is live), so compacting the lanes
-    compacts pos and never copies the block.  The claims of a block are
+    moment; the lane in slot j reads column pos[j] of the block (pos is
+    None until the first compaction), so compacting the slots compacts pos
+    and never copies the block.  The claims of a block are
     drawn on demand, in pieces of 8, 8, 16, 32 and 64 rows as the lanes
     reach them: a chunk that resolves in its first rounds never draws the
     rest.  numpy's samplers consume the stream one sample after another,
@@ -413,9 +427,9 @@ class _Blocks:
         self.row = self.end = _BLOCK  # next round; end of the drawn claim rows
 
     def walk(self, t: np.ndarray, s: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Epochs and claim totals of the live lanes, at times t and claim
+        """Epochs and claim totals of the slots, at times t and claim
         totals s now, after each of the next R <= limit rounds: two
-        (R, live) arrays, summed round by round as one round at a time
+        (R, slots) arrays, summed round by round as one round at a time
         would."""
         nl = t.size
         if self.row == _BLOCK:
@@ -454,16 +468,14 @@ def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, Dis
 
 def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                 chunk_idx: int, width: int) -> dict:
-    # both lines at once: row i of (2, ...) arrays is line i + 1
-    p = np.array([model2.p1, model2.p2]).reshape(2, 1, 1)
-    x = np.array([x1, x2]).reshape(2, 1, 1)
+    p1, p2 = model2.p1, model2.p2
     ia, cl = _jump_dists(model2, cfg.tilt)
     blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
     t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
     level = cfg.horizon.L if isinstance(cfg.horizon, SafeLevel) else math.inf
     ev = _Events(width)
 
-    # live state, compacted whenever a lane stops; every live lane has taken
+    # per-slot state, compacted with ev's slots; every live lane has taken
     # the same number of steps, so one counter serves them all
     t = np.zeros(width)
     s = np.zeros(width)
@@ -478,23 +490,28 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
         R = T.shape[0]
 
-        pt = p * T
-        b = pt + x  # the barriers
-        u = b - S  # the reserves
+        p1t = p1 * T
+        p2t = p2 * T
+        b1 = p1t + x1
+        b2 = p2t + x2
+        u1 = b1 - S
+        u2 = b2 - S
         # barrier bookkeeping cross-check: S above the lower envelope iff
         # some coordinate is negative (skip lanes within rounding of zero).
-        # It covers every round of the sub-block, also those after a lane
-        # stops, which hold the values that lane would have reached
-        umin = np.minimum(u[0], u[1])
-        mism = (S > np.minimum(b[0], b[1])) != (umin < 0.0)
+        # It covers every slot and round of the sub-block, also those of a
+        # lane that has stopped, which hold the values it would have reached
+        umin = np.minimum(u1, u2)
+        mism = (S > np.minimum(b1, b2, out=b1)) != (umin < 0.0)
         if mism.any() and (mism & (np.abs(umin) > 1e-9 * (1.0 + np.abs(S)))).any():
             raise InternalInconsistency("coordinate and barrier ruin bookkeeping disagree")
 
         hits = np.zeros((5, R, ev.ids.size), dtype=bool)
-        np.less(u, 0.0, out=hits[:2])
+        np.less(u1, 0.0, out=hits[0])
+        np.less(u2, 0.0, out=hits[1])
         np.logical_and(hits[0], hits[1], out=hits[2])
         if level < math.inf:
-            np.greater_equal(np.subtract(pt, S, out=pt), level, out=hits[3:])
+            np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
+            np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
         late = None
         if t_hor < math.inf:
             over = T > t_hor
@@ -572,21 +589,17 @@ def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray,
     e /= h
     np.exp(np.clip(e, _EXP_FLOOR, 0.0, out=e), out=e)
     hit = np.less(u, e, out=out)
-    hit |= g0 <= 0.0
-    hit |= g1 <= 0.0
+    hit |= np.minimum(g0, g1) <= 0.0
     if small is not None:
-        a, b = g0[..., small], g1[..., small]
+        a, b = g0[small], g1[small]
         e = np.minimum(-2.0 * a * b / h, 0.0)
-        hit[..., small] = (a <= 0.0) | (b <= 0.0) | (u[small] < np.exp(e))
+        hit[small] = (a <= 0.0) | (b <= 0.0) | (u[small] < np.exp(e))
     return hit
 
 
 def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
               chunk_idx: int, width: int) -> dict:
     p1, p2 = model2.p1, model2.p2
-    # both lines at once: row i of (2, lanes) arrays is line i + 1
-    p = np.array([[p1], [p2]])
-    x = np.array([[x1], [x2]])
     rng = _chunk_rng(cfg.seed, chunk_idx)
     c = 0.0 if cfg.tilt is None else cfg.tilt
     t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
@@ -594,8 +607,8 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     T = max(x2 - x1, 0.0) / (p1 - p2)
     ev = _Events(width)
 
-    # live state, compacted whenever a lane stops.  The stream contract
-    # draws every segment at full width; live lane j reads column ids[j]
+    # per-slot state, compacted with ev's slots.  The stream contract draws
+    # every segment at full width; the lane in slot j reads column ids[j]
     wS = np.zeros(width)  # claim process S = W at the current checkpoint
     t_retire = (level + max(x1, x2)) * 10.0 / max(abs(p2 + c), abs(p1 + c), 1e-3) + 100.0 * (T + 1.0)
     for t0, t1 in _bm_segments(T, t_hor):
@@ -619,10 +632,12 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         # one segment of step's sightings (see _Events.step)
         hits = np.zeros((5, 1, ids.size), dtype=bool)
         with np.errstate(over="ignore"):
-            _bridge_hit((x + p * t0) - wS, (x + p * t1) - z, h, u, small, out=hits[:2, 0])
+            _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u, small, out=hits[0, 0])
+            _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u, small, out=hits[1, 0])
         hits[2] = hits[1] if t1 <= T else hits[0]  # upper envelope piece
         if level < math.inf:
-            np.less(z, p * t1 - level, out=hits[3:, 0])
+            np.less(z, p1 * t1 - level, out=hits[3, 0])
+            np.less(z, p2 * t1 - level, out=hits[4, 0])
         # crossings are only localised to a segment, so its end is the
         # earliest stopping time at which an event is known
         live = ev.step(hits, t1, z.reshape(1, -1), 0)
