@@ -131,8 +131,10 @@ def classify(model2: TwoLineModel, x1: float, x2: float,
     comparison T vs T_i, and insists the answers agree; rays within
     RAY_TOL of a separating slope come back as BOUNDARY_RAY.
     """
-    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
-        raise OutOfRange(f"need finite x1, x2 > 0, got ({x1:g}, {x2:g})")
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise OutOfRange(f"reserves must be finite, got ({x1:g}, {x2:g})")
+    if not (x1 > 0.0 and x2 > 0.0):
+        raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
     if x2 <= x1:
         return ConeLabel.LOWER_CONE
     return _classify(model2, adjustment(model2), x1, x2, partition_kind)
@@ -210,8 +212,10 @@ def exit_rate(model2: TwoLineModel, a: float) -> float:
     """Exponential rate of the quadrant-exit probability from (a, 1)K:
     gamma_2 on (0, s2], gamma(a) inside the middle sector, a gamma_1
     beyond s1.  The three branches touch at the junction slopes."""
-    if not 0.0 < a < math.inf:
-        raise OutOfRange(f"ray slope must be positive and finite, got {a:g}")
+    if not math.isfinite(a):
+        raise OutOfRange(f"ray slope must be finite, got {a:g}")
+    if not a > 0.0:
+        raise OutOfRange(f"ray slope must be positive, got {a:g}")
     adj = adjustment(model2)
     part = _partition(model2, adj)
     if a <= part.s2:

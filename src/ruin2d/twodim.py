@@ -394,8 +394,10 @@ def leading(model2: TwoLineModel, x1: float, x2: float, event: Event) -> RuinEst
     ray law on the middle cone.  Rays inside the boundary band are
     refused since every branch degenerates there.
     """
-    if not (0.0 < x1 < math.inf and 0.0 < x2 < math.inf):
-        raise OutOfRange(f"need finite x1, x2 > 0, got ({x1:g}, {x2:g})")
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        raise OutOfRange(f"reserves must be finite, got ({x1:g}, {x2:g})")
+    if not (x1 > 0.0 and x2 > 0.0):
+        raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
     adj = adjustment(model2)
     if event in ("LINE1", "LINE2"):
         c, g, x = (adj.C1, adj.gamma1, x1) if event == "LINE1" else (adj.C2, adj.gamma2, x2)
