@@ -91,7 +91,7 @@ __all__ = [
 
 _BLOCK = 128  # rounds drawn per RNG refill in the jump engine
 _PIECE = 8  # claim rows of a block's first piece; each later piece ends at twice its start
-_SUB_BLOCK = 8192  # rounds x live lanes advanced per step of the jump engine
+_SUB_BLOCK = 8192  # about rounds x slots per step of the jump engine (see _Blocks)
 _MAX_ROUNDS = 5_000_000  # a jump chunk still live after this many rounds is a bug
 _MASK64 = (1 << 64) - 1
 _EXP_FLOOR = -40.0  # bridge exponents are clipped here; see _bridge_hit
@@ -406,17 +406,17 @@ class _Blocks:
 
     Each refill draws the gaps of _BLOCK rounds for the lanes live at that
     moment; the lane in slot j reads column pos[j] of the block (pos is
-    None until the first compaction), so compacting the slots compacts pos
-    and never copies the block.  The claims of a block are
-    drawn on demand, in pieces of 8, 8, 16, 32 and 64 rows as the lanes
-    reach them: a chunk that resolves in its first rounds never draws the
-    rest.  numpy's samplers consume the stream one sample after another,
-    so every claim has the value, and every refill starts at the stream
-    position, of one eager draw of (_BLOCK, lanes) gaps and then claims.
-    A refill only follows the last row of a block, when every piece of its
-    claims has been drawn.
+    None until the slots are compacted), so compacting the slots compacts
+    pos and never copies the block.  The claims of a block are drawn on
+    demand, in pieces of 8, 8, 16, 32 and 64 rows as the lanes reach
+    them: a chunk that resolves in its first rounds never draws the rest.
+    numpy's samplers consume the stream one sample after another, so every
+    claim has the value, and every refill starts at the stream position,
+    of one eager draw of (_BLOCK, lanes) gaps and then claims.  A refill
+    only follows the last row of a block, when every piece of its claims
+    has been drawn.
 
-    ``walk`` reads a sub-block of rounds sized by rows x lanes: about
+    ``walk`` reads a sub-block of rounds sized by rows x slots: about
     _SUB_BLOCK values, so one row at full width and up to a whole piece
     when few lanes are live.  A sub-block never crosses a piece or a
     refill."""
