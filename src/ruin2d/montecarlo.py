@@ -25,8 +25,9 @@ passes and a fixed Python overhead per step.  The jump engine advances
 its lanes by sub-blocks sized by rounds x lanes (about _SUB_BLOCK values:
 one round at full width, up to a claim piece when few lanes are live), so
 that overhead is paid once per sub-block.  ``_Events`` spends its calls
-on the lanes with something new only, and compacts the slots of stopped
-lanes only once an eighth of them are stopped.
+on the lanes with something new only.  Each engine compacts its slots at
+one place per pass, when ``_Events.compact`` finds an eighth of them held
+by stopped lanes (or any, before a jump refill).
 
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
@@ -254,10 +255,11 @@ class _Events:
     """The outputs of one chunk and the event flags of its lanes.
 
     Outputs are indexed by original lane; the lane in slot j is original
-    lane ids[j].  ``step`` takes a sub-block of R rounds at once.  When
-    ``step`` or ``stop`` compacts the slots it returns the keep mask, with
-    which the engine compacts its own state.  Each event (LINE1, LINE2,
-    SIM) records the time, claim level and step count of its first
+    lane ids[j].  ``step`` takes a sub-block of R rounds at once.  A
+    stopped lane keeps its slot, with every flag set so that it never
+    shows anything new, until the engine calls ``compact`` at the top of
+    a pass, so the slots stay put through a pass.  Each event (LINE1,
+    LINE2, SIM) records the time, claim level and step count of its first
     sighting in its row of tau, s_e and n_e, so its importance weight
     stops accumulating variance once the event is decided instead of
     drifting until the whole record resolves.  stop_te is a lane's last
@@ -268,7 +270,7 @@ class _Events:
     sightings to find the lanes with something new, then a fixed number
     of numpy calls on those lanes alone, so its Python overhead is paid
     once per sub-block, not once per round.  Compaction is deferred (see
-    ``stop``)."""
+    ``compact``)."""
 
     def __init__(self, width: int):
         # rows: LINE1, LINE2, SIM
@@ -285,9 +287,9 @@ class _Events:
         # retired, line 2 retired (the rows of step's hits); a stopped lane
         # has them all
         self.seen = np.zeros((5, width), dtype=bool)
-        self.dead = 0  # stopped lanes that still hold a slot (see stop)
+        self.dead = 0  # stopped lanes that still hold a slot (see compact)
 
-    def step(self, hits: np.ndarray, t, s: np.ndarray, n: int):
+    def step(self, hits: np.ndarray, t, s: np.ndarray, n: int) -> None:
         """Record the first sightings among the live lanes over a
         sub-block of R rounds and stop every lane whose record is decided:
         each line is ruined or retired, and SIM has happened or cannot be
@@ -297,13 +299,12 @@ class _Events:
         hits is a (5, R, slots) bool array, in the order of ``seen``: a
         line below zero, both at once, a line past the safe level.  t and s
         are the times and claim levels of the rounds, (R, slots) arrays, or
-        for t one time that every lane shares; round r is step n + r.
-        Returns the keep mask if the slots were compacted, else None."""
+        for t one time that every lane shares; round r is step n + r."""
         R = hits.shape[1]
         news = np.greater(hits[:, 0] if R == 1 else hits.any(axis=1), self.seen)
         idx = news.any(axis=0).nonzero()[0]
         if not idx.size:
-            return None
+            return
         new = news.take(idx, axis=1)
         # round of each first sighting: -1 if sighted before, R if not yet
         first = np.where(new, hits.take(idx, axis=2).argmax(axis=1) if R > 1 else 0, R)
@@ -323,24 +324,17 @@ class _Events:
         self.seen |= news
         done = (k < R).nonzero()[0]
         if not done.size:
-            return None
+            return
         lanes, r = idx[done], k[done]
         t_k = t[r, lanes] if per_lane else t
         # a decided lane that misses an event has retired a line
         declared = np.maximum(np.maximum(f1[done], f2[done]), fs[done]) > r
-        return self.stop(lanes, t_k, t_k, s[r, lanes], n + r,
-                         np.where(declared, _CENSOR_SAFE, 0))
+        self.stop(lanes, t_k, t_k, s[r, lanes], n + r, np.where(declared, _CENSOR_SAFE, 0))
 
-    def stop(self, lanes: np.ndarray, t, t_e, s, n, code) -> Optional[np.ndarray]:
+    def stop(self, lanes: np.ndarray, t, t_e, s, n, code) -> None:
         """Stop the live lanes at indices lanes at time t, last claim
         epoch t_e, claim level s and step count n, with censor code code;
-        each is one value per stopped lane or one value for all.
-
-        A stopped lane keeps its slot, with every flag set so that it never
-        shows anything new, until an eighth of the slots are stopped ones:
-        compacting every array of a wide chunk costs far more than carrying
-        a few dead lanes.  Returns the keep mask when it compacts, else
-        None."""
+        each is one value per stopped lane or one value for all."""
         k = self.ids[lanes]
         self.stop_t[k] = t
         self.stop_te[k] = t_e
@@ -349,20 +343,38 @@ class _Events:
         self.censor[k] = code
         self.seen[:, lanes] = True
         self.dead += lanes.size
-        return self.compact() if 8 * self.dead >= self.ids.size else None
+
+    def running(self) -> bool:
+        """Whether any lane has not stopped."""
+        return self.dead < self.ids.size
 
     def live(self) -> np.ndarray:
         """Mask of the slots whose lanes have not stopped: a live lane never
         has every flag, since that decides its record."""
         return ~self.seen.all(axis=0)
 
-    def compact(self) -> np.ndarray:
-        """Drop the slots of stopped lanes; returns the keep mask."""
+    def compact(self, refill: bool = False) -> Optional[np.ndarray]:
+        """Drop the slots of stopped lanes once an eighth of the slots are
+        stopped ones, or once any are if refill (a jump refill draws for
+        the live lanes alone): compacting every array of a wide chunk costs
+        far more than carrying a few stopped lanes.  Returns the keep mask,
+        with which the engine compacts its own state, or None if the slots
+        stay."""
+        if not (8 * self.dead >= self.ids.size or refill and self.dead):
+            return None
         live = self.live()
         self.ids = self.ids[live]
         self.seen = np.compress(live, self.seen, axis=1)
         self.dead = 0
         return live
+
+    def check_sim(self) -> None:
+        """Refuse a record with SIM before either line's ruin.  A jump
+        engine sights SIM only where it sights both ruins, so there SIM can
+        never come first; in the Brownian engine the two barriers of the
+        segment ending at T agree only up to rounding, and it may."""
+        if (self.tau[2] < np.maximum(self.tau[0], self.tau[1])).any():
+            raise InternalInconsistency("SIM recorded before a line's ruin")
 
     def result(self, model2: TwoLineModel, cfg: SimConfig, at_epoch: bool) -> dict:
         """The chunk's arrays; the path weight is taken at stop_te if
@@ -480,66 +492,42 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     t = np.zeros(width)
     s = np.zeros(width)
     steps = 0
-    while ev.ids.size:
+    while ev.running():
         if steps >= _MAX_ROUNDS:
             raise InternalInconsistency("jump engine failed to resolve a chunk")
-        if ev.dead and blocks.row == _BLOCK:
-            # a refill draws for the live lanes alone (and resets pos)
-            live = ev.compact()
+        live = ev.compact(refill=blocks.row == _BLOCK)
+        if live is not None:
+            blocks.keep(live)  # a refill resets pos anyway
             t, s = t[live], s[live]
         T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
         R = T.shape[0]
 
+        # b - S < 0 exactly when S > b for finite IEEE values, so each line
+        # is ruined where the claims pass its barrier
         p1t = p1 * T
         p2t = p2 * T
-        b1 = p1t + x1
-        b2 = p2t + x2
-        u1 = b1 - S
-        u2 = b2 - S
-        # barrier bookkeeping cross-check: S above the lower envelope iff
-        # some coordinate is negative (skip lanes within rounding of zero).
-        # It covers every slot and round of the sub-block, also those of a
-        # lane that has stopped, which hold the values it would have reached
-        umin = np.minimum(u1, u2)
-        mism = (S > np.minimum(b1, b2, out=b1)) != (umin < 0.0)
-        if mism.any() and (mism & (np.abs(umin) > 1e-9 * (1.0 + np.abs(S)))).any():
-            raise InternalInconsistency("coordinate and barrier ruin bookkeeping disagree")
-
         hits = np.zeros((5, R, ev.ids.size), dtype=bool)
-        np.less(u1, 0.0, out=hits[0])
-        np.less(u2, 0.0, out=hits[1])
+        np.greater(S, p1t + x1, out=hits[0])
+        np.greater(S, p2t + x2, out=hits[1])
         np.logical_and(hits[0], hits[1], out=hits[2])
         if level < math.inf:
             np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
             np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
-        late = None
-        if t_hor < math.inf:
-            over = T > t_hor
-            if over.any():
-                # a lane past the horizon stops at its last epoch before it
-                # and sees nothing from that round on
-                hits &= ~over
-                late = over.any(axis=0)
-                r = over.argmax(axis=0)
-                lane = np.arange(r.size)
-                t_e = np.where(r > 0, T[r - 1, lane], t)
-                s_e = np.where(r > 0, S[r - 1, lane], s)
-                n_e = steps + r
-        live = ev.step(hits, T, S, steps + 1)
+        over = T > t_hor if t_hor < math.inf and T[-1].max() > t_hor else None
+        if over is not None:
+            hits &= ~over  # a lane past the horizon sees nothing from that round on
+        ev.step(hits, T, S, steps + 1)
+        if over is not None:
+            # and, if still live, stops at its last epoch before the horizon
+            lanes = np.flatnonzero(over[-1] & ev.live())
+            r = over[:, lanes].argmax(axis=0)
+            t_e = np.where(r > 0, T[r - 1, lanes], t[lanes])
+            s_e = np.where(r > 0, S[r - 1, lanes], s[lanes])
+            ev.stop(lanes, t_hor, t_e, s_e, steps + r, _CENSOR_TIME)
         t, s = T[-1], S[-1]
         steps += R
-        if live is not None:
-            blocks.keep(live)
-            t, s = t[live], s[live]
-            if late is not None:
-                late, t_e, s_e, n_e = late[live], t_e[live], s_e[live], n_e[live]
-        if late is not None:
-            lanes = np.flatnonzero(late & ev.live())
-            live = ev.stop(lanes, t_hor, t_e[lanes], s_e[lanes], n_e[lanes], _CENSOR_TIME)
-            if live is not None:
-                blocks.keep(live)
-                t, s = t[live], s[live]
 
+    ev.check_sim()
     # A lane censored at a deterministic horizon carries the weight at the
     # horizon when its gaps are exponential: the Levy form holds at any
     # time, and for a renewal walk the memoryless survival ratio extends
@@ -610,12 +598,16 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     # per-slot state, compacted with ev's slots.  The stream contract draws
     # every segment at full width; the lane in slot j reads column ids[j]
     wS = np.zeros(width)  # claim process S = W at the current checkpoint
-    t_retire = (level + max(x1, x2)) * 10.0 / max(abs(p2 + c), abs(p1 + c), 1e-3) + 100.0 * (T + 1.0)
+    slow = max(min(abs(p1 + c), abs(p2 + c)), 1e-3)  # the slower line decides when a lane resolves
+    t_retire = (level + max(x1, x2)) * 10.0 / slow + 100.0 * (T + 1.0)
     for t0, t1 in _bm_segments(T, t_hor):
-        if not ev.ids.size:
+        if not ev.running():
             break
         if t0 > t_retire:
             raise InternalInconsistency("Brownian engine failed to resolve a chunk")
+        live = ev.compact()
+        if live is not None:
+            wS = wS[live]
         h = t1 - t0
         ids = ev.ids
         z = rng.standard_normal(width)
@@ -640,9 +632,7 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
             np.less(z, p2 * t1 - level, out=hits[4, 0])
         # crossings are only localised to a segment, so its end is the
         # earliest stopping time at which an event is known
-        live = ev.step(hits, t1, z.reshape(1, -1), 0)
-        if live is not None:
-            z = z[live]
+        ev.step(hits, t1, z.reshape(1, -1), 0)
         wS = z
 
         if t1 >= t_hor:

@@ -14,6 +14,7 @@ import pytest
 from ruin2d.errors import (
     ConfigError,
     InsufficientConditionedSamples,
+    InternalInconsistency,
     InvalidHorizon,
     OutOfDomain,
     OutOfRange,
@@ -33,6 +34,7 @@ from ruin2d.montecarlo import (
     FixedTime,
     SafeLevel,
     SimConfig,
+    _Events,
     check_limits,
     default_safe_level,
     estimate,
@@ -114,6 +116,21 @@ class TestRecords:
         simo = [r for r in records if math.isfinite(r.tau_sim) and r.tau1 == r.tau2 == r.tau_sim]
         assert len(simo) > len(records) // 2
 
+    def test_sim_before_a_ruin_is_refused(self):
+        # lane 1 sees both ruins and SIM at once and stops, a record the
+        # check passes; lane 0 then sees SIM and line 2's ruin without line
+        # 1's, which a jump engine cannot sight and the check refuses
+        ev = _Events(2)
+        hits = np.zeros((5, 1, 2), dtype=bool)
+        hits[:3, 0, 1] = True
+        ev.step(hits, 0.5, np.zeros((1, 2)), 1)
+        ev.check_sim()
+        hits[1:3, 0, 0] = True
+        ev.step(hits, 1.0, np.zeros((1, 2)), 2)
+        assert ev.tau[:, 0].tolist() == [math.inf, 1.0, 1.0]
+        with pytest.raises(InternalInconsistency, match="SIM recorded before"):
+            ev.check_sim()
+
 
 class TestReproducibility:
     CASES = [
@@ -146,6 +163,16 @@ class TestAgainstExact:
         est = estimate(model, 1.0, 3.0, event, SimConfig(n=n, seed=11, horizon=default_safe_level(model)))
         assert abs(est.p_hat - target) <= 3.5 * est.std_err
         assert est.ci[0] <= est.p_hat <= est.ci[1]
+
+    @pytest.mark.parametrize("x1,x2,horizon", [(3.0, 1.0, None), (1.0, 3.0, SafeLevel(60.0))],
+                             ids=["line2_first", "line1_first"])
+    def test_tilted_brownian_resolves_on_the_slower_line(self, x1, x2, horizon):
+        # under tilt -0.75 the lines drift at 2.25 and 0.25: the chunk's
+        # time budget must follow the slower one
+        target = exact(BM, RuinQuery("OR", x1, x2)).value
+        config = SimConfig(n=8192, seed=11, horizon=horizon or default_safe_level(BM), tilt=-0.75)
+        est = estimate(BM, x1, x2, "OR", config)
+        assert abs(est.p_hat - target) <= 3.5 * est.std_err
 
     def test_ci_level_widens_interval(self):
         narrow = estimate(CPE, 1.0, 3.0, "OR", cfg(20_000, 5, ci_level=0.90))
