@@ -43,7 +43,6 @@ from .montecarlo import (
 )
 from .twodim import (
     _EVENTS,
-    _METHODS,
     RuinEstimate,
     RuinQuery,
     exact,
@@ -54,6 +53,7 @@ from .twodim import (
 )
 
 _METHOD_LABELS = {"exact": "Exact", "two_term": "TwoTerm", "leading": "Leading", "mc": "MC"}
+_METHODS = tuple(_METHOD_LABELS)
 _ROW_FIELDS = ("x1", "x2", "a", "K", "event", "method", "value", "cone",
                "exponent", "diagnostics")
 

@@ -68,7 +68,6 @@ __all__ = [
 Event = Literal["OR", "SIM", "AND", "LINE1", "LINE2"]
 
 _EVENTS = ("OR", "SIM", "AND", "LINE1", "LINE2")
-_METHODS = ("exact", "two_term", "leading", "mc")
 
 # Relative half-width of the refusal band around the branch velocities of
 # the two-term expansions.
@@ -82,13 +81,10 @@ class RuinQuery:
     event: Event
     x1: float
     x2: float
-    method: str = "exact"
 
     def __post_init__(self) -> None:
         if self.event not in _EVENTS:
             raise OutOfRange(f"unknown event {self.event!r}")
-        if self.method not in _METHODS:
-            raise OutOfRange(f"unknown method {self.method!r}")
         for name, x in (("x1", self.x1), ("x2", self.x2)):
             if not (math.isfinite(x) and x >= 0.0):
                 raise OutOfRange(f"{name} must be finite and nonnegative, got {x!r}")
@@ -457,6 +453,8 @@ def renewal_exponents(driver: Renewal, p1: float, p2: float,
     the ray (a K, K).  Constants are not available at this generality."""
     if not p1 > p2:
         raise ConfigError(f"need p1 > p2, got ({p1:g}, {p2:g})")
+    if not math.isfinite(a):
+        raise OutOfRange(f"ray slope must be finite, got {a:g}")
     if not a > 0.0:
         raise OutOfRange(f"ray slope must be positive, got {a:g}")
     g1 = renewal_adjustment(driver, p1)

@@ -12,13 +12,22 @@ from ruin2d.cli import run
 from ruin2d.cones import classify, exit_rate
 from ruin2d.errors import ConfigError, OutOfRange
 from ruin2d.finite_time import ah_branches, finite_ruin, limit_law, ruin_after, ultimate_ruin
-from ruin2d.models import CompoundPoissonExp, TwoLineModel, saddle, scale_to_canonical
+from ruin2d.models import (
+    CompoundPoissonExp,
+    Renewal,
+    TwoLineModel,
+    deterministic_dist,
+    exponential_dist,
+    saddle,
+    scale_to_canonical,
+)
 from ruin2d.montecarlo import SafeLevel, SimConfig, estimate
-from ruin2d.twodim import leading, two_term_and, two_term_or, two_term_sim
+from ruin2d.twodim import leading, renewal_exponents, two_term_and, two_term_or, two_term_sim
 
 CPE_FLAGS = ["--driver", "cpe", "--lambda", "1", "--mu", "2", "--p1", "3", "--p2", "1"]
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 LINE = CPE.line1
+RENEWAL = Renewal(deterministic_dist(1.0), exponential_dist(2.0))
 INF, NAN = math.inf, math.nan
 
 
@@ -93,9 +102,10 @@ def test_nonfinite_real_is_refused(call, exc):
         lambda bad: classify(CPE, 1.0, bad),
         lambda bad: classify(CPE, bad, 3.0),
         lambda bad: exit_rate(CPE, bad),
+        lambda bad: renewal_exponents(RENEWAL, 3.0, 1.0, bad),
     ],
     ids=["leading_or_x2", "leading_or_x1", "leading_sim_x2", "classify_x2", "classify_x1",
-         "exit_rate"],
+         "exit_rate", "renewal_exponents"],
 )
 def test_nonfinite_ray_is_refused(call, bad):
     with pytest.raises(OutOfRange, match="finite"):

@@ -68,8 +68,6 @@ def test_query_validation():
     with pytest.raises(OutOfRange):
         RuinQuery("XOR", 1.0, 2.0)
     with pytest.raises(OutOfRange):
-        RuinQuery("OR", 1.0, 2.0, method="magic")
-    with pytest.raises(OutOfRange):
         RuinQuery("OR", -1.0, 2.0)
     with pytest.raises(OutOfRange):
         RuinQuery("OR", 1.0, math.inf)
