@@ -44,7 +44,6 @@ from .errors import (
 from .models import (
     CompoundPoissonExp,
     LineModel,
-    Renewal,
     StandardBrownian,
     TiltedModel,
     line_adjustment,
@@ -139,13 +138,10 @@ def ultimate_ruin(model: ModelLike, x: float) -> float:
     """Probability of ever hitting 0 from reserve x: C e^{-gamma x} under
     net profit, 1 otherwise."""
     line = _as_line(model)
-    if isinstance(line.driver, Renewal):
-        raise UnsupportedDriver("ultimate ruin is exact only for Levy drivers")
+    line.theta_lower  # refuses the renewal driver first
     if not 0.0 <= x < math.inf:
         raise OutOfRange(f"reserve must be finite and nonnegative, got {x:g}")
-    if line.drift <= 0.0:
-        return 1.0
-    gamma, c = line_adjustment(line)
+    gamma, c = _zeta_and_constant(line)
     return c * math.exp(-gamma * x)
 
 
