@@ -13,10 +13,11 @@ where s+- = (sqrt(lam) +- sqrt(mu p))^2, phi(q) ranges over [0, pi] and
 a, b are elementary in q.  (The phase enters with a plus sign; the
 substitution q = s- + (s+ - s-) sin^2(u) both removes the square-root
 vanishing of b at the endpoints and turns phi into exactly 2u, which is
-how the integrand is evaluated here.  The t -> 0 limit then reproduces
+how the driver row evaluates the integrand.  The t -> 0 limit then reproduces
 C e^{-gamma x} identically, a property the tests pin down.)  For the
 Brownian driver the reflection formula gives a closed form valid for
-either drift sign.
+either drift sign.  Both are rows of the driver table in ``models``;
+``finite_ruin`` and ``ruin_after`` here validate, call the row and clamp.
 
 w(x, t) = P(t < tau < infinity) is exposed directly as ``ruin_after``
 because the two-line decompositions need it without cancellation.
@@ -33,23 +34,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Literal, Union
 
-import numpy as np
-
 from .errors import (
     BoundaryVelocity,
     InternalInconsistency,
     OutOfRange,
     UnsupportedDriver,
 )
-from .models import (
-    CompoundPoissonExp,
-    LineModel,
-    StandardBrownian,
-    TiltedModel,
-    line_adjustment,
-    saddle,
-)
-from .numerics import integrate, normal_cdf, normal_logcdf
+from .models import LineModel, TiltedModel, _zeta_and_constant, saddle
 
 __all__ = [
     "FiniteRuinResult",
@@ -64,6 +55,7 @@ __all__ = [
     "limit_law",
 ]
 
+# Relative half-width of the refusal band around a branch velocity.
 _VELOCITY_BAND = 1e-6
 
 ModelLike = Union[LineModel, TiltedModel]
@@ -126,12 +118,11 @@ class LimitLaw:
     cdf: Callable[[float], float]
 
 
-def _zeta_and_constant(line: LineModel) -> tuple[float, float]:
-    """Decay exponent zeta = -min{theta : kappa(theta) = 0} and its
-    prefactor: (gamma, C) under net profit, (0, 1) otherwise."""
-    if line.drift > 0.0:
-        return line_adjustment(line)
-    return 0.0, 1.0
+def _guard_velocity(v: float, boundary: float, what: str) -> None:
+    if abs(v - boundary) <= _VELOCITY_BAND * max(1.0, abs(boundary)):
+        raise BoundaryVelocity(
+            f"velocity {v:g} within the guard band of {what} = {boundary:g}"
+        )
 
 
 def ultimate_ruin(model: ModelLike, x: float) -> float:
@@ -145,88 +136,34 @@ def ultimate_ruin(model: ModelLike, x: float) -> float:
     return c * math.exp(-gamma * x)
 
 
-def _exp_cdf(logcoef: float, z: float) -> float:
-    """exp(logcoef) * Phi(z), assembled in log space so a huge coefficient
-    against a tiny tail cannot overflow."""
-    s = logcoef + normal_logcdf(z)
-    return math.exp(s) if s < 700.0 else math.inf
-
-
-def _brownian_finite(line: LineModel, x: float, t: float) -> float:
-    p = line.p
-    rt = math.sqrt(t)
-    return normal_cdf(-(x + p * t) / rt) + _exp_cdf(-2.0 * p * x, (-x + p * t) / rt)
-
-
-def _brownian_after(line: LineModel, x: float, t: float) -> float:
-    p = line.p
-    rt = math.sqrt(t)
-    if p > 0.0:
-        val = _exp_cdf(-2.0 * p * x, (x - p * t) / rt) - normal_cdf(-(x + p * t) / rt)
-    else:
-        val = 1.0 - _brownian_finite(line, x, t)
-    return max(val, 0.0)
-
-
-def _cpe_band(lam: float, mu: float, p: float) -> tuple[float, float]:
-    sm = (math.sqrt(lam) - math.sqrt(mu * p)) ** 2
-    sp = (math.sqrt(lam) + math.sqrt(mu * p)) ** 2
-    return sm, sp
-
-
-def _cpe_deferred(line: LineModel, x: float, t: float) -> tuple[float, float]:
-    """The deferred-ruin integral w(x, t) for the compound Poisson line,
-    with the integrand rescaled by its peak so deep-tail values keep
-    relative accuracy.  Returns (value, error bound)."""
-    d = line.driver
-    lam, mu, p = d.lam, d.mu, line.p
-    if abs(p - lam / mu) <= 1e-12 * p:
-        raise BoundaryVelocity("zero safety loading: the spectral band touches the origin")
-    sm, sp = _cpe_band(lam, mu, p)
-    width = sp - sm
-    # Exponent a(q)x - qt is decreasing in q, so its peak sits at q = s-.
-    peak = (lam - mu * p - sm) / (2.0 * p) * x - sm * t
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        s2u = np.sin(2.0 * u)
-        q = sm + width * np.sin(u) ** 2
-        expo = (lam - mu * p - q) / (2.0 * p) * x - q * t - peak
-        phase = (width / (4.0 * p)) * s2u * x + 2.0 * u
-        return np.exp(expo) * np.sin(phase) * width * s2u / q
-
-    # Integrate the unit-peak integrand to 1e-12 absolute; the bound then
-    # scales by exp(peak) <= 1 in the net-profit regime and by the true
-    # peak otherwise.
-    raw, raw_err = integrate(integrand, 0.0, 0.5 * math.pi, tol=1e-12)
-    scale = math.exp(peak) / math.pi * math.sqrt(lam / (mu * p))
-    return raw * scale, raw_err * scale
-
-
 def ruin_after(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     """P(t < tau < infinity): ruin strictly after time t.
 
     Computed directly (not as a difference of ruin probabilities), so it
     stays accurate when it is exponentially smaller than either one.
     """
+    line = _line_at(model, x, t)
+    return _result(line, *line.driver.ruin_after(line.p, x, t))
+
+
+def _line_at(model: ModelLike, x: float, t: float) -> LineModel:
     line = _as_line(model)
     if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
         raise OutOfRange(f"need finite x >= 0 and t > 0, got x={x:g}, t={t:g}")
-    if isinstance(line.driver, CompoundPoissonExp):
-        w, err = _cpe_deferred(line, x, t)
-        return FiniteRuinResult(value=_clamp_prob(w, err), method="exact_cpe", quad_err=err)
-    if isinstance(line.driver, StandardBrownian):
-        return FiniteRuinResult(value=_brownian_after(line, x, t),
-                                method="exact_brownian", quad_err=0.0)
-    raise UnsupportedDriver("deferred ruin is exact only for Levy drivers")
+    return line
 
 
-def _clamp_prob(value: float, err: float) -> float:
-    slack = 10.0 * err + 1e-13
-    if value < -slack or value > 1.0 + slack:
-        raise InternalInconsistency(
-            f"value {value!r} outside [0, 1] by more than the error bound {err:g}"
-        )
-    return min(max(value, 0.0), 1.0)
+def _result(line: LineModel, value: float, err: float) -> FiniteRuinResult:
+    """A driver row's (value, err), clamped into [0, 1] unless the value
+    lies outside by more than its error bound."""
+    if not 0.0 <= value <= 1.0:
+        slack = 10.0 * err + 1e-13
+        if value < -slack or value > 1.0 + slack:
+            raise InternalInconsistency(
+                f"value {value!r} outside [0, 1] by more than the error bound {err:g}"
+            )
+        value = min(max(value, 0.0), 1.0)
+    return FiniteRuinResult(value=value, method=line.driver.method, quad_err=err)
 
 
 def finite_ruin(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
@@ -236,22 +173,8 @@ def finite_ruin(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     reflection formula; the renewal driver has no exact finite-time
     transform here and is refused.
     """
-    line = _as_line(model)
-    if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
-        raise OutOfRange(f"need finite x >= 0 and t > 0, got x={x:g}, t={t:g}")
-    d = line.driver
-    if isinstance(d, CompoundPoissonExp):
-        w, err = _cpe_deferred(line, x, t)
-        if line.drift > 0.0:
-            gamma, c = line_adjustment(line)
-            raw = c * math.exp(-gamma * x) - w
-        else:
-            raw = 1.0 - w
-        return FiniteRuinResult(value=_clamp_prob(raw, err), method="exact_cpe", quad_err=err)
-    if isinstance(d, StandardBrownian):
-        return FiniteRuinResult(value=_clamp_prob(_brownian_finite(line, x, t), 0.0),
-                                method="exact_brownian", quad_err=0.0)
-    raise UnsupportedDriver("finite-time ruin is exact only for Levy drivers")
+    line = _line_at(model, x, t)
+    return _result(line, *line.driver.finite_ruin(line.p, x, t))
 
 
 def ah_branches(model: ModelLike, x: float, t: float) -> AhAsymptotics:
@@ -269,10 +192,7 @@ def ah_branches(model: ModelLike, x: float, t: float) -> AhAsymptotics:
     v = x / t
     zeta, c = _zeta_and_constant(line)
     w_c = -line.kappa_prime(-zeta)
-    if abs(v - w_c) <= _VELOCITY_BAND * max(1.0, w_c):
-        raise BoundaryVelocity(
-            f"velocity {v:g} within the guard band of the critical velocity {w_c:g}"
-        )
+    _guard_velocity(v, w_c, "the critical velocity")
     sd = saddle(line, v)
     c_v = (sd.theta_conj - sd.theta_v) / (sd.theta_v * sd.theta_conj)
     saddle_val = abs(c_v) / math.sqrt(2.0 * math.pi * sd.kpp * t) * math.exp(-t * sd.kstar)

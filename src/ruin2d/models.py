@@ -37,12 +37,18 @@ the premium rate ``p`` where the quantity depends on it:
 * ``tilted`` and ``tilt_compensator``: the exponential tilt map and the
   log-likelihood compensator of a tilt,
 * ``claim_rate``: mean claim amount per unit time,
-* ``jump_dists``: the (interarrival, claim size) sampler pair.
+* ``jump_dists``: the (interarrival, claim size) sampler pair,
+* ``lundberg_gamma``: the Lundberg exponent of a line, for every driver,
+* ``ruin_after``: the deferred ruin w(x, t) = P(t < tau < infinity) and
+  its error bound,
+* ``finite_ruin``: psi(x, t) = psi(x) - w(x, t) and its error bound; the
+  Brownian row has the reflection formula instead,
+* ``method``: the label of those two closed forms.
 
-The renewal driver has no cumulant: its cumulant rows raise
-UnsupportedDriver, its tilt is that of the claim walk (gaps by c*p,
-claims by -c) and its compensator counts steps, not time.  The Brownian
-driver has no jumps, so ``jump_dists`` raises there.
+The renewal driver has no cumulant: its cumulant rows and both
+finite-time rows raise UnsupportedDriver, its tilt is that of the claim
+walk (gaps by c*p, claims by -c) and its compensator counts steps, not
+time.  The Brownian driver has no jumps, so ``jump_dists`` raises there.
 """
 
 from __future__ import annotations
@@ -56,6 +62,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
+    BoundaryVelocity,
     ConfigError,
     InternalInconsistency,
     InvalidProportions,
@@ -65,7 +72,7 @@ from .errors import (
     OutOfRange,
     UnsupportedDriver,
 )
-from .numerics import root_solve
+from .numerics import _exp_cdf, integrate, normal_cdf, root_solve
 
 __all__ = [
     "CompoundPoissonExp",
@@ -118,10 +125,20 @@ def _solved_once(fn):
 
 class _Levy:
     """What the two Levy drivers share: the tilt's likelihood compensator
-    grows with the cumulant per unit time, whatever the claim count."""
+    grows with the cumulant per unit time, whatever the claim count, and
+    finite-time ruin is the ultimate ruin less the deferred ruin."""
 
     def tilt_compensator(self, p: float, c: float, t, n):
         return self.kappa(p, c) * t
+
+    def lundberg_gamma(self, p: float) -> float:
+        return line_adjustment(LineModel(self, p))[0]
+
+    def finite_ruin(self, p: float, x: float, t: float) -> tuple[float, float]:
+        """C e^{-zeta x} - w(x, t), with the error bound of w."""
+        w, err = self.ruin_after(p, x, t)
+        zeta, c = _zeta_and_constant(LineModel(self, p))
+        return c * math.exp(-zeta * x) - w, err
 
 
 @dataclass(frozen=True)
@@ -130,6 +147,8 @@ class CompoundPoissonExp(_Levy):
 
     lam: float
     mu: float
+
+    method = "exact_cpe"
 
     def __post_init__(self) -> None:
         for name, value in (("claim rate lam", self.lam), ("claim size rate mu", self.mu)):
@@ -196,6 +215,33 @@ class CompoundPoissonExp(_Levy):
     def jump_dists(self) -> tuple[DistSpec, DistSpec]:
         return exponential_dist(self.lam), exponential_dist(self.mu)
 
+    def ruin_after(self, p: float, x: float, t: float) -> tuple[float, float]:
+        """The deferred-ruin integral w(x, t) over the spectral band
+        [s-, s+], with the integrand rescaled by its peak so deep-tail
+        values keep relative accuracy.  Returns (value, error bound)."""
+        lam, mu = self.lam, self.mu
+        if abs(p - lam / mu) <= 1e-12 * p:
+            raise BoundaryVelocity("zero safety loading: the spectral band touches the origin")
+        sm = (math.sqrt(lam) - math.sqrt(mu * p)) ** 2
+        sp = (math.sqrt(lam) + math.sqrt(mu * p)) ** 2
+        width = sp - sm
+        # Exponent a(q)x - qt is decreasing in q, so its peak sits at q = s-.
+        peak = (lam - mu * p - sm) / (2.0 * p) * x - sm * t
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            s2u = np.sin(2.0 * u)
+            q = sm + width * np.sin(u) ** 2
+            expo = (lam - mu * p - q) / (2.0 * p) * x - q * t - peak
+            phase = (width / (4.0 * p)) * s2u * x + 2.0 * u
+            return np.exp(expo) * np.sin(phase) * width * s2u / q
+
+        # Integrate the unit-peak integrand to 1e-12 absolute; the bound then
+        # scales by exp(peak) <= 1 in the net-profit regime and by the true
+        # peak otherwise.
+        raw, raw_err = integrate(integrand, 0.0, 0.5 * math.pi, tol=1e-12)
+        scale = math.exp(peak) / math.pi * math.sqrt(lam / (mu * p))
+        return raw * scale, raw_err * scale
+
 
 @dataclass(frozen=True)
 class StandardBrownian(_Levy):
@@ -203,6 +249,7 @@ class StandardBrownian(_Levy):
 
     theta_lower = -math.inf
     claim_rate = 0.0
+    method = "exact_brownian"
 
     def kappa(self, p: float, theta: float) -> float:
         return 0.5 * theta * theta + p * theta
@@ -240,6 +287,19 @@ class StandardBrownian(_Levy):
 
     def jump_dists(self):
         raise UnsupportedDriver("jump engine requires a jump driver")
+
+    def finite_ruin(self, p: float, x: float, t: float) -> tuple[float, float]:
+        """The reflection formula, exact for either drift sign."""
+        rt = math.sqrt(t)
+        return normal_cdf(-(x + p * t) / rt) + _exp_cdf(-2.0 * p * x, (-x + p * t) / rt), 0.0
+
+    def ruin_after(self, p: float, x: float, t: float) -> tuple[float, float]:
+        rt = math.sqrt(t)
+        if p > 0.0:
+            val = _exp_cdf(-2.0 * p * x, (x - p * t) / rt) - normal_cdf(-(x + p * t) / rt)
+        else:
+            val = 1.0 - self.finite_ruin(p, x, t)[0]
+        return max(val, 0.0), 0.0
 
 
 @dataclass(frozen=True)
@@ -314,6 +374,10 @@ class Renewal:
     theta_lower = property(_no_cumulant)
     kappa = kappa_prime = kappa_double_prime = kappa_triple = _no_cumulant
     gamma = cramer_constant = gamma3 = saddle_point = cone_slopes = _no_cumulant
+    finite_ruin = ruin_after = _no_cumulant
+
+    def lundberg_gamma(self, p: float) -> float:
+        return renewal_adjustment(self, p)
 
     @property
     def claim_rate(self) -> float:
@@ -531,6 +595,14 @@ def line_adjustment(model: LineModel) -> tuple[float, float]:
     c_general = -model.kappa_prime(0.0) / model.kappa_prime(-gamma)
     c = _cross_check("Cramer constant", c_closed, c_general)
     return gamma, c
+
+
+def _zeta_and_constant(line: LineModel) -> tuple[float, float]:
+    """Decay exponent zeta = -min{theta : kappa(theta) = 0} and its
+    prefactor: (gamma, C) under net profit, (0, 1) otherwise."""
+    if line.drift > 0.0:
+        return line_adjustment(line)
+    return 0.0, 1.0
 
 
 def _gamma3(model2: TwoLineModel, gamma2: float) -> float:

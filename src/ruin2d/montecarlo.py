@@ -56,6 +56,7 @@ from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .cones import crossing_time
 from .errors import (
     ConfigError,
     InsufficientConditionedSamples,
@@ -65,17 +66,9 @@ from .errors import (
     UnsupportedDriver,
 )
 from .finite_time import _as_line, limit_law
-from .models import (
-    DistSpec,
-    LineModel,
-    Renewal,
-    StandardBrownian,
-    TwoLineModel,
-    line_adjustment,
-    renewal_adjustment,
-)
+from .models import DistSpec, LineModel, StandardBrownian, TwoLineModel
 from .numerics import normal_quantile, normal_logcdf
-from .twodim import _EVENTS
+from .twodim import _EVENTS, _check_reserves
 
 __all__ = [
     "FixedTime",
@@ -99,7 +92,9 @@ _EXP_FLOOR = -40.0  # bridge exponents are clipped here; see _bridge_hit
 
 
 # ---------------------------------------------------------------------------
-# configuration types
+# configuration types; a horizon gives the chunk engines their (stopping
+# time, safe level) in ``limits``, refuses a run it cannot end in ``check``
+# and declares each event's truncation bias in ``bias_bounds``
 
 
 @dataclass(frozen=True)
@@ -111,6 +106,22 @@ class FixedTime:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.t) and self.t > 0.0):
             raise InvalidHorizon(f"FixedTime horizon must be positive, got {self.t!r}")
+
+    def limits(self) -> Tuple[float, float]:
+        return self.t, math.inf
+
+    def check(self, model2: TwoLineModel, x1: float, x2: float,
+              tilt: Optional[float]) -> None:
+        """Every path stops at t, whatever the drift."""
+
+    def bias_bounds(self, model2: TwoLineModel, tilt: Optional[float]) -> Dict[str, float]:
+        """NaN for every event: the truncation is not quantified.  Without
+        a tilt the run estimates P(event by t), so it is refused."""
+        if tilt is None:
+            raise InvalidHorizon(
+                "a FixedTime horizon truncates ultimate events; use SafeLevel or a tilt"
+            )
+        return dict.fromkeys(_EVENTS, math.nan)
 
 
 @dataclass(frozen=True)
@@ -124,6 +135,31 @@ class SafeLevel:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.L) and self.L > 0.0):
             raise InvalidHorizon(f"SafeLevel must be positive, got {self.L!r}")
+
+    def limits(self) -> Tuple[float, float]:
+        return math.inf, self.L
+
+    def check(self, model2: TwoLineModel, x1: float, x2: float,
+              tilt: Optional[float]) -> None:
+        """Refuse a level below a reserve, and a line whose drift under the
+        tilt is zero: it would neither ruin nor retire."""
+        if self.L <= max(x1, x2):
+            raise InvalidHorizon(
+                f"SafeLevel L={self.L:g} must exceed max(x1, x2)={max(x1, x2):g}"
+            )
+        for line in (model2.line1, model2.line2):
+            eff = LineModel(*line.driver.tilted(line.p, tilt)) if tilt is not None else line
+            if eff.drift == 0.0:
+                raise InvalidHorizon(
+                    "zero effective drift: a SafeLevel run can neither ruin nor retire"
+                )
+
+    def bias_bounds(self, model2: TwoLineModel, tilt: Optional[float]) -> Dict[str, float]:
+        """exp(-gamma_i L) per line, and their sum for the two-line events."""
+        d = model2.driver
+        b1 = math.exp(-d.lundberg_gamma(model2.p1) * self.L)
+        b2 = math.exp(-d.lundberg_gamma(model2.p2) * self.L)
+        return {"OR": b1 + b2, "SIM": b1 + b2, "AND": b1 + b2, "LINE1": b1, "LINE2": b2}
 
 
 Horizon = Union[FixedTime, SafeLevel]
@@ -201,46 +237,16 @@ class CheckReport:
 # small helpers
 
 
-def _line_gamma(line: LineModel) -> float:
-    if isinstance(line.driver, Renewal):
-        return renewal_adjustment(line.driver, line.p)
-    return line_adjustment(line)[0]
-
-
 def default_safe_level(model2: TwoLineModel) -> SafeLevel:
     """SafeLevel(30 / min(gamma1, gamma2)): truncation bias below
     exp(-30) per line at the default."""
-    g = min(_line_gamma(model2.line1), _line_gamma(model2.line2))
-    return SafeLevel(30.0 / g)
+    d = model2.driver
+    return SafeLevel(30.0 / min(d.lundberg_gamma(model2.p1), d.lundberg_gamma(model2.p2)))
 
 
 def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
     key = np.array([seed & _MASK64, chunk_idx & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _check_safelevel(model2: TwoLineModel, x1: float, x2: float,
-                     cfg: SimConfig) -> None:
-    hz = cfg.horizon
-    if not isinstance(hz, SafeLevel):
-        return
-    if hz.L <= max(x1, x2):
-        raise InvalidHorizon(
-            f"SafeLevel L={hz.L:g} must exceed max(x1, x2)={max(x1, x2):g}"
-        )
-    c = cfg.tilt
-    for line in (model2.line1, model2.line2):
-        eff = LineModel(*line.driver.tilted(line.p, c)) if c is not None else line
-        if eff.drift == 0.0:
-            raise InvalidHorizon(
-                "zero effective drift: a SafeLevel run can neither ruin nor retire"
-            )
-
-
-def _reserves_ok(x1: float, x2: float) -> None:
-    for x in (x1, x2):
-        if not (math.isfinite(x) and x >= 0.0):
-            raise ConfigError(f"reserves must be finite and nonnegative, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +489,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     p1, p2 = model2.p1, model2.p2
     ia, cl = _jump_dists(model2, cfg.tilt)
     blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
-    t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
-    level = cfg.horizon.L if isinstance(cfg.horizon, SafeLevel) else math.inf
+    t_hor, level = cfg.horizon.limits()
     ev = _Events(width)
 
     # per-slot state, compacted with ev's slots; every live lane has taken
@@ -590,9 +595,8 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     p1, p2 = model2.p1, model2.p2
     rng = _chunk_rng(cfg.seed, chunk_idx)
     c = 0.0 if cfg.tilt is None else cfg.tilt
-    t_hor = cfg.horizon.t if isinstance(cfg.horizon, FixedTime) else math.inf
-    level = cfg.horizon.L if isinstance(cfg.horizon, SafeLevel) else math.inf
-    T = max(x2 - x1, 0.0) / (p1 - p2)
+    t_hor, level = cfg.horizon.limits()
+    T = crossing_time(x1, x2, p1, p2)
     ev = _Events(width)
 
     # per-slot state, compacted with ev's slots.  The stream contract draws
@@ -677,8 +681,8 @@ def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
 def simulate(model2: TwoLineModel, x1: float, x2: float,
              config: SimConfig) -> Iterator[PathRecord]:
     """Stream PathRecords for n paths of the two-line model."""
-    _reserves_ok(x1, x2)
-    _check_safelevel(model2, x1, x2, config)
+    _check_reserves(x1, x2)
+    config.horizon.check(model2, x1, x2, config.tilt)
     for res in _run_chunks(model2, x1, x2, config):
         t1, t2, ts = res["tau1"], res["tau2"], res["tsim"]
         cen, w = res["censor"], res["w"]
@@ -708,16 +712,6 @@ def _event_value(res: dict, event: str) -> np.ndarray:
     return res["w2"]
 
 
-def _bias_bounds(model2: TwoLineModel, cfg: SimConfig) -> Dict[str, float]:
-    """Declared horizon-truncation bias of every event."""
-    if isinstance(cfg.horizon, FixedTime):
-        return dict.fromkeys(_EVENTS, math.nan)  # not quantified under FixedTime
-    level = cfg.horizon.L
-    b1 = math.exp(-_line_gamma(model2.line1) * level)
-    b2 = math.exp(-_line_gamma(model2.line2) * level)
-    return {"OR": b1 + b2, "SIM": b1 + b2, "AND": b1 + b2, "LINE1": b1, "LINE2": b2}
-
-
 def estimate(model2: TwoLineModel, x1: float, x2: float,
              event: Union[str, Sequence[str]],
              config: SimConfig) -> Union[McEstimate, Dict[str, McEstimate]]:
@@ -738,12 +732,9 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
     for name in names:
         if name not in _EVENTS:
             raise OutOfRange(f"unknown event {name!r}")
-    _reserves_ok(x1, x2)
-    if isinstance(config.horizon, FixedTime) and config.tilt is None:
-        raise InvalidHorizon(
-            "a FixedTime horizon truncates ultimate events; use SafeLevel or a tilt"
-        )
-    _check_safelevel(model2, x1, x2, config)
+    _check_reserves(x1, x2)
+    config.horizon.check(model2, x1, x2, config.tilt)
+    bias = config.horizon.bias_bounds(model2, config.tilt)
 
     # per-event sums of the values and their squares, in chunk order; a
     # repeated name shares one entry
@@ -755,7 +746,6 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
             acc[1] += float((wi * wi).sum())
     n = config.n
     q = normal_quantile(0.5 + config.ci_level / 2.0)
-    bias = _bias_bounds(model2, config)
     out = {}
     for name, (s1, s2) in sums.items():
         p_hat = s1 / n

@@ -234,6 +234,13 @@ def normal_logcdf(z: float) -> float:
     return -0.5 * zz - math.log(-z) - _LOG_SQRT_2PI + math.log(series)
 
 
+def _exp_cdf(logcoef: float, z: float) -> float:
+    """exp(logcoef) * Phi(z), assembled in log space so a huge coefficient
+    against a tiny tail cannot overflow."""
+    s = logcoef + normal_logcdf(z)
+    return math.exp(s) if s < 700.0 else math.inf
+
+
 def normal_quantile(q: float) -> float:
     """Inverse standard normal CDF for q in (0, 1)."""
     if not 0.0 < q < 1.0:

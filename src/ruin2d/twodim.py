@@ -33,12 +33,11 @@ from typing import Literal, Optional
 from .cones import ConeLabel, _classify, crossing_time, gamma_ray
 from .errors import (
     BoundaryRay,
-    BoundaryVelocity,
     ConfigError,
     InternalInconsistency,
     OutOfRange,
 )
-from .finite_time import _exp_cdf, finite_ruin, ruin_after, ultimate_ruin
+from .finite_time import _guard_velocity, finite_ruin, ruin_after, ultimate_ruin
 from .models import (
     AdjustmentData,
     LineModel,
@@ -50,7 +49,7 @@ from .models import (
     saddle,
     tilt,
 )
-from .numerics import normal_cdf
+from .numerics import _exp_cdf, normal_cdf
 
 __all__ = [
     "Event",
@@ -69,10 +68,6 @@ Event = Literal["OR", "SIM", "AND", "LINE1", "LINE2"]
 
 _EVENTS = ("OR", "SIM", "AND", "LINE1", "LINE2")
 
-# Relative half-width of the refusal band around the branch velocities of
-# the two-term expansions.
-_VELOCITY_BAND = 1e-6
-
 _BROWNIAN_ROUTE_TOL = 1e-8
 
 
@@ -85,9 +80,13 @@ class RuinQuery:
     def __post_init__(self) -> None:
         if self.event not in _EVENTS:
             raise OutOfRange(f"unknown event {self.event!r}")
-        for name, x in (("x1", self.x1), ("x2", self.x2)):
-            if not (math.isfinite(x) and x >= 0.0):
-                raise OutOfRange(f"{name} must be finite and nonnegative, got {x!r}")
+        _check_reserves(self.x1, self.x2)
+
+
+def _check_reserves(x1: float, x2: float) -> None:
+    for name, x in (("x1", x1), ("x2", x2)):
+        if not (math.isfinite(x) and x >= 0.0):
+            raise OutOfRange(f"reserves must be finite and nonnegative, got {name}={x!r}")
 
 
 @dataclass(frozen=True)
@@ -272,13 +271,6 @@ def _conjugate_pair(model2: TwoLineModel, i: int, v: float) -> tuple[float, floa
             f"{sd1.theta_v!r} vs {sd2.theta_v!r}"
         )
     return sd2.theta_v, sd1.theta_conj
-
-
-def _guard_velocity(v: float, boundary: float, what: str) -> None:
-    if abs(v - boundary) <= _VELOCITY_BAND * max(1.0, abs(boundary)):
-        raise BoundaryVelocity(
-            f"velocity {v:g} within the guard band of {what} = {boundary:g}"
-        )
 
 
 def _prop2_constant(model2: TwoLineModel, i: int, v: float,

@@ -9,6 +9,7 @@ import pytest
 
 from ruin2d import cli, cones, twodim
 from ruin2d.errors import UnsupportedDriver
+from ruin2d.finite_time import finite_ruin, ruin_after
 from ruin2d.models import (
     CompoundPoissonExp,
     LineModel,
@@ -55,7 +56,8 @@ def test_renewal_row_refuses_the_cumulant_calculus():
     line = LineModel(RENEWAL, 3.0)
     for call in (lambda: line.theta_lower, lambda: line.kappa_prime(0.1),
                  lambda: line.kappa_triple(0.1), lambda: RENEWAL.gamma(3.0),
-                 lambda: RENEWAL.saddle_point(3.0, 1.0), lambda: tilt(line, -0.5)):
+                 lambda: RENEWAL.saddle_point(3.0, 1.0), lambda: tilt(line, -0.5),
+                 lambda: finite_ruin(line, 1, 1), lambda: ruin_after(line, 1, 1)):
         with pytest.raises(UnsupportedDriver):
             call()
     with pytest.raises(UnsupportedDriver):

@@ -236,6 +236,26 @@ class TestSafeLevelBias:
         est = estimate(CPE, 1.0, 3.0, "OR", cfg(5_000, 5, FixedTime(25.0), tilt=-1.0))
         assert math.isnan(est.bias_bound)
 
+    # repr of bias_bound for OR, SIM, AND, LINE1, LINE2 at (1, 3), n = 64
+    BOUNDS = {
+        "cpe": ("9.357622988127674e-14",) * 3 + ("1.9287498479639178e-22",
+                                                  "9.357622968840175e-14"),
+        "bm": ("9.357622968840175e-14",) * 3 + ("8.194012623990515e-40",
+                                                 "9.357622968840175e-14"),
+        "renewal": ("9.362520161974887e-14",) * 3 + ("4.897193134746452e-17",
+                                                      "9.357622968840141e-14"),
+        "fixed_time_tilted": ("nan",) * 5,
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_bias_bounds_are_pinned(self, name):
+        model = {"cpe": CPE, "bm": BM, "renewal": RW}.get(name, CPE)
+        config = (cfg(64, 1, FixedTime(5.0), tilt=-1.0) if name == "fixed_time_tilted"
+                  else cfg(64, 1, default_safe_level(model)))
+        events = ("OR", "SIM", "AND", "LINE1", "LINE2")
+        got = estimate(model, 1.0, 3.0, events, config)
+        assert tuple(repr(got[e].bias_bound) for e in events) == self.BOUNDS[name]
+
 
 class TestEstimateGuards:
     def test_fixed_time_without_tilt_is_refused(self):
@@ -256,7 +276,7 @@ class TestEstimateGuards:
             estimate(CPE, 1.0, 3.0, "RUIN", cfg(100, 1))
 
     def test_negative_reserve(self):
-        with pytest.raises(ConfigError, match="reserves"):
+        with pytest.raises(OutOfRange, match="reserves"):
             estimate(CPE, -1.0, 3.0, "OR", cfg(100, 1))
 
     def test_tilt_outside_claim_domain(self):

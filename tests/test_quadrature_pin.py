@@ -4,14 +4,13 @@ Each pin is the ``repr`` of ``(value, err)``, so a change in how the
 panels are evaluated (node batching, summation order, panel order) must
 leave every float as it was.  The integrands need from a dozen to a few
 dozen bisections, one of them down to floating-point resolution, and
-the ``_cpe_deferred`` points include one deep in the tail of the ray
-(K/2, K) at K = 40.
+the points of the compound Poisson row's deferred-ruin integral include
+one deep in the tail of the ray (K/2, K) at K = 40.
 """
 
 import numpy as np
 import pytest
 
-from ruin2d.finite_time import _cpe_deferred
 from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment, tilt
 from ruin2d.numerics import integrate
 
@@ -66,4 +65,5 @@ def _line(which):
 @pytest.mark.parametrize("name", sorted(DEFERRED))
 def test_cpe_deferred_is_pinned(name):
     which, x, t, want = DEFERRED[name]
-    assert repr(_cpe_deferred(_line(which), x, t)) == want
+    line = _line(which)
+    assert repr(line.driver.ruin_after(line.p, x, t)) == want
