@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from .cones import _classify, _partition, classify
 from .errors import ConfigError, NumericalRefusal
 from .models import (
+    _SPECTRAL_MEMO,
     CompoundPoissonExp,
     Renewal,
     StandardBrownian,
@@ -75,9 +76,12 @@ class OutputRow:
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
+@functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, Dict[str, argparse.Action]]:
     """The argument parser, and the flag of each config key (every
-    subcommand has the same flags)."""
+    subcommand has the same flags).  Built on the first ``run`` and kept
+    for the process: parsing does not change it, and the flags are read
+    only."""
     ap = argparse.ArgumentParser(
         prog="ruin2d",
         description="Ruin probabilities for two lines sharing one claim process.",
@@ -546,6 +550,8 @@ class _EmitError(Exception):
 def run(argv: Optional[Sequence[str]] = None) -> int:
     ap, flags = _parser()
     args = ap.parse_args(argv)
+    # the Exact and TwoTerm rows share each spectral integral of this run
+    memo = _SPECTRAL_MEMO.set({})
     try:
         cfg = _merge(args, _load_config(args.config, flags), flags)
         model2, scaled = _build_model(cfg)
@@ -569,6 +575,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except _EmitError as exc:
         print(f"ruin2d: cannot write output: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _SPECTRAL_MEMO.reset(memo)
     return 0
 
 

@@ -21,7 +21,8 @@ a bracketed root solve runs alongside them and any disagreement beyond
 keep their results per argument key in a bounded LRU cache, so each
 model's constants are solved, and cross-checked, on the first call only;
 the two ``DistSpec`` builders are kept so too, so equal renewal drivers
-compare equal.
+compare equal.  Within one ``cli.run`` the spectral integral of
+``CompoundPoissonExp.ruin_after`` is kept per (driver, p, x, t) as well.
 
 Each driver class is one row of the driver table, so the generic code
 never branches on the driver type to pick a formula.  Every method takes
@@ -53,6 +54,7 @@ time.  The Brownian driver has no jumps, so ``jump_dists`` raises there.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import inspect
 import math
@@ -101,6 +103,13 @@ _CROSS_CHECK_TOL = 1e-10
 # Entries per memoised solve: a model contributes a handful of keys (its
 # two lines, their tilts, the pair), so this holds many models at once.
 _CACHE_SIZE = 256
+
+# Spectral integrals of the current ``cli.run``, by (driver, p, x, t).  The
+# front end sets a fresh dict for one invocation and resets it after, so
+# the Exact and TwoTerm rows at one point share their integrals; library
+# calls see the default None and cache nothing.
+_SPECTRAL_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "ruin2d_spectral_memo", default=None)
 
 
 def _solved_once(fn):
@@ -218,7 +227,12 @@ class CompoundPoissonExp(_Levy):
     def ruin_after(self, p: float, x: float, t: float) -> tuple[float, float]:
         """The deferred-ruin integral w(x, t) over the spectral band
         [s-, s+], with the integrand rescaled by its peak so deep-tail
-        values keep relative accuracy.  Returns (value, error bound)."""
+        values keep relative accuracy.  Returns (value, error bound).
+        Inside a ``cli.run`` a value is computed once per key; a refusal
+        is not stored and raises again."""
+        memo, key = _SPECTRAL_MEMO.get(), (self, p, x, t)
+        if memo is not None and key in memo:
+            return memo[key]
         lam, mu = self.lam, self.mu
         if abs(p - lam / mu) <= 1e-12 * p:
             raise BoundaryVelocity("zero safety loading: the spectral band touches the origin")
@@ -240,7 +254,10 @@ class CompoundPoissonExp(_Levy):
         # peak otherwise.
         raw, raw_err = integrate(integrand, 0.0, 0.5 * math.pi, tol=1e-12)
         scale = math.exp(peak) / math.pi * math.sqrt(lam / (mu * p))
-        return raw * scale, raw_err * scale
+        result = raw * scale, raw_err * scale
+        if memo is not None:
+            memo[key] = result
+        return result
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ deliberately boring; the interesting mathematics happens in the callers.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -241,8 +242,10 @@ def _exp_cdf(logcoef: float, z: float) -> float:
     return math.exp(s) if s < 700.0 else math.inf
 
 
+@functools.lru_cache(maxsize=64)
 def normal_quantile(q: float) -> float:
-    """Inverse standard normal CDF for q in (0, 1)."""
+    """Inverse standard normal CDF for q in (0, 1), solved once per level
+    (a run asks for the same few levels on every estimate)."""
     if not 0.0 < q < 1.0:
         raise ValueError("quantile level must lie in (0, 1)")
     return root_solve(lambda z: normal_cdf(z) - q, -13.0, 13.0, tol=1e-13)

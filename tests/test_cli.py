@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from ruin2d import cli
+from ruin2d import cli, models
 from ruin2d.cli import OutputRow, emit, run
 from ruin2d.models import CompoundPoissonExp, TwoLineModel
 from ruin2d.twodim import RuinQuery, exact
@@ -216,6 +216,92 @@ class TestCompare:
         assert code == 0
         assert sorted(calls) == ["AND", "OR", "SIM"]
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+class TestReuse:
+    """The parser is built once per process; each spectral integral is
+    computed once per invocation and never carried into the next one or
+    into library calls."""
+
+    @pytest.fixture()
+    def integrals(self, monkeypatch):
+        calls = []
+        real = models.integrate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(models, "integrate", counted)
+        return calls
+
+    def test_one_parser_per_process(self, capsys):
+        first = cli._parser()
+        for argv in (["cones", *BM_FLAGS], ["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3"]):
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+        assert cli._parser() is first
+
+    def test_config_run_leaves_no_value_behind(self, capsys, tmp_path):
+        argv = ["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3"]
+        _, want, _ = run_cli(argv, capsys)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "query": {"event": "sim", "method": "leading"},
+            "mc": {"seed": 9}, "output": {"format": "json"}}))
+        code, out, _ = run_cli([*argv, "--config", str(path)], capsys)
+        assert code == 0 and rows_json(out)[0]["event"] == "SIM"
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (0, want, "")
+        assert rows_csv(out)[0]["event"] == "OR"
+
+    def test_parse_error_then_good_run(self, capsys):
+        argv = ["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--format", "json"]
+        _, want, _ = run_cli(argv, capsys)
+        with pytest.raises(SystemExit) as exc:
+            run(["compute", *CPE_FLAGS, "--x1", "one"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (0, want, "")
+        assert rows_json(out)[0]["value"] == OR_13
+
+    # integrals per two-point sweep; one integral per row would take 8, 8 and 10
+    @pytest.mark.parametrize("event, count", [("or", 4), ("sim", 4), ("and", 8)])
+    def test_exact_and_two_term_share_integrals(self, event, count, capsys, integrals):
+        argv = ["sweep", *CPE_FLAGS, "--a", "0.6", "--k", "2,5", "--event", event,
+                "--method", "exact,two_term"]
+        for _ in range(2):  # the second run recomputes: nothing outlives a run
+            integrals.clear()
+            code, _, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert len(integrals) == count
+
+    def test_library_calls_cache_nothing(self, integrals):
+        for _ in range(2):
+            integrals.clear()
+            assert exact(CPE, RuinQuery("OR", 1.0, 3.0)).value == OR_13
+            assert len(integrals) == 2
+
+    # sha256 prefixes of the output, taken before the rows shared integrals
+    @pytest.mark.parametrize("event, digest", [("or", "82cd6c1c9a216220"),
+                                               ("sim", "6ee7c876606a6534"),
+                                               ("and", "a46c83994b76a393")])
+    def test_shared_sweep_rows_pinned(self, event, digest, capsys):
+        code, out, _ = run_cli(
+            ["sweep", *CPE_FLAGS, "--a", "0.6", "--k", "2,10,40", "--event", event,
+             "--method", "exact,two_term,leading"],
+            capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+    def test_shared_compute_rows_pinned(self, capsys):
+        code, out, _ = run_cli(
+            ["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "or,sim,and",
+             "--method", "exact,two_term", "--format", "json"],
+            capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == "e92667f4b8a14fa0"
 
 
 class TestPrecedence:

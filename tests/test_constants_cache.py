@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from ruin2d import cones, models
+from ruin2d import cones, models, numerics
 from ruin2d.errors import InternalInconsistency, NoAdjustment
 from ruin2d.models import (
     CompoundPoissonExp,
@@ -20,6 +20,7 @@ from ruin2d.models import (
     line_adjustment,
     renewal_adjustment,
 )
+from ruin2d.montecarlo import SimConfig, default_safe_level, estimate
 
 CACHED = (line_adjustment, adjustment, renewal_adjustment, cones._partition)
 
@@ -112,3 +113,22 @@ def test_cross_check_runs_on_the_first_solve_of_a_key(monkeypatch):
     monkeypatch.undo()
     gamma, _ = line_adjustment(line)
     assert gamma == real(line.driver, line.p)
+
+
+def test_repeated_estimate_solves_no_quantile(monkeypatch):
+    calls = []
+    real = numerics.root_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(numerics, "root_solve", counted)
+    numerics.normal_quantile.cache_clear()
+    model2 = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
+    cfg = SimConfig(n=256, seed=3, horizon=default_safe_level(model2), ci_level=0.9)
+    first = estimate(model2, 1.0, 3.0, "OR", cfg)
+    assert len(calls) == 1  # the quantile of the 0.9 level
+    calls.clear()
+    assert estimate(model2, 1.0, 3.0, "OR", cfg) == first
+    assert calls == []
