@@ -76,12 +76,46 @@ class OutputRow:
 # ---------------------------------------------------------------------------
 # configuration ingestion
 
+_RAW_HELP = "raw proportional-split triple, scaled to canonical form"
+# every config key, by block, with the options of its flag --key (an
+# underscore in the key is a dash in the flag)
+_BLOCKS: Dict[str, Dict[str, Dict[str, Any]]] = {
+    "model": {
+        "driver": {"choices": ("cpe", "brownian", "renewal")},
+        "lambda": {"type": float, "help": "claim arrival rate (cpe)"},
+        "mu": {"type": float, "help": "claim size rate (cpe)"},
+        "interarrival": {"help": "renewal interarrival, det:V or exp:RATE"},
+        "claim": {"help": "renewal claim size, det:V or exp:RATE"},
+        "p1": {"type": float},
+        "p2": {"type": float},
+        **{k: {"type": float, "help": _RAW_HELP}
+           for k in ("u1", "u2", "c1", "c2", "delta1", "delta2")},
+    },
+    "query": {
+        "x1": {"type": float},
+        "x2": {"type": float},
+        "event": {"help": "comma list from or,sim,and,line1,line2"},
+        "method": {"help": "comma list from exact,two_term,leading,mc"},
+        "a": {"type": float, "help": "ray slope x1/x2 for sweeps"},
+        "k": {"help": "comma list of ray magnitudes K"},
+    },
+    "mc": {
+        **{k: {"type": int} for k in ("n", "seed", "workers", "chunk_size")},
+        **{k: {"type": float} for k in ("ci_level", "tilt", "safe_level", "horizon_time")},
+    },
+    "output": {
+        "format": {"choices": ("json", "csv")},
+        "out": {"help": "destination path (default: standard output)"},
+    },
+}
+
+
 @functools.cache
 def _parser() -> tuple[argparse.ArgumentParser, Dict[str, argparse.Action]]:
     """The argument parser, and the flag of each config key (every
-    subcommand has the same flags).  Built on the first ``run`` and kept
-    for the process: parsing does not change it, and the flags are read
-    only."""
+    subcommand has the same flags, built from ``_BLOCKS``).  Built on the
+    first ``run`` and kept for the process: parsing does not change it,
+    and the flags are read only."""
     ap = argparse.ArgumentParser(
         prog="ruin2d",
         description="Ruin probabilities for two lines sharing one claim process.",
@@ -90,47 +124,10 @@ def _parser() -> tuple[argparse.ArgumentParser, Dict[str, argparse.Action]]:
     for name in ("compute", "sweep", "cones", "mc", "compare"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file {model, query, mc, output}")
-        # model block
-        p.add_argument("--driver", choices=("cpe", "brownian", "renewal"))
-        p.add_argument("--lambda", type=float, help="claim arrival rate (cpe)")
-        p.add_argument("--mu", type=float, help="claim size rate (cpe)")
-        p.add_argument("--interarrival", help="renewal interarrival, det:V or exp:RATE")
-        p.add_argument("--claim", help="renewal claim size, det:V or exp:RATE")
-        p.add_argument("--p1", type=float)
-        p.add_argument("--p2", type=float)
-        for flag in ("u1", "u2", "c1", "c2", "delta1", "delta2"):
-            p.add_argument(f"--{flag}", type=float,
-                           help="raw proportional-split triple, scaled to canonical form")
-        # query block
-        p.add_argument("--x1", type=float)
-        p.add_argument("--x2", type=float)
-        p.add_argument("--event", help="comma list from or,sim,and,line1,line2")
-        p.add_argument("--method", help="comma list from exact,two_term,leading,mc")
-        p.add_argument("--a", type=float, help="ray slope x1/x2 for sweeps")
-        p.add_argument("--k", help="comma list of ray magnitudes K")
-        # mc block
-        p.add_argument("--n", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--chunk-size", dest="chunk_size", type=int)
-        p.add_argument("--ci-level", dest="ci_level", type=float)
-        p.add_argument("--tilt", type=float)
-        p.add_argument("--safe-level", dest="safe_level", type=float)
-        p.add_argument("--horizon-time", dest="horizon_time", type=float)
-        # output block
-        p.add_argument("--format", choices=("json", "csv"))
-        p.add_argument("--out", help="destination path (default: standard output)")
+        for keys in _BLOCKS.values():
+            for key, opts in keys.items():
+                p.add_argument("--" + key.replace("_", "-"), dest=key, **opts)
     return ap, {a.dest: a for a in p._actions}
-
-
-_BLOCK_KEYS = {
-    "model": ("driver", "lambda", "mu", "interarrival", "claim", "p1", "p2",
-              "u1", "u2", "c1", "c2", "delta1", "delta2"),
-    "query": ("x1", "x2", "event", "method", "a", "k"),
-    "mc": ("n", "seed", "workers", "chunk_size", "ci_level", "tilt",
-           "safe_level", "horizon_time"),
-    "output": ("format", "out"),
-}
 
 
 def _finite(value: float, what: str) -> None:
@@ -169,7 +166,7 @@ def _load_config(path: Optional[str], flags: Dict[str, argparse.Action]) -> Dict
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     flat: Dict[str, Any] = {}
-    for block, keys in _BLOCK_KEYS.items():
+    for block, keys in _BLOCKS.items():
         sub = doc.get(block, {})
         if not isinstance(sub, dict):
             raise ConfigError(f"config block {block!r} must be an object")
@@ -183,7 +180,9 @@ def _load_config(path: Optional[str], flags: Dict[str, argparse.Action]) -> Dict
 
 def _merge(args: argparse.Namespace, cfg: Dict[str, Any],
            flags: Dict[str, argparse.Action]) -> Dict[str, Any]:
-    """Flag value wins over the config-file value; None means unset."""
+    """Flag value wins over the config-file value; None means unset.  The
+    list keys are parsed here, whichever command reads them; an unset list
+    is empty."""
     merged = dict(cfg)
     for key, val in vars(args).items():
         if key in ("command", "config") or val is None:
@@ -191,6 +190,9 @@ def _merge(args: argparse.Namespace, cfg: Dict[str, Any],
         if flags[key].type is float:
             _finite(val, flags[key].option_strings[0])
         merged[key] = val
+    merged["k"] = _float_list(merged.get("k"), "k")
+    merged["event"] = _events(merged.get("event"))
+    merged["method"] = _methods(merged.get("method"))
     return merged
 
 
@@ -277,10 +279,9 @@ def _build_model(cfg: Dict[str, Any]):
     return model2, reserves
 
 
-def _events(cfg: Dict[str, Any], default: Sequence[str]) -> List[str]:
-    raw = _csv_list(cfg.get("event"), "event") or list(default)
+def _events(raw: Any) -> List[str]:
     out = []
-    for e in raw:
+    for e in _csv_list(raw, "event"):
         name = e.upper()
         if name not in _EVENTS:
             raise ConfigError(f"unknown event {e!r}, expected one of {', '.join(_EVENTS).lower()}")
@@ -288,10 +289,9 @@ def _events(cfg: Dict[str, Any], default: Sequence[str]) -> List[str]:
     return out
 
 
-def _methods(cfg: Dict[str, Any], default: Sequence[str]) -> List[str]:
-    raw = _csv_list(cfg.get("method"), "method") or list(default)
+def _methods(raw: Any) -> List[str]:
     out = []
-    for m in raw:
+    for m in _csv_list(raw, "method"):
         name = m.lower().replace("-", "_")
         if name == "twoterm":
             name = "two_term"
@@ -302,12 +302,12 @@ def _methods(cfg: Dict[str, Any], default: Sequence[str]) -> List[str]:
 
 
 def _reserves(cfg: Dict[str, Any], scaled) -> tuple:
+    has_ray = cfg.get("a") is not None or bool(cfg["k"])
     if scaled is not None:
-        if cfg.get("a") is not None or cfg.get("k") is not None:
+        if has_ray:
             raise ConfigError("the raw triple fixes the reserves; a ray spec cannot also be given")
         return scaled
     x1, x2 = cfg.get("x1"), cfg.get("x2")
-    has_ray = cfg.get("a") is not None or cfg.get("k") is not None
     if (x1 is None) != (x2 is None):
         raise ConfigError("reserves need both x1 and x2")
     if (x1 is not None) == has_ray:
@@ -318,10 +318,9 @@ def _reserves(cfg: Dict[str, Any], scaled) -> tuple:
 
 
 def _ray(cfg: Dict[str, Any]) -> tuple:
-    a, ks = cfg.get("a"), cfg.get("k")
-    if a is None or ks is None:
+    if cfg.get("a") is None or not cfg["k"]:
         raise ConfigError("sweeps need a ray spec: --a and --k")
-    return a, _float_list(ks, "k")
+    return cfg["a"], cfg["k"]
 
 
 def _sim_config(cfg: Dict[str, Any], model2: TwoLineModel) -> SimConfig:
@@ -348,15 +347,6 @@ def _cone_name(model2: TwoLineModel, x1: float, x2: float) -> str:
         return ""
 
 
-def _exact_row(model2: TwoLineModel, x1: float, x2: float, event: str,
-               est: RuinEstimate) -> OutputRow:
-    row = OutputRow(x1=x1, x2=x2, event=event, method=_METHOD_LABELS["exact"])
-    row.value = est.value
-    row.cone = est.cone.value if est.cone else _cone_name(model2, x1, x2)
-    row.diagnostics = dict(est.diagnostics)
-    return row
-
-
 def _mc_rows(model2: TwoLineModel, x1: float, x2: float, events: List[str],
              sim_cfg: Callable[[], SimConfig]) -> Callable[[str], OutputRow]:
     """The MC row of any of ``events`` at (x1, x2).  The first row asked
@@ -381,60 +371,70 @@ def _mc_rows(model2: TwoLineModel, x1: float, x2: float, events: List[str],
     return row
 
 
-def _one_row(model2: TwoLineModel, x1: float, x2: float, event: str,
-             method: str, mc: Callable[[str], OutputRow]) -> OutputRow:
-    if method == "exact":
-        return _exact_row(model2, x1, x2, event, exact(model2, RuinQuery(event, x1, x2)))
+def _row(model2: TwoLineModel, x1: float, x2: float, event: str, method: str,
+         mc: Callable[[str], OutputRow], base: Optional[RuinEstimate]) -> OutputRow:
+    """One method's row of ``event`` at (x1, x2); ``base`` is the event's
+    Exact estimate when the caller already has it."""
     if method == "mc":
         return mc(event)
+    if method != "exact" and event not in ("OR", "SIM", "AND"):
+        raise ConfigError(f"method {method} supports or/sim/and, not {event.lower()}")
     row = OutputRow(x1=x1, x2=x2, event=event, method=_METHOD_LABELS[method])
     if method == "two_term":
-        fn = {"OR": two_term_or, "SIM": two_term_sim, "AND": two_term_and}.get(event)
-        if fn is None:
-            raise ConfigError(f"method two_term supports or/sim/and, not {event.lower()}")
+        # read at call time, so a rebound module name (bench/tracer.py) is seen
+        fn = {"OR": two_term_or, "SIM": two_term_sim, "AND": two_term_and}[event]
         terms = fn(model2, x1, x2)
-        row.value = terms.total
-        row.cone = terms.cone.value
+        row.value, row.cone = terms.total, terms.cone.value
         row.diagnostics = {"term1": terms.term1, "term2": terms.term2,
                            "velocity": terms.velocity, **terms.constants}
-    else:
-        if event not in ("OR", "SIM", "AND"):
-            raise ConfigError(f"method leading supports or/sim/and, not {event.lower()}")
-        est = leading(model2, x1, x2, event)
-        row.value = est.value
-        row.cone = est.cone.value if est.cone else ""
-        row.diagnostics = dict(est.diagnostics)
+        return row
+    est = (base or exact(model2, RuinQuery(event, x1, x2)) if method == "exact"
+           else leading(model2, x1, x2, event))
+    row.value = est.value
+    row.cone = (est.cone.value if est.cone
+                else _cone_name(model2, x1, x2) if method == "exact" else "")
+    row.diagnostics = dict(est.diagnostics)
     return row
 
 
-def _run_compute(model2, cfg, scaled) -> List[OutputRow]:
-    xs = _reserves(cfg, scaled)
-    if xs is None:
-        raise ConfigError("compute needs reserves (x1, x2)")
-    x1, x2 = xs
-    events = _events(cfg, ("OR",))
-    methods = _methods(cfg, ("exact",))
-    mc = _mc_rows(model2, x1, x2, events, functools.partial(_sim_config, cfg, model2))
-    return [_one_row(model2, x1, x2, ev, m, mc) for ev in events for m in methods]
-
-
-def _run_sweep(model2, cfg, scaled) -> List[OutputRow]:
-    if scaled is not None or cfg.get("x1") is not None or cfg.get("x2") is not None:
-        raise ConfigError("sweep takes a ray spec (a, k), not reserves")
-    a, ks = _ray(cfg)
-    events = _events(cfg, ("OR",))
-    methods = _methods(cfg, ("exact",))
-    # the horizon does not depend on K: the first MC row builds the SimConfig
+def _run_points(model2, cfg, scaled, command: str) -> List[OutputRow]:
+    """The rows of compute, mc, compare and sweep: for each point (the
+    reserves, or each (aK, K) of the ray), each event, then each method.
+    ``compare`` adds each row's ratio to the event's Exact value and MC's
+    3-sigma agreement; ``sweep`` adds a, K and -log(value)/K."""
+    if command == "sweep":
+        if scaled is not None or cfg.get("x1") is not None or cfg.get("x2") is not None:
+            raise ConfigError("sweep takes a ray spec (a, k), not reserves")
+        a, ks = _ray(cfg)
+        points = [(a * K, K, a) for K in ks]
+    else:
+        xs = _reserves(cfg, scaled)
+        if xs is None:
+            raise ConfigError(f"{command} needs reserves (x1, x2)")
+        points = [(*xs, None)]
+    compare = command == "compare"
+    events = cfg["event"] or (["OR", "SIM", "AND"] if compare else ["OR"])
+    methods = (["mc"] if command == "mc"
+               else cfg["method"] or (list(_METHODS) if compare else ["exact"]))
+    # the horizon does not depend on the point: the first MC row builds the SimConfig
     sim_cfg = functools.cache(functools.partial(_sim_config, cfg, model2))
     rows = []
-    for K in ks:
-        mc = _mc_rows(model2, a * K, K, events, sim_cfg)
+    for x1, x2, a in points:
+        mc = _mc_rows(model2, x1, x2, events, sim_cfg)
         for ev in events:
+            base = exact(model2, RuinQuery(ev, x1, x2)) if compare else None
             for m in methods:
-                row = _one_row(model2, a * K, K, ev, m, mc)
-                row.a, row.K = a, K
-                if row.value is not None and row.value > 0.0 and K > 0.0:
-                    row.exponent = -math.log(row.value) / K
+                row = _row(model2, x1, x2, ev, m, mc, base)
+                if compare:
+                    if base.value > 0.0:
+                        row.diagnostics["ratio_to_exact"] = row.value / base.value
+                    if m == "mc":
+                        se = row.diagnostics["std_err"]
+                        row.diagnostics["agree_3sigma"] = bool(abs(row.value - base.value) <= 3.0 * se)
+                elif command == "sweep":
+                    row.a, row.K = a, x2
+                    if row.value is not None and row.value > 0.0 and x2 > 0.0:
+                        row.exponent = -math.log(row.value) / x2
                 rows.append(row)
     return rows
 
@@ -454,39 +454,6 @@ def _run_cones(model2, cfg) -> List[OutputRow]:
         a = i / 50.0
         rows.append(OutputRow(a=a, method="cones",
                               cone=_classify(model2, adj, a, 1.0, "sim").value))
-    return rows
-
-
-def _run_mc(model2, cfg, scaled) -> List[OutputRow]:
-    xs = _reserves(cfg, scaled)
-    if xs is None:
-        raise ConfigError("mc needs reserves (x1, x2)")
-    events = _events(cfg, ("OR",))
-    mc = _mc_rows(model2, xs[0], xs[1], events, functools.partial(_sim_config, cfg, model2))
-    return [mc(ev) for ev in events]
-
-
-def _run_compare(model2, cfg, scaled) -> List[OutputRow]:
-    xs = _reserves(cfg, scaled)
-    if xs is None:
-        raise ConfigError("compare needs reserves (x1, x2)")
-    x1, x2 = xs
-    events = _events(cfg, ("OR", "SIM", "AND"))
-    methods = _methods(cfg, _METHODS)
-    mc = _mc_rows(model2, x1, x2, events, functools.partial(_sim_config, cfg, model2))
-    rows = []
-    for ev in events:
-        base_est = exact(model2, RuinQuery(ev, x1, x2))
-        base = base_est.value
-        for m in methods:
-            row = (_exact_row(model2, x1, x2, ev, base_est) if m == "exact"
-                   else _one_row(model2, x1, x2, ev, m, mc))
-            if base > 0.0:
-                row.diagnostics["ratio_to_exact"] = row.value / base
-            if m == "mc":
-                se = row.diagnostics["std_err"]
-                row.diagnostics["agree_3sigma"] = bool(abs(row.value - base) <= 3.0 * se)
-            rows.append(row)
     return rows
 
 
@@ -555,16 +522,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _merge(args, _load_config(args.config, flags), flags)
         model2, scaled = _build_model(cfg)
-        if args.command == "compute":
-            rows = _run_compute(model2, cfg, scaled)
-        elif args.command == "sweep":
-            rows = _run_sweep(model2, cfg, scaled)
-        elif args.command == "cones":
-            rows = _run_cones(model2, cfg)
-        elif args.command == "mc":
-            rows = _run_mc(model2, cfg, scaled)
-        else:
-            rows = _run_compare(model2, cfg, scaled)
+        rows = (_run_cones(model2, cfg) if args.command == "cones"
+                else _run_points(model2, cfg, scaled, args.command))
         emit(rows, cfg.get("format") or "csv", cfg.get("out"))
     except ConfigError as exc:
         print(f"ruin2d: configuration error: {exc}", file=sys.stderr)
