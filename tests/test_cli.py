@@ -411,6 +411,14 @@ class TestExitCodes:
               "--horizon-time", "5"], "truncates ultimate"),
             (["mc", *CPE_FLAGS, "--x1", "1", "--x2", "3",
               "--horizon-time", "5", "--safe-level", "30"], "at most one"),
+            # a given list value is checked by every command, whether it reads it or not
+            (["cones", *CPE_FLAGS, "--k", "1,inf"], "finite"),
+            (["mc", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--method", "magic"], "unknown method"),
+            (["cones", *CPE_FLAGS, "--event", "ruin"], "unknown event"),
+            (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "line1",
+              "--method", "two_term"], "method two_term supports or/sim/and, not line1"),
+            (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "line1",
+              "--method", "leading"], "method leading supports or/sim/and, not line1"),
         ],
     )
     def test_config_errors_are_exit_2(self, capsys, argv, needle):
@@ -439,6 +447,7 @@ class TestExitCodes:
             ('{"model": {"p1": [3]}}', "key 'p1' in config block 'model'"),
             ('{"output": {"format": "xml"}}', "key 'format' in config block 'output'"),
             ('{"query": {"x2": Infinity}}', "key 'x2' in config block 'query'"),
+            ('{"model": {"x1": 1}}', "unknown key 'x1' in config block 'model'"),
         ],
     )
     def test_config_file_validation(self, capsys, tmp_path, doc, needle):
@@ -453,6 +462,81 @@ class TestExitCodes:
             ["compute", "--config", str(tmp_path / "nope.json")], capsys)
         assert code == 2
         assert "cannot read config file" in err
+
+
+class TestFlagTable:
+    """Every subcommand has one flag per config key, and the config file
+    takes each key in exactly one block."""
+
+    _RAW = "raw proportional-split triple, scaled to canonical form"
+    # (dest, option strings, type name, choices, help), sorted by dest
+    FLAGS = [
+        ("a", ("--a",), "float", None, "ray slope x1/x2 for sweeps"),
+        ("c1", ("--c1",), "float", None, _RAW),
+        ("c2", ("--c2",), "float", None, _RAW),
+        ("chunk_size", ("--chunk-size",), "int", None, None),
+        ("ci_level", ("--ci-level",), "float", None, None),
+        ("claim", ("--claim",), None, None, "renewal claim size, det:V or exp:RATE"),
+        ("config", ("--config",), None, None, "JSON config file {model, query, mc, output}"),
+        ("delta1", ("--delta1",), "float", None, _RAW),
+        ("delta2", ("--delta2",), "float", None, _RAW),
+        ("driver", ("--driver",), None, ("cpe", "brownian", "renewal"), None),
+        ("event", ("--event",), None, None, "comma list from or,sim,and,line1,line2"),
+        ("format", ("--format",), None, ("json", "csv"), None),
+        ("help", ("-h", "--help"), None, None, "show this help message and exit"),
+        ("horizon_time", ("--horizon-time",), "float", None, None),
+        ("interarrival", ("--interarrival",), None, None, "renewal interarrival, det:V or exp:RATE"),
+        ("k", ("--k",), None, None, "comma list of ray magnitudes K"),
+        ("lambda", ("--lambda",), "float", None, "claim arrival rate (cpe)"),
+        ("method", ("--method",), None, None, "comma list from exact,two_term,leading,mc"),
+        ("mu", ("--mu",), "float", None, "claim size rate (cpe)"),
+        ("n", ("--n",), "int", None, None),
+        ("out", ("--out",), None, None, "destination path (default: standard output)"),
+        ("p1", ("--p1",), "float", None, None),
+        ("p2", ("--p2",), "float", None, None),
+        ("safe_level", ("--safe-level",), "float", None, None),
+        ("seed", ("--seed",), "int", None, None),
+        ("tilt", ("--tilt",), "float", None, None),
+        ("u1", ("--u1",), "float", None, _RAW),
+        ("u2", ("--u2",), "float", None, _RAW),
+        ("workers", ("--workers",), "int", None, None),
+        ("x1", ("--x1",), "float", None, None),
+        ("x2", ("--x2",), "float", None, None),
+    ]
+    EVERY_KEY = {
+        "model": {"driver": "cpe", "lambda": 1, "mu": 2, "interarrival": "det:1",
+                  "claim": "exp:2", "p1": 3, "p2": 1, "u1": 0.5, "u2": 1.5, "c1": 1.5,
+                  "c2": 0.5, "delta1": 0.5, "delta2": 0.5},
+        "query": {"x1": 1, "x2": 3, "event": "or", "method": "exact", "a": 0.5, "k": "10"},
+        "mc": {"n": 100, "seed": 1, "workers": 1, "chunk_size": 64, "ci_level": 0.95,
+               "tilt": 0.0, "safe_level": 30, "horizon_time": 5},
+        "output": {"format": "csv", "out": "rows.csv"},
+    }
+
+    @staticmethod
+    def described(actions):
+        return sorted((a.dest, tuple(a.option_strings), getattr(a.type, "__name__", None),
+                       a.choices, a.help) for a in actions)
+
+    def test_flags_pinned(self):
+        assert self.described(cli._parser()[1].values()) == self.FLAGS
+
+    def test_every_subcommand_has_the_same_flags(self):
+        ap, _ = cli._parser()
+        (sub,) = [a for a in ap._actions if a.dest == "command"]
+        assert sorted(sub.choices) == ["compare", "compute", "cones", "mc", "sweep"]
+        for p in sub.choices.values():
+            assert self.described(p._actions) == self.FLAGS
+
+    def test_every_key_in_its_block_is_accepted(self, tmp_path):
+        path = tmp_path / "every.json"
+        path.write_text(json.dumps(self.EVERY_KEY))
+        flat = cli._load_config(str(path), cli._parser()[1])
+        assert flat == {**{k: v for block in self.EVERY_KEY.values() for k, v in block.items()},
+                        "lambda": 1.0, "mu": 2.0, "p1": 3.0, "p2": 1.0, "x1": 1.0,
+                        "x2": 3.0, "safe_level": 30.0, "horizon_time": 5.0}
+        assert {k for block in self.EVERY_KEY.values() for k in block} == \
+            {dest for dest, *_ in self.FLAGS} - {"config", "help"}
 
 
 class TestEmit:
