@@ -415,7 +415,7 @@ def _run_points(model2, cfg, scaled, command: str) -> List[OutputRow]:
     compare = command == "compare"
     events = cfg["event"] or (["OR", "SIM", "AND"] if compare else ["OR"])
     methods = (["mc"] if command == "mc"
-               else cfg["method"] or (list(_METHODS) if compare else ["exact"]))
+               else cfg["method"] or (_METHODS if compare else ["exact"]))
     # the horizon does not depend on the point: the first MC row builds the SimConfig
     sim_cfg = functools.cache(functools.partial(_sim_config, cfg, model2))
     rows = []

@@ -531,12 +531,9 @@ class TestFlagTable:
     def test_every_key_in_its_block_is_accepted(self, tmp_path):
         path = tmp_path / "every.json"
         path.write_text(json.dumps(self.EVERY_KEY))
-        flat = cli._load_config(str(path), cli._parser()[1])
-        assert flat == {**{k: v for block in self.EVERY_KEY.values() for k, v in block.items()},
-                        "lambda": 1.0, "mu": 2.0, "p1": 3.0, "p2": 1.0, "x1": 1.0,
-                        "x2": 3.0, "safe_level": 30.0, "horizon_time": 5.0}
-        assert {k for block in self.EVERY_KEY.values() for k in block} == \
-            {dest for dest, *_ in self.FLAGS} - {"config", "help"}
+        every = {k: v for block in self.EVERY_KEY.values() for k, v in block.items()}
+        assert set(every) == {dest for dest, *_ in self.FLAGS} - {"config", "help"}
+        assert cli._load_config(str(path), cli._parser()[1]) == every
 
 
 class TestEmit:
