@@ -323,18 +323,21 @@ def _ray(cfg: Dict[str, Any]) -> tuple:
     return cfg["a"], cfg["k"]
 
 
-def _sim_config(cfg: Dict[str, Any], model2: TwoLineModel) -> SimConfig:
+def _sim_config(cfg: Dict[str, Any]) -> Callable[[TwoLineModel], SimConfig]:
+    """The SimConfig of a model's MC rows.  The settings and the horizon
+    flags are checked here, once per run, so that every command refuses
+    a bad one whether or not it builds an MC row; the default SafeLevel
+    is solved only when the first MC row asks for its SimConfig."""
     if cfg.get("horizon_time") is not None and cfg.get("safe_level") is not None:
         raise ConfigError("give at most one of --horizon-time and --safe-level")
-    if cfg.get("horizon_time") is not None:
-        horizon = FixedTime(cfg["horizon_time"])
-    elif cfg.get("safe_level") is not None:
-        horizon = SafeLevel(cfg["safe_level"])
-    else:
-        horizon = default_safe_level(model2)
+    horizon = (FixedTime(cfg["horizon_time"]) if cfg.get("horizon_time") is not None
+               else SafeLevel(cfg["safe_level"]) if cfg.get("safe_level") is not None
+               else None)
     given = {k: cfg[k] for k in ("n", "seed", "workers", "chunk_size", "ci_level", "tilt")
              if cfg.get(k) is not None}
-    return SimConfig(horizon=horizon, **{"n": 100_000, "seed": 0, **given})
+    settings = {"n": 100_000, "seed": 0, **given}
+    SimConfig(horizon=horizon or SafeLevel(1.0), **settings)  # refuses a bad setting
+    return lambda model2: SimConfig(horizon=horizon or default_safe_level(model2), **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +400,8 @@ def _row(model2: TwoLineModel, x1: float, x2: float, event: str, method: str,
     return row
 
 
-def _run_points(model2, cfg, scaled, command: str) -> List[OutputRow]:
+def _run_points(model2, cfg, scaled, command: str,
+                sim_config: Callable[[TwoLineModel], SimConfig]) -> List[OutputRow]:
     """The rows of compute, mc, compare and sweep: for each point (the
     reserves, or each (aK, K) of the ray), each event, then each method.
     ``compare`` adds each row's ratio to the event's Exact value and MC's
@@ -417,7 +421,7 @@ def _run_points(model2, cfg, scaled, command: str) -> List[OutputRow]:
     methods = (["mc"] if command == "mc"
                else cfg["method"] or (_METHODS if compare else ["exact"]))
     # the horizon does not depend on the point: the first MC row builds the SimConfig
-    sim_cfg = functools.cache(functools.partial(_sim_config, cfg, model2))
+    sim_cfg = functools.cache(functools.partial(sim_config, model2))
     rows = []
     for x1, x2, a in points:
         mc = _mc_rows(model2, x1, x2, events, sim_cfg)
@@ -521,9 +525,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     memo = _SPECTRAL_MEMO.set({})
     try:
         cfg = _merge(args, _load_config(args.config, flags), flags)
+        sim_config = _sim_config(cfg)
         model2, scaled = _build_model(cfg)
         rows = (_run_cones(model2, cfg) if args.command == "cones"
-                else _run_points(model2, cfg, scaled, args.command))
+                else _run_points(model2, cfg, scaled, args.command, sim_config))
         emit(rows, cfg.get("format") or "csv", cfg.get("out"))
     except ConfigError as exc:
         print(f"ruin2d: configuration error: {exc}", file=sys.stderr)

@@ -4,6 +4,11 @@ Three tools live here: bracketed root solving (bisection with a secant
 polish), adaptive panel quadrature built on a fixed 7/15 Gauss-Kronrod
 pair, and the standard normal CDF in linear and log form.  Everything is
 deliberately boring; the interesting mathematics happens in the callers.
+
+The quadrature evaluates its integrand ahead, on the panels of the next
+few levels of bisection in one call, so an integrand must be elementwise
+in its abscissae and finite on the open interval of integration, and it
+may be evaluated on panels that the adaptive loop never uses.
 """
 
 from __future__ import annotations
@@ -140,21 +145,37 @@ def _gk_sums(h: float, y: np.ndarray) -> tuple[float, float]:
     return k, abs(k - g)
 
 
-def _gk_panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 evaluation on [a, b]: (value, error estimate)."""
-    h = 0.5 * (b - a)
-    return _gk_sums(h, np.asarray(f(0.5 * (a + b) + h * _NODES), dtype=float))
+# Levels of bisection evaluated ahead: below the whole interval on the
+# first call of the integrand, and below a panel whose halves are missing.
+_FIRST_DEPTH = 3
+_AHEAD_DEPTH = 2
 
 
-def _gk_pair(f: Callable[[np.ndarray], np.ndarray], lo: float, mid: float,
-             hi: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """``_gk_panel`` on [lo, mid] and on [mid, hi], from one call of ``f``
-    on the 30 nodes of both halves.  The nodes and the sums are those of
-    two separate panels, so both results are the same floats."""
-    h1, h2 = 0.5 * (mid - lo), 0.5 * (hi - mid)
-    x = np.concatenate((0.5 * (lo + mid) + h1 * _NODES, 0.5 * (mid + hi) + h2 * _NODES))
-    y = np.asarray(f(x), dtype=float)
-    return _gk_sums(h1, y[:15]), _gk_sums(h2, y[15:])
+def _panels_below(lo: float, hi: float, depth: int) -> list[tuple[float, float]]:
+    """The panels of the first ``depth`` levels of bisection of [lo, hi],
+    each with the midpoint floats the loop of ``integrate`` gives it.  A
+    panel at floating-point resolution is not bisected."""
+    spans: list[tuple[float, float]] = []
+    level = [(lo, hi)]
+    for _ in range(depth):
+        below = []
+        for l, h in level:
+            m = 0.5 * (l + h)
+            if l < m < h:
+                below += [(l, m), (m, h)]
+        spans += below
+        level = below
+    return spans
+
+
+def _evaluate(f: Callable[[np.ndarray], np.ndarray], spans: list[tuple[float, float]],
+              values: dict[tuple[float, float], np.ndarray]) -> None:
+    """Store in ``values`` the 15 integrand values of each panel of
+    ``spans``, from one call of ``f`` on all their nodes."""
+    centre = np.array([0.5 * (lo + hi) for lo, hi in spans])
+    half = np.array([0.5 * (hi - lo) for lo, hi in spans])
+    y = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
+    values.update(zip(spans, y.reshape(len(spans), 15)))
 
 
 def integrate(
@@ -168,21 +189,29 @@ def integrate(
     """Adaptively integrate ``f`` over ``[a, b]`` to absolute tolerance.
 
     ``f`` must accept a numpy array of abscissae and return values of the
-    same shape, each depending on its own abscissa only: the first panel
-    passes 15 nodes, and each bisection passes the 30 nodes of both
-    halves in one call.  Returns ``(value, err_est)`` where ``err_est`` is the
-    final conservative error bound (the summed Gauss/Kronrod defects).
-    The worst panel is bisected until the bound drops below ``tol``;
-    exceeding ``max_panels`` splits raises MaxIterations.
+    same shape, each depending on its own abscissa only and finite on the
+    open interval (a, b).  It is evaluated ahead of the loop: the first
+    call passes the 15 nodes of each panel of the whole interval and its
+    first 3 levels of bisection, and a bisection whose halves are missing
+    passes the panels of the next 2 levels below it, so ``f`` also sees
+    panels the loop never uses.  Returns ``(value, err_est)`` where
+    ``err_est`` is the final conservative error bound (the summed
+    Gauss/Kronrod defects).  The worst panel is bisected until the bound
+    drops below ``tol``; exceeding ``max_panels`` splits raises
+    MaxIterations; a limit that is not finite raises ValueError.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
     if a == b:
         return 0.0, 0.0
     if b < a:
         v, e = integrate(f, b, a, tol=tol, max_panels=max_panels)
         return -v, e
 
+    values: dict[tuple[float, float], np.ndarray] = {}  # (lo, hi) -> 15 values
+    _evaluate(f, [(a, b), *_panels_below(a, b, _FIRST_DEPTH)], values)
     panels: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
-    v, e = _gk_panel(f, a, b)
+    v, e = _gk_sums(0.5 * (b - a), values.pop((a, b)))
     panels.append((-e, a, b, v))
     for _ in range(max_panels):
         total_err = -sum(p[0] for p in panels)
@@ -195,9 +224,11 @@ def integrate(
             # Panel at floating-point resolution; keep its estimate as is.
             panels.append((-0.0, lo, hi, v))
             continue
-        (v1, e1), (v2, e2) = _gk_pair(f, lo, mid, hi)
-        panels.append((-e1, lo, mid, v1))
-        panels.append((-e2, mid, hi, v2))
+        if (lo, mid) not in values:
+            _evaluate(f, _panels_below(lo, hi, _AHEAD_DEPTH), values)
+        for l, h in ((lo, mid), (mid, hi)):
+            v, e = _gk_sums(0.5 * (h - l), values.pop((l, h)))
+            panels.append((-e, l, h, v))
     else:
         total_err = -sum(p[0] for p in panels)
         if total_err > tol:

@@ -463,6 +463,45 @@ class TestExitCodes:
         assert code == 2
         assert "cannot read config file" in err
 
+    @pytest.mark.parametrize("command", ["compute", "compare", "sweep", "cones"])
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["--n", "-5"], "replication count must be >= 1, got -5"),
+            (["--ci-level", "7"], "ci_level must lie in (0, 1), got 7.0"),
+            (["--workers", "0"], "workers and chunk_size must be >= 1"),
+            (["--chunk-size", "0"], "workers and chunk_size must be >= 1"),
+            (["--horizon-time", "-1"], "FixedTime horizon must be positive"),
+            (["--safe-level", "0"], "SafeLevel must be positive"),
+            (["--horizon-time", "5", "--safe-level", "3"], "at most one"),
+        ],
+    )
+    def test_mc_settings_checked_without_mc_rows(self, capsys, monkeypatch, command,
+                                                 flags, needle):
+        """A bad MC setting is refused by every command, also when no MC
+        row is asked for, and before the default SafeLevel is solved."""
+        monkeypatch.setattr(cli, "default_safe_level", None)
+        point = (["--a", "0.5", "--k", "2"] if command == "sweep"
+                 else [] if command == "cones" else ["--x1", "1", "--x2", "3"])
+        methods = ["--method", "exact"] if command != "cones" else []
+        code, out, err = run_cli([command, *CPE_FLAGS, *point, *methods, *flags], capsys)
+        assert (code, out) == (2, "")
+        assert needle in err
+
+    def test_mc_settings_in_config_file_checked(self, capsys, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text('{"mc": {"ci_level": 1.5}}')
+        code, _, err = run_cli(["cones", *CPE_FLAGS, "--config", str(path)], capsys)
+        assert code == 2
+        assert "ci_level must lie in (0, 1)" in err
+
+    def test_exact_rows_solve_no_default_safe_level(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "default_safe_level", None)
+        code, out, _ = run_cli(
+            ["compare", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--method", "exact,two_term",
+             "--n", "64", "--format", "json"], capsys)
+        assert code == 0 and len(rows_json(out)) == 6
+
 
 class TestFlagTable:
     """Every subcommand has one flag per config key, and the config file

@@ -64,6 +64,12 @@ def test_integrate_orientation():
     assert integrate(lambda x: x, 2.0, 2.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("a,b", [(0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0), (0.0, math.nan)])
+def test_integrate_refuses_limits_that_are_not_finite(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        integrate(lambda x: x, a, b)
+
+
 def test_integrate_error_bound_honest():
     # a sharp peak: the reported bound must still cover the true defect
     v, err = integrate(lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0)

@@ -11,6 +11,7 @@ one deep in the tail of the ray (K/2, K) at K = 40.
 import numpy as np
 import pytest
 
+from ruin2d import models
 from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment, tilt
 from ruin2d.numerics import integrate
 
@@ -67,3 +68,34 @@ def test_cpe_deferred_is_pinned(name):
     which, x, t, want = DEFERRED[name]
     line = _line(which)
     assert repr(line.driver.ruin_after(line.p, x, t)) == want
+
+
+# integrand calls of each deferred pin: the panels are evaluated ahead, a
+# batch of levels per call (one call per bisection took 7 to 14)
+CALLS = {"line1": 2, "line2": 3, "line1_tilt_g2": 3, "line2_tilt_g1": 4,
+         "line2_deep_k40": 8, "line2_tilt_g1_deep_k40": 7}
+
+
+@pytest.mark.parametrize("name", sorted(DEFERRED))
+def test_cpe_deferred_calls_and_domain(monkeypatch, name):
+    """Few integrand calls, and every node inside the open interval."""
+    limits, nodes = [], []
+    real = models.integrate
+
+    def watched(f, a, b, **kwargs):
+        limits.append((a, b))
+
+        def g(u):
+            nodes.append(np.array(u, copy=True))
+            return f(u)
+
+        return real(g, a, b, **kwargs)
+
+    monkeypatch.setattr(models, "integrate", watched)
+    which, x, t, want = DEFERRED[name]
+    line = _line(which)
+    assert repr(line.driver.ruin_after(line.p, x, t)) == want
+    [(a, b)] = limits
+    assert 0 < len(nodes) <= CALLS[name]
+    u = np.concatenate(nodes)
+    assert ((a < u) & (u < b)).all()
