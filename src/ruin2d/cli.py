@@ -19,7 +19,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .cones import _classify, _partition, classify
@@ -55,8 +55,6 @@ from .twodim import (
 
 _METHOD_LABELS = {"exact": "Exact", "two_term": "TwoTerm", "leading": "Leading", "mc": "MC"}
 _METHODS = tuple(_METHOD_LABELS)
-_ROW_FIELDS = ("x1", "x2", "a", "K", "event", "method", "value", "cone",
-               "exponent", "diagnostics")
 
 
 @dataclass
@@ -71,6 +69,9 @@ class OutputRow:
     cone: str = ""
     exponent: Optional[float] = None
     diagnostics: Dict[str, Any] = field(default_factory=dict)
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(OutputRow))
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +302,29 @@ def _methods(raw: Any) -> List[str]:
     return out
 
 
-def _reserves(cfg: Dict[str, Any], scaled) -> tuple:
-    has_ray = cfg.get("a") is not None or bool(cfg["k"])
+def _points(cfg: Dict[str, Any], scaled, command: str) -> List[tuple]:
+    """The (x1, x2, a) points of a run: each (aK, K, a) of the ray for
+    ``sweep``, else the reserves with a None (``scaled`` holds them when
+    the raw triple gave them)."""
+    x1, x2, a, ks = cfg.get("x1"), cfg.get("x2"), cfg.get("a"), cfg["k"]
+    if command == "sweep":
+        if scaled is not None or x1 is not None or x2 is not None:
+            raise ConfigError("sweep takes a ray spec (a, k), not reserves")
+        if a is None or not ks:
+            raise ConfigError("sweeps need a ray spec: --a and --k")
+        return [(a * K, K, a) for K in ks]
+    has_ray = a is not None or bool(ks)
     if scaled is not None:
         if has_ray:
             raise ConfigError("the raw triple fixes the reserves; a ray spec cannot also be given")
-        return scaled
-    x1, x2 = cfg.get("x1"), cfg.get("x2")
+        return [(*scaled, None)]
     if (x1 is None) != (x2 is None):
         raise ConfigError("reserves need both x1 and x2")
     if (x1 is not None) == has_ray:
         raise ConfigError("exactly one of reserves (x1, x2) or a ray spec (a, k) must be given")
     if x1 is None:
-        return None
-    return x1, x2
-
-
-def _ray(cfg: Dict[str, Any]) -> tuple:
-    if cfg.get("a") is None or not cfg["k"]:
-        raise ConfigError("sweeps need a ray spec: --a and --k")
-    return cfg["a"], cfg["k"]
+        raise ConfigError(f"{command} needs reserves (x1, x2)")
+    return [(x1, x2, None)]
 
 
 def _sim_config(cfg: Dict[str, Any]) -> Callable[[TwoLineModel], SimConfig]:
@@ -406,16 +410,7 @@ def _run_points(model2, cfg, scaled, command: str,
     reserves, or each (aK, K) of the ray), each event, then each method.
     ``compare`` adds each row's ratio to the event's Exact value and MC's
     3-sigma agreement; ``sweep`` adds a, K and -log(value)/K."""
-    if command == "sweep":
-        if scaled is not None or cfg.get("x1") is not None or cfg.get("x2") is not None:
-            raise ConfigError("sweep takes a ray spec (a, k), not reserves")
-        a, ks = _ray(cfg)
-        points = [(a * K, K, a) for K in ks]
-    else:
-        xs = _reserves(cfg, scaled)
-        if xs is None:
-            raise ConfigError(f"{command} needs reserves (x1, x2)")
-        points = [(*xs, None)]
+    points = _points(cfg, scaled, command)
     compare = command == "compare"
     events = cfg["event"] or (["OR", "SIM", "AND"] if compare else ["OR"])
     methods = (["mc"] if command == "mc"

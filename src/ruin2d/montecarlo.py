@@ -268,9 +268,9 @@ class _Events:
     LINE2, SIM) records the time, claim level and step count of its first
     sighting in its row of tau, s_e and n_e, so its importance weight
     stops accumulating variance once the event is decided instead of
-    drifting until the whole record resolves.  stop_te is a lane's last
-    claim epoch and stop_t its stopping time (the horizon for lanes
-    censored there).
+    drifting until the whole record resolves.  A stopped lane records the
+    time, claim level and step count at which its path weight is taken;
+    for a lane censored at a FixedTime horizon the engine passes them.
 
     Cost model: a step makes a few passes over its (5, R, slots)
     sightings to find the lanes with something new, then a fixed number
@@ -284,7 +284,6 @@ class _Events:
         self.s_e = np.zeros((3, width))
         self.n_e = np.zeros((3, width), dtype=np.int64)
         self.stop_t = np.zeros(width)
-        self.stop_te = np.zeros(width)
         self.stop_s = np.zeros(width)
         self.nstep = np.zeros(width, dtype=np.int64)
         self.censor = np.zeros(width, dtype=np.int8)
@@ -335,15 +334,14 @@ class _Events:
         t_k = t[r, lanes] if per_lane else t
         # a decided lane that misses an event has retired a line
         declared = np.maximum(np.maximum(f1[done], f2[done]), fs[done]) > r
-        self.stop(lanes, t_k, t_k, s[r, lanes], n + r, np.where(declared, _CENSOR_SAFE, 0))
+        self.stop(lanes, t_k, s[r, lanes], n + r, np.where(declared, _CENSOR_SAFE, 0))
 
-    def stop(self, lanes: np.ndarray, t, t_e, s, n, code) -> None:
-        """Stop the live lanes at indices lanes at time t, last claim
-        epoch t_e, claim level s and step count n, with censor code code;
-        each is one value per stopped lane or one value for all."""
+    def stop(self, lanes: np.ndarray, t, s, n, code) -> None:
+        """Stop the live lanes at indices lanes, to be weighed at time t,
+        claim level s and step count n, with censor code code; each is one
+        value per stopped lane or one value for all."""
         k = self.ids[lanes]
         self.stop_t[k] = t
-        self.stop_te[k] = t_e
         self.stop_s[k] = s
         self.nstep[k] = n
         self.censor[k] = code
@@ -382,15 +380,10 @@ class _Events:
         if (self.tau[2] < np.maximum(self.tau[0], self.tau[1])).any():
             raise InternalInconsistency("SIM recorded before a line's ruin")
 
-    def result(self, model2: TwoLineModel, cfg: SimConfig, at_epoch: bool) -> dict:
-        """The chunk's arrays; the path weight is taken at stop_te if
-        at_epoch, else at stop_t."""
-        c = cfg.tilt
-        if c is None:
-            w = np.ones_like(self.stop_t)
-        else:
-            t_w = self.stop_te if at_epoch else self.stop_t
-            w = np.exp(_log_weight(model2, c, t_w, self.stop_s, self.nstep))
+    def result(self, model2: TwoLineModel, cfg: SimConfig) -> dict:
+        """The chunk's arrays.  Every lane has stopped, so its path weight
+        is the event weight of its stop."""
+        w = _event_weight(model2, cfg, self.stop_t, self.stop_s, self.nstep)
         w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
         return {"tau1": self.tau[0], "tau2": self.tau[1], "tsim": self.tau[2],
                 "censor": self.censor, "w": w, "w1": w1, "w2": w2, "wsim": wsim}
@@ -479,17 +472,19 @@ class _Blocks:
         self.pos = np.flatnonzero(live) if self.pos is None else self.pos[live]
 
 
-def _jump_dists(model2: TwoLineModel, c: Optional[float]) -> Tuple[DistSpec, DistSpec]:
-    d = model2.driver if c is None else model2.driver.tilted(model2.p2, c)[0]
-    return d.jump_dists()
-
-
 def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                 chunk_idx: int, width: int) -> dict:
     p1, p2 = model2.p1, model2.p2
-    ia, cl = _jump_dists(model2, cfg.tilt)
+    d = model2.driver if cfg.tilt is None else model2.driver.tilted(p2, cfg.tilt)[0]
+    ia, cl = d.jump_dists()
     blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
     t_hor, level = cfg.horizon.limits()
+    # A lane censored at a deterministic horizon carries the weight at the
+    # horizon when its gaps are exponential: the Levy form holds at any
+    # time, and for a renewal walk the memoryless survival ratio extends
+    # the epoch value there.  A deterministic gap has ratio 1, so its
+    # weight stays at the last epoch.
+    at_epoch = not math.isfinite(ia.mgf_sup)
     ev = _Events(width)
 
     # per-slot state, compacted with ev's slots; every live lane has taken
@@ -528,17 +523,12 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
             r = over[:, lanes].argmax(axis=0)
             t_e = np.where(r > 0, T[r - 1, lanes], t[lanes])
             s_e = np.where(r > 0, S[r - 1, lanes], s[lanes])
-            ev.stop(lanes, t_hor, t_e, s_e, steps + r, _CENSOR_TIME)
+            ev.stop(lanes, t_e if at_epoch else t_hor, s_e, steps + r, _CENSOR_TIME)
         t, s = T[-1], S[-1]
         steps += R
 
     ev.check_sim()
-    # A lane censored at a deterministic horizon carries the weight at the
-    # horizon when its gaps are exponential: the Levy form holds at any
-    # time, and for a renewal walk the memoryless survival ratio extends
-    # the epoch value there.  A deterministic gap has ratio 1, so its
-    # weight stays at the last epoch.
-    return ev.result(model2, cfg, at_epoch=not math.isfinite(ia.mgf_sup))
+    return ev.result(model2, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -641,9 +631,9 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
         if t1 >= t_hor:
             lanes = np.flatnonzero(ev.live())
-            ev.stop(lanes, t_hor, t_hor, z[lanes], 0, _CENSOR_TIME)
+            ev.stop(lanes, t_hor, z[lanes], 0, _CENSOR_TIME)
             break
-    return ev.result(model2, cfg, at_epoch=False)
+    return ev.result(model2, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,7 @@ def _gk_sums(h: float, y: np.ndarray) -> tuple[float, float]:
 # first call of the integrand, and below a panel whose halves are missing.
 _FIRST_DEPTH = 3
 _AHEAD_DEPTH = 2
+_MAX_SPLITS = 200  # bisections before integrate refuses with MaxIterations
 
 
 def _panels_below(lo: float, hi: float, depth: int) -> list[tuple[float, float]]:
@@ -184,7 +185,6 @@ def integrate(
     b: float,
     *,
     tol: float = 1e-10,
-    max_panels: int = 200,
 ) -> tuple[float, float]:
     """Adaptively integrate ``f`` over ``[a, b]`` to absolute tolerance.
 
@@ -197,7 +197,7 @@ def integrate(
     panels the loop never uses.  Returns ``(value, err_est)`` where
     ``err_est`` is the final conservative error bound (the summed
     Gauss/Kronrod defects).  The worst panel is bisected until the bound
-    drops below ``tol``; exceeding ``max_panels`` splits raises
+    drops below ``tol``; exceeding ``_MAX_SPLITS`` splits raises
     MaxIterations; a limit that is not finite raises ValueError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -205,7 +205,7 @@ def integrate(
     if a == b:
         return 0.0, 0.0
     if b < a:
-        v, e = integrate(f, b, a, tol=tol, max_panels=max_panels)
+        v, e = integrate(f, b, a, tol=tol)
         return -v, e
 
     values: dict[tuple[float, float], np.ndarray] = {}  # (lo, hi) -> 15 values
@@ -213,7 +213,7 @@ def integrate(
     panels: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
     v, e = _gk_sums(0.5 * (b - a), values.pop((a, b)))
     panels.append((-e, a, b, v))
-    for _ in range(max_panels):
+    for _ in range(_MAX_SPLITS):
         total_err = -sum(p[0] for p in panels)
         if total_err <= tol:
             break
@@ -233,7 +233,7 @@ def integrate(
         total_err = -sum(p[0] for p in panels)
         if total_err > tol:
             raise MaxIterations(
-                f"quadrature error {total_err:g} above tol {tol:g} after {max_panels} panel splits"
+                f"quadrature error {total_err:g} above tol {tol:g} after {_MAX_SPLITS} panel splits"
             )
 
     value = math.fsum(p[3] for p in panels)

@@ -298,8 +298,7 @@ def _two_term_pre(model2: TwoLineModel, x1: float,
             f"two-term expansions need x2 > x1, got ({x1:g}, {x2:g}); "
             f"the lower cone reduces to one-line values"
         )
-    if not (x1 >= 0.0 and math.isfinite(x2)):
-        raise OutOfRange(f"reserves must be finite and nonnegative, got ({x1:g}, {x2:g})")
+    _check_reserves(x1, x2)
     T = crossing_time(x1, x2, model2.p1, model2.p2)
     return T, x2 / T, adjustment(model2)
 

@@ -25,6 +25,9 @@ SIM_13 = exact(CPE, RuinQuery("SIM", 1.0, 3.0)).value
 
 CPE_FLAGS = ["--driver", "cpe", "--lambda", "1", "--mu", "2", "--p1", "3", "--p2", "1"]
 BM_FLAGS = ["--driver", "brownian", "--p1", "3", "--p2", "1"]
+# a valid raw proportional-split triple, scaled to canonical form by the CLI
+RAW_FLAGS = ["--driver", "cpe", "--lambda", "1", "--mu", "2", "--u1", "0.5", "--u2", "1.5",
+             "--c1", "1.5", "--c2", "0.5", "--delta1", "0.5", "--delta2", "0.5"]
 
 
 def run_cli(argv, capsys):
@@ -419,6 +422,17 @@ class TestExitCodes:
               "--method", "two_term"], "method two_term supports or/sim/and, not line1"),
             (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "line1",
               "--method", "leading"], "method leading supports or/sim/and, not line1"),
+            # the points of a run: each refusal with its full text, in precedence order
+            (["sweep", *CPE_FLAGS, "--a", "0.5"], "sweeps need a ray spec: --a and --k"),
+            (["sweep", *CPE_FLAGS, "--k", "10"], "sweeps need a ray spec: --a and --k"),
+            (["sweep", *CPE_FLAGS, "--x1", "1", "--a", "0.5", "--k", "10"],
+             "sweep takes a ray spec (a, k), not reserves"),
+            (["sweep", *RAW_FLAGS, "--a", "0.5", "--k", "10"],
+             "sweep takes a ray spec (a, k), not reserves"),
+            (["compute", *RAW_FLAGS, "--a", "0.5", "--k", "10"],
+             "the raw triple fixes the reserves; a ray spec cannot also be given"),
+            (["compute", *CPE_FLAGS, "--a", "0.5", "--k", "10"], "compute needs reserves (x1, x2)"),
+            (["mc", *CPE_FLAGS, "--k", "10"], "mc needs reserves (x1, x2)"),
         ],
     )
     def test_config_errors_are_exit_2(self, capsys, argv, needle):

@@ -242,6 +242,9 @@ def test_two_term_guards():
     with pytest.raises(BoundaryVelocity):
         # a = 15/17 puts the crossing velocity exactly on a branch point
         two_term_or(CPE, 15.0, 17.0)
+    for fn in (two_term_or, two_term_sim, two_term_and):
+        with pytest.raises(OutOfRange, match="nonnegative"):
+            fn(CPE, -1.0, 3.0)
 
 
 # --- leading-order asymptotics -----------------------------------------------
