@@ -422,7 +422,7 @@ class TestExitCodes:
               "--method", "two_term"], "method two_term supports or/sim/and, not line1"),
             (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "line1",
               "--method", "leading"], "method leading supports or/sim/and, not line1"),
-            # the points of a run: each refusal with its full text, in precedence order
+            # the points of a run: each full refusal text, and which wins when several apply
             (["sweep", *CPE_FLAGS, "--a", "0.5"], "sweeps need a ray spec: --a and --k"),
             (["sweep", *CPE_FLAGS, "--k", "10"], "sweeps need a ray spec: --a and --k"),
             (["sweep", *CPE_FLAGS, "--x1", "1", "--a", "0.5", "--k", "10"],
