@@ -52,7 +52,6 @@ from .models import (
     Renewal,
     SaddleData,
     StandardBrownian,
-    TiltedModel,
     TwoLineModel,
     adjustment,
     deterministic_dist,

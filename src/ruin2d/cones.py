@@ -135,6 +135,8 @@ def classify(model2: TwoLineModel, x1: float, x2: float,
         raise OutOfRange(f"reserves must be finite, got ({x1:g}, {x2:g})")
     if not (x1 > 0.0 and x2 > 0.0):
         raise OutOfRange(f"need x1, x2 > 0, got ({x1:g}, {x2:g})")
+    if partition_kind not in ("sim", "and"):
+        raise OutOfRange(f"unknown partition kind {partition_kind!r}")
     if x2 <= x1:
         return ConeLabel.LOWER_CONE
     return _classify(model2, adjustment(model2), x1, x2, partition_kind)
@@ -147,8 +149,6 @@ def _classify(model2: TwoLineModel, adj: AdjustmentData, x1: float, x2: float,
     part = _partition(model2, adj)
     a = x1 / x2
     low = part.s2 if partition_kind == "sim" else part.s3
-    if partition_kind not in ("sim", "and"):
-        raise ValueError(f"unknown partition kind {partition_kind!r}")
     for s in (part.s1, low):
         if abs(a - s) < RAY_TOL * max(1.0, s):
             return ConeLabel.BOUNDARY_RAY

@@ -18,6 +18,7 @@ C e^{-gamma x} identically, a property the tests pin down.)  For the
 Brownian driver the reflection formula gives a closed form valid for
 either drift sign.  Both are rows of the driver table in ``models``;
 ``finite_ruin`` and ``ruin_after`` here validate, call the row and clamp.
+Every function takes a ``LineModel``; a tilted line ``tilt(line, c)`` is one.
 
 w(x, t) = P(t < tau < infinity) is exposed directly as ``ruin_after``
 because the two-line decompositions need it without cancellation.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, Union
+from typing import Callable, Literal
 
 from .errors import (
     BoundaryVelocity,
@@ -40,7 +41,7 @@ from .errors import (
     OutOfRange,
     UnsupportedDriver,
 )
-from .models import LineModel, TiltedModel, _zeta_and_constant, saddle
+from .models import LineModel, _zeta_and_constant, saddle
 
 __all__ = [
     "FiniteRuinResult",
@@ -58,12 +59,8 @@ __all__ = [
 # Relative half-width of the refusal band around a branch velocity.
 _VELOCITY_BAND = 1e-6
 
-ModelLike = Union[LineModel, TiltedModel]
 
-
-def _as_line(model: ModelLike) -> LineModel:
-    if isinstance(model, TiltedModel):
-        return model.model
+def _as_line(model: LineModel) -> LineModel:
     if isinstance(model, LineModel):
         return model
     raise UnsupportedDriver(f"expected a line model, got {type(model).__name__}")
@@ -125,7 +122,7 @@ def _guard_velocity(v: float, boundary: float, what: str) -> None:
         )
 
 
-def ultimate_ruin(model: ModelLike, x: float) -> float:
+def ultimate_ruin(model: LineModel, x: float) -> float:
     """Probability of ever hitting 0 from reserve x: C e^{-gamma x} under
     net profit, 1 otherwise."""
     line = _as_line(model)
@@ -136,7 +133,7 @@ def ultimate_ruin(model: ModelLike, x: float) -> float:
     return c * math.exp(-gamma * x)
 
 
-def ruin_after(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
+def ruin_after(model: LineModel, x: float, t: float) -> FiniteRuinResult:
     """P(t < tau < infinity): ruin strictly after time t.
 
     Computed directly (not as a difference of ruin probabilities), so it
@@ -146,7 +143,7 @@ def ruin_after(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     return _result(line, *line.driver.ruin_after(line.p, x, t))
 
 
-def _line_at(model: ModelLike, x: float, t: float) -> LineModel:
+def _line_at(model: LineModel, x: float, t: float) -> LineModel:
     line = _as_line(model)
     if not (0.0 <= x < math.inf and 0.0 < t < math.inf):
         raise OutOfRange(f"need finite x >= 0 and t > 0, got x={x:g}, t={t:g}")
@@ -166,7 +163,7 @@ def _result(line: LineModel, value: float, err: float) -> FiniteRuinResult:
     return FiniteRuinResult(value=value, method=line.driver.method, quad_err=err)
 
 
-def finite_ruin(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
+def finite_ruin(model: LineModel, x: float, t: float) -> FiniteRuinResult:
     """Ruin probability by time t from reserve x, exact per driver.
 
     Exponential-claim lines use the spectral integral, Brownian lines the
@@ -177,7 +174,7 @@ def finite_ruin(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
     return _result(line, *line.driver.finite_ruin(line.p, x, t))
 
 
-def ah_branches(model: ModelLike, x: float, t: float) -> AhAsymptotics:
+def ah_branches(model: LineModel, x: float, t: float) -> AhAsymptotics:
     """Evaluate both large-time branches of psi(x, t) at v = x/t.
 
     The Cramer branch dominates for v below the critical velocity
@@ -207,7 +204,7 @@ def ah_branches(model: ModelLike, x: float, t: float) -> AhAsymptotics:
     )
 
 
-def ah_asymptotic(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
+def ah_asymptotic(model: LineModel, x: float, t: float) -> FiniteRuinResult:
     """Large-time approximation of psi(x, t), regime-correct branch."""
     br = ah_branches(model, x, t)
     value = br.cramer if br.regime == "cramer" else br.saddle
@@ -215,14 +212,14 @@ def ah_asymptotic(model: ModelLike, x: float, t: float) -> FiniteRuinResult:
                             method="ah_asymptotic", quad_err=0.0)
 
 
-def ah_ruin_after(model: ModelLike, x: float, t: float) -> float:
+def ah_ruin_after(model: LineModel, x: float, t: float) -> float:
     """Large-time approximation of w(x, t) = P(t < tau < inf); it follows
     the branch complementary to psi's."""
     br = ah_branches(model, x, t)
     return br.saddle if br.regime == "cramer" else br.cramer
 
 
-def limit_law(model: ModelLike, v: float, side: Literal["survival", "ruin"]) -> LimitLaw:
+def limit_law(model: LineModel, v: float, side: Literal["survival", "ruin"]) -> LimitLaw:
     """Limiting law of X(t) on x = vt conditioned on survival past t or
     on ruin before t.
 

@@ -86,7 +86,6 @@ __all__ = [
     "ClaimDriver",
     "LineModel",
     "TwoLineModel",
-    "TiltedModel",
     "AdjustmentData",
     "SaddleData",
     "scale_to_canonical",
@@ -499,14 +498,6 @@ class TwoLineModel:
 
 
 @dataclass(frozen=True)
-class TiltedModel:
-    """A line model under the exponential change of measure of size ``shift``."""
-
-    shift: float
-    model: LineModel
-
-
-@dataclass(frozen=True)
 class AdjustmentData:
     """Lundberg exponents and constants of a two-line model.
 
@@ -669,19 +660,19 @@ def adjustment(model2: TwoLineModel) -> AdjustmentData:
     )
 
 
-def tilt(model: LineModel, c: float) -> TiltedModel:
-    """Exponentially tilt a line by ``c``: the tilted cumulant is
-    kappa(theta + c) - kappa(c).
+def tilt(model: LineModel, c: float) -> LineModel:
+    """The line exponentially tilted by ``c``, itself a ``LineModel``: its
+    cumulant is kappa(theta + c) - kappa(c).
 
     For the compound Poisson driver this maps (lam, mu) to
     (lam*mu/(mu+c), mu+c) with the premium unchanged; for Brownian it
-    shifts the premium to p + c.  The tilted drift must equal kappa'(c),
-    which also refuses the renewal driver: it has no cumulant, and the
-    simulator tilts its claim walk instead.
+    shifts the premium to p + c.  It is returned once its drift checks
+    against kappa'(c), which also refuses the renewal driver: it has no
+    cumulant, and the simulator tilts its claim walk instead.
     """
     new = LineModel(*model.driver.tilted(model.p, c))
     _cross_check("tilted drift", model.kappa_prime(c), new.drift)
-    return TiltedModel(shift=c, model=new)
+    return new
 
 
 @_solved_once

@@ -873,15 +873,15 @@ def check_limits(model, what, config: SimConfig) -> CheckReport:
     """Empirical checks of the ruin-time LLN and the conditional limit laws.
 
     ``what`` is either the string "lln_ruin_time" or a tuple
-    ("limit_law", v, side) with side in {"survival", "ruin"}.  The LLN
-    check simulates the (possibly tilted) line dynamics directly and
-    compares mean tau(x)/x against -1/kappa'(0) at x in {50, 100}; the
-    limit-law check draws config.n exact conditioned samples of X(t) at
-    t = 200, x = vt and applies a Kolmogorov-Smirnov test at 0.05
-    against the two-sided / gap exponential target.
+    ("limit_law", v, side) with side in {"survival", "ruin"}; ``model`` is
+    a ``LineModel`` (a tilted line is ``tilt(line, c)``).  The LLN check
+    simulates the line and compares mean tau(x)/x with -1/kappa'(0) at x
+    in {50, 100}; the limit-law check draws config.n exact conditioned
+    samples of X(t) at t = 200, x = vt and applies a Kolmogorov-Smirnov
+    test at 0.05 against the two-sided / gap exponential target.
     """
+    line = _as_line(model)
     if what == "lln_ruin_time":
-        line = _as_line(model)
         drift = line.drift
         if drift >= 0.0:
             raise OutOfRange(
@@ -906,7 +906,6 @@ def check_limits(model, what, config: SimConfig) -> CheckReport:
 
     if isinstance(what, (tuple, list)) and len(what) == 3 and what[0] == "limit_law":
         _, v, side = what
-        line = _as_line(model)
         if not isinstance(line.driver, StandardBrownian):
             raise UnsupportedDriver(
                 "exact conditioned sampling of the limit law is available "

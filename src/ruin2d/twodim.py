@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 from .cones import ConeLabel, _classify, crossing_time, gamma_ray
 from .errors import (
@@ -66,7 +66,7 @@ __all__ = [
 
 Event = Literal["OR", "SIM", "AND", "LINE1", "LINE2"]
 
-_EVENTS = ("OR", "SIM", "AND", "LINE1", "LINE2")
+_EVENTS = get_args(Event)
 
 _BROWNIAN_ROUTE_TOL = 1e-8
 
@@ -168,7 +168,7 @@ def _conditioned(model2: TwoLineModel, x1: float, x2: float, T: float, event: st
     settled = finite_ruin(line, x, T)
     # B is the survival P(tau > T) of the tilted line; where its ruin is
     # certain that is the ruin after T, taken without the 1 - psi subtraction
-    if tilted.model.drift <= 0.0:
+    if tilted.drift <= 0.0:
         r = ruin_after(tilted, x, T)
         return settled, r.value, r.quad_err, j
     r = finite_ruin(tilted, x, T)

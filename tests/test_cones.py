@@ -132,6 +132,12 @@ def test_classify_guards():
         classify(CPE, -1.0, 2.0)
 
 
+@pytest.mark.parametrize("x1, x2", [(3.0, 1.0), (1.0, 1.0), (1.0, 3.0)])
+def test_classify_refuses_unknown_partition_kind_on_every_ray(x1, x2):
+    with pytest.raises(OutOfRange, match="unknown partition kind 'bogus'"):
+        classify(CPE, x1, x2, "bogus")
+
+
 @given(random_cpe, st.floats(0.02, 0.98))
 @settings(max_examples=60, deadline=None)
 def test_classify_two_routes_agree_random(model2, a):

@@ -47,7 +47,7 @@ def test_closed_forms_solve_their_defining_equations(model2):
             -line.kappa_prime(0.0) / line.kappa_prime(-g), rel=1e-14)
         assert line.kappa_prime(d.saddle_point(line.p, 0.7)) == pytest.approx(-0.7, rel=1e-13)
         assert line.kappa_prime(d.saddle_point(line.p, 0.0)) == pytest.approx(0.0, abs=1e-14)
-        assert tilt(line, -0.5).model.drift == pytest.approx(line.kappa_prime(-0.5), rel=1e-14)
+        assert tilt(line, -0.5).drift == pytest.approx(line.kappa_prime(-0.5), rel=1e-14)
     g2, g3 = d.gamma(p2), d.gamma3(p1, p2)
     assert line1.kappa(-g3) == pytest.approx(line1.kappa(-g2), abs=1e-14)
 

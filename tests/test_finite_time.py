@@ -20,6 +20,8 @@ from ruin2d.models import (
     StandardBrownian,
     deterministic_dist,
     exponential_dist,
+    line_adjustment,
+    saddle,
     tilt,
 )
 from ruin2d.numerics import integrate
@@ -133,6 +135,24 @@ def test_finite_ruin_unwraps_tilted_models():
     t = tilt(LineModel(StandardBrownian(), 3.0), -2.0)
     direct = finite_ruin(BM1, 1.5, 2.0).value
     assert finite_ruin(t, 1.5, 2.0).value == direct
+
+
+@pytest.mark.parametrize("driver", [CompoundPoissonExp(1.0, 2.0), StandardBrownian()])
+@pytest.mark.parametrize("c", [-0.5, -0.25])
+def test_tilted_line_is_a_line_model(driver, c):
+    line = LineModel(driver, 3.0)
+    tilted = tilt(line, c)
+    plain = LineModel(*driver.tilted(line.p, c))
+    assert tilted == plain
+    assert tilted.drift > 0.0
+    # the solve caches key on the line, so both spellings share one entry
+    assert saddle(tilted, 1.0) is saddle(plain, 1.0)
+    assert line_adjustment(tilted) is line_adjustment(plain)
+    for x, t in ((0.5, 0.3), (2.0, 1.5), (4.0, 6.0)):
+        assert finite_ruin(tilted, x, t) == finite_ruin(plain, x, t)
+        assert ruin_after(tilted, x, t) == ruin_after(plain, x, t)
+        assert ultimate_ruin(tilted, x) == ultimate_ruin(plain, x)
+        assert ah_branches(tilted, x, t) == ah_branches(plain, x, t)
 
 
 # --- large-time branches -----------------------------------------------------

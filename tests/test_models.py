@@ -147,7 +147,7 @@ def test_adjustment_ordering_random_cpe(p2, lam, extra):
 @settings(max_examples=60, deadline=None)
 def test_tilt_cumulant_identity_cpe(c, theta):
     line = CPE.line1
-    tilted = tilt(line, c).model
+    tilted = tilt(line, c)
     if theta + c <= -2.0 or theta <= -(2.0 + c):
         return
     assert tilted.kappa(theta) == pytest.approx(
@@ -156,9 +156,8 @@ def test_tilt_cumulant_identity_cpe(c, theta):
 
 def test_tilt_brownian_shifts_drift():
     t = tilt(LineModel(StandardBrownian(), 1.0), -3.0)
-    assert isinstance(t.model.driver, StandardBrownian)
-    assert t.model.p == -2.0
-    assert t.shift == -3.0
+    assert isinstance(t.driver, StandardBrownian)
+    assert t.p == -2.0
 
 
 def test_tilt_out_of_domain():

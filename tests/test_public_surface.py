@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "LineModel", "McEstimate", "NoAdjustment", "NoConjugate", "NumericalRefusal",
     "OutOfDomain", "OutOfRange", "PathRecord", "Renewal", "Ruin2dError",
     "RuinEstimate", "RuinQuery", "SaddleData", "SafeLevel", "SimConfig",
-    "StandardBrownian", "TiltedModel", "TwoLineModel", "UnsupportedDriver",
+    "StandardBrownian", "TwoLineModel", "UnsupportedDriver",
     "adjustment", "ah_asymptotic", "ah_branches", "ah_ruin_after", "check_limits",
     "classify", "cones", "crossing_time", "default_safe_level", "deterministic_dist",
     "errors", "estimate", "exact", "exit_rate", "exponential_dist", "finite_ruin",

@@ -147,8 +147,8 @@ _ADJ = adjustment(CPE)
 LINES = {
     "line1": CPE.line1,
     "line2": CPE.line2,
-    "tilt_g1": tilt(CPE.line2, -_ADJ.gamma1).model,
-    "tilt_g2": tilt(CPE.line1, -_ADJ.gamma2).model,
+    "tilt_g1": tilt(CPE.line2, -_ADJ.gamma1),
+    "tilt_g2": tilt(CPE.line1, -_ADJ.gamma2),
 }
 
 

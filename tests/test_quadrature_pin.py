@@ -58,8 +58,8 @@ def _line(which):
     return {
         "line1": CPE.line1,
         "line2": CPE.line2,
-        "tilt_g1": tilt(CPE.line2, -adj.gamma1).model,
-        "tilt_g2": tilt(CPE.line1, -adj.gamma2).model,
+        "tilt_g1": tilt(CPE.line2, -adj.gamma1),
+        "tilt_g2": tilt(CPE.line1, -adj.gamma2),
     }[which]
 
 
