@@ -228,6 +228,8 @@ def limit_law(model: LineModel, v: float, side: Literal["survival", "ruin"]) -> 
     v < -kappa'(0)); ruin conditioning requires theta_v < 0 < theta'_v.
     Violations raise OutOfRange rather than returning a signed "density".
     """
+    if side not in ("survival", "ruin"):
+        raise OutOfRange(f"unknown side {side!r}")
     line = _as_line(model)
     sd = saddle(line, v)
     th, thc = sd.theta_v, sd.theta_conj
@@ -251,23 +253,20 @@ def limit_law(model: LineModel, v: float, side: Literal["survival", "ruin"]) -> 
 
         return LimitLaw(side=side, v=v, theta_v=th, theta_conj=thc, c_v=c_v, pdf=pdf, cdf=cdf)
 
-    if side == "ruin":
-        if not (th < 0.0 < thc):
-            raise OutOfRange(
-                f"ruin conditioning needs theta_v < 0 < theta'_v, got "
-                f"theta_v={th:g}, theta'_v={thc:g}"
-            )
-        a = abs(c_v)
-        mass_neg = 1.0 / (-th) / a  # P(limit < 0)
+    if not (th < 0.0 < thc):
+        raise OutOfRange(
+            f"ruin conditioning needs theta_v < 0 < theta'_v, got "
+            f"theta_v={th:g}, theta'_v={thc:g}"
+        )
+    a = abs(c_v)
+    mass_neg = 1.0 / (-th) / a  # P(limit < 0)
 
-        def pdf(y: float) -> float:
-            return math.exp(-thc * y) / a if y > 0.0 else math.exp(-th * y) / a
+    def pdf(y: float) -> float:
+        return math.exp(-thc * y) / a if y > 0.0 else math.exp(-th * y) / a
 
-        def cdf(y: float) -> float:
-            if y <= 0.0:
-                return math.exp(-th * y) / (-th) / a
-            return mass_neg + (1.0 - math.exp(-thc * y)) / thc / a
+    def cdf(y: float) -> float:
+        if y <= 0.0:
+            return math.exp(-th * y) / (-th) / a
+        return mass_neg + (1.0 - math.exp(-thc * y)) / thc / a
 
-        return LimitLaw(side=side, v=v, theta_v=th, theta_conj=thc, c_v=c_v, pdf=pdf, cdf=cdf)
-
-    raise ValueError(f"unknown side {side!r}")
+    return LimitLaw(side=side, v=v, theta_v=th, theta_conj=thc, c_v=c_v, pdf=pdf, cdf=cdf)

@@ -3,31 +3,35 @@
 Event-driven simulation is exact for the jump drivers: the claim
 surplus is nondecreasing between epochs while both reserve lines rise,
 so every ruin (and every simultaneous-ruin spell) can only begin at a
-claim instant.  The Brownian engine draws exact Gaussian checkpoints
-and accounts for within-segment excursions with bridge crossing
-probabilities against each linear barrier piece; because the
-checkpoint grid is aligned to the crossing time T, every barrier is
-linear on every segment and the event indicators carry no
-discretisation bias.  Checkpoint spacing only limits the resolution of
-the reported crossing times.
+claim instant.  An untilted Brownian path needs no time grid:
+``_bm_exact_chunk`` draws the claim level at the crossing time T, where
+both barriers meet, and then every crossing and its epoch exactly.  The
+tilted Brownian engine draws exact Gaussian checkpoints and accounts
+for within-segment excursions with bridge crossing probabilities
+against each linear barrier piece; because the checkpoint grid is
+aligned to T, every barrier is linear on every segment and the event
+indicators carry no discretisation bias.  Checkpoint spacing only
+limits the resolution of the reported crossing times.
 
-Both engines keep their per-chunk bookkeeping (outputs, live-lane flags,
+The engines keep their per-chunk bookkeeping (outputs, live-lane flags,
 first sightings, stopping, FixedTime censoring, weights) in one core,
 ``_Events``, and add only their draws, crossing and safe-level tests; the
 jump engine and ``_line_ruin_times`` read their draws through ``_Blocks``.
 
-Cost model.  The draws take about half of each engine's time, and the
-stream contract fixes them: a Brownian segment draws at full width and a
-jump refill draws the gaps of _BLOCK rounds for its live lanes.  Claims
-are drawn on demand, in pieces of 8, 8, 16, 32 and 64 rounds, so a chunk
-that resolves in its first rounds draws few of them.  The rest is array
-passes and a fixed Python overhead per step.  The jump engine advances
-its lanes by sub-blocks sized by rounds x lanes (about _SUB_BLOCK values:
-one round at full width, up to a claim piece when few lanes are live), so
-that overhead is paid once per sub-block.  ``_Events`` spends its calls
-on the lanes with something new only.  Each engine compacts its slots at
-one place per pass, when ``_Events.compact`` finds an eighth of them held
-by stopped lanes (or any, before a jump refill).
+Cost model.  The draws take about half of each grid engine's time, and
+the stream contract fixes them: a Brownian segment draws at full width
+and a jump refill draws the gaps of _BLOCK rounds for its live lanes.
+Claims are drawn on demand, in pieces of 8, 8, 16, 32 and 64 rounds, so
+a chunk that resolves in its first rounds draws few of them.  The rest
+is array passes and a fixed Python overhead per step.  The jump engine
+advances its lanes by sub-blocks sized by rounds x lanes (about
+_SUB_BLOCK values: one round at full width, up to a claim piece when few
+lanes are live), so that overhead is paid once per sub-block.
+``_Events`` spends its calls on the lanes with something new only.  Each
+grid engine compacts its slots at one place per pass, when
+``_Events.compact`` finds an eighth of them held by stopped lanes (or
+any, before a jump refill).  The exact Brownian engine makes one pass:
+three full-width draws, then a normal and a uniform per crossing.
 
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
@@ -374,9 +378,9 @@ class _Events:
 
     def check_sim(self) -> None:
         """Refuse a record with SIM before either line's ruin.  A jump
-        engine sights SIM only where it sights both ruins, so there SIM can
-        never come first; in the Brownian engine the two barriers of the
-        segment ending at T agree only up to rounding, and it may."""
+        engine sights SIM only where it sights both ruins, and the exact
+        Brownian engine draws SIM's epoch from a ruin's, so in neither can
+        SIM come first."""
         if (self.tau[2] < np.maximum(self.tau[0], self.tau[1])).any():
             raise InternalInconsistency("SIM recorded before a line's ruin")
 
@@ -532,7 +536,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
 
 # ---------------------------------------------------------------------------
-# Brownian chunk engine
+# tilted Brownian chunk engine
 
 
 def _bm_segments(T: float, t_hor: float) -> Iterator[Tuple[float, float]]:
@@ -584,7 +588,7 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
               chunk_idx: int, width: int) -> dict:
     p1, p2 = model2.p1, model2.p2
     rng = _chunk_rng(cfg.seed, chunk_idx)
-    c = 0.0 if cfg.tilt is None else cfg.tilt
+    c = cfg.tilt
     t_hor, level = cfg.horizon.limits()
     T = crossing_time(x1, x2, p1, p2)
     ev = _Events(width)
@@ -610,8 +614,7 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
             z, u = z.take(ids), u.take(ids)
         z *= math.sqrt(h)
         z += wS
-        if c:
-            z -= c * h
+        z -= c * h
         small = u < math.exp(_EXP_FLOOR)
         small = small if small.any() else None
 
@@ -637,20 +640,109 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
 
 # ---------------------------------------------------------------------------
+# untilted Brownian chunk engine: exact crossings, no time grid
+
+
+def _passage(rng: np.random.Generator, a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """First-passage times of Brownian motion to a level at distance a,
+    given that it gets there, under a drift of size k / a (either sign:
+    given a passage, the law is the same): IG(a^2 / k, a^2), or the Levy
+    law a^2 / Z^2 where k = 0.  Michael, Schucany & Haas (1976), from one
+    normal and then one uniform per lane; the smaller root is written
+    without the cancellation of its textbook form, so k = 0 needs no
+    branch and a = 0 gives 0."""
+    a2 = a * a
+    z2 = np.square(rng.standard_normal(a.size))
+    u = rng.random(a.size)
+    s = 2.0 * a2 / (z2 + 2.0 * k + np.sqrt(z2 * (z2 + 4.0 * k)))
+    big = u * (a2 + k * s) > a2  # the larger root, with probability s / (mean + s)
+    s[big] = np.square(a2[big] / k[big]) / s[big]
+    return s
+
+
+def _bridge_epoch(t0: Union[float, np.ndarray], span: Union[float, np.ndarray],
+                  s: np.ndarray) -> np.ndarray:
+    """Epoch in [t0, t0 + span] of a bridge over that span whose passage
+    is the passage s of free Brownian motion: t0 + span s / (span + s)."""
+    return t0 + span * np.divide(s, span + s, out=np.zeros_like(s), where=s > 0.0)
+
+
+def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
+                    chunk_idx: int, width: int) -> dict:
+    """Untilted Brownian chunk: every crossing and its epoch drawn exactly.
+
+    Draws, in this order: W_T ~ N(0, T), a uniform u and a uniform v, each
+    at full width; then, for the crossing lanes only, in lane order, the
+    passages of line 1 before T, of line 2 before T, of line 2 after T, one
+    uniform per line-2 crossing after T, and the passages of line 1 after T.
+
+    Both barriers reach b = x1 + p1 T at T, and W_T sits g = b - W_T below
+    it.  Before T the bridge crosses line i's barrier with probability
+    exp(-2 x_i g+ / T); line 1's is the lower one, so u decides both,
+    nested.  After T line 2's barrier is the lower one: v decides its
+    crossing, with probability exp(-2 p2 g2), and line 1 can cross only
+    from line 2's epoch, a gap g1 - g2 + (p1 - p2) s2 below its barrier, so
+    its own uniform decides it once s2 is known.  SIM is line 2 before T or
+    line 1 after T.  For T = 0 (x2 <= x1) only the after-T step runs, with
+    g1 = x1 and g2 = x2."""
+    p1, p2 = model2.p1, model2.p2
+    rng = _chunk_rng(cfg.seed, chunk_idx)
+    T = crossing_time(x1, x2, p1, p2)
+    g = (x1 + p1 * T) - rng.standard_normal(width) * math.sqrt(T)
+    u = rng.random(width)
+    v = rng.random(width)
+    ev = _Events(width)
+    tau1, tau2, tsim = ev.tau
+    if T > 0.0:
+        gp = np.maximum(g, 0.0)
+        h1 = np.flatnonzero(u < np.exp(gp * (-2.0 * x1 / T)))
+        # the bridge from 0 to W_T is free motion with drift g / T seen
+        # through t = sT / (T + s); line 2's from line 1's epoch likewise
+        tau1[h1] = _bridge_epoch(0.0, T, _passage(rng, np.full(h1.size, x1),
+                                                  np.abs(g[h1]) * (x1 / T)))
+        h2 = h1[u[h1] < np.exp(gp[h1] * (-2.0 * x2 / T))]
+        span = T - tau1[h2]
+        tau2[h2] = tsim[h2] = _bridge_epoch(
+            tau1[h2], span, _passage(rng, (p1 - p2) * span, (p1 - p2) * np.abs(g[h2])))
+        later = np.flatnonzero(tsim == math.inf)
+        g1 = g2 = g[later]
+    else:
+        later = np.arange(width)
+        g1, g2 = np.full(width, x1), np.full(width, x2)
+    cross = v[later] < np.exp(-2.0 * p2 * g2)
+    lanes, g1, g2 = later[cross], g1[cross], g2[cross]
+    s2 = _passage(rng, g2, p2 * g2)
+    tau2[lanes] = T + s2
+    gap = g1 - g2 + (p1 - p2) * s2
+    cross = rng.random(lanes.size) < np.exp(-2.0 * p1 * gap)
+    lanes, gap = lanes[cross], gap[cross]
+    t = tau2[lanes] + _passage(rng, gap, p1 * gap)
+    tau1[lanes] = np.minimum(tau1[lanes], t)
+    tsim[lanes] = t
+
+    t_hor = cfg.horizon.limits()[0]  # a safe level truncates nothing here
+    if t_hor < math.inf:
+        ev.tau[ev.tau > t_hor] = math.inf
+        ev.censor[tsim == math.inf] = _CENSOR_TIME  # SIM still possible after t_hor
+    ev.check_sim()
+    return ev.result(model2, cfg)
+
+
+# ---------------------------------------------------------------------------
 # public driving functions
 
 
-def _chunk_fn(model2: TwoLineModel):
-    if isinstance(model2.line2.driver, StandardBrownian):
-        return _bm_chunk
-    return _jump_chunk
+def _chunk_fn(model2: TwoLineModel, cfg: SimConfig):
+    if not isinstance(model2.line2.driver, StandardBrownian):
+        return _jump_chunk
+    return _bm_exact_chunk if cfg.tilt is None else _bm_chunk
 
 
 def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
     """Yield per-chunk result dicts in chunk order, fanning the chunk
     computations out over cfg.workers threads.  At most 2 * workers
     chunks are in flight, so memory stays flat in n."""
-    fn = _chunk_fn(model2)
+    fn = _chunk_fn(model2, cfg)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
     jobs = ((model2, x1, x2, cfg, i, min(cfg.chunk_size, cfg.n - i * cfg.chunk_size))
             for i in range(n_chunks))
@@ -767,22 +859,10 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
         rng = _chunk_rng(seed, (salt << 32) | ci)
         out = taus[ci * chunk:ci * chunk + width]
         if isinstance(d, StandardBrownian):
-            h = 0.25
-            wS = np.zeros(width)
-            alive = np.ones(width, dtype=bool)
-            t = 0.0
-            while alive.any() and t < t_cap:
-                z = wS + rng.standard_normal(width) * math.sqrt(h)
-                u = rng.random(width)
-                small = u < math.exp(_EXP_FLOOR)
-                with np.errstate(over="ignore"):
-                    hit = _bridge_hit((x + p * t) - wS, (x + p * (t + h)) - z, h, u,
-                                      small if small.any() else None)
-                hit &= alive
-                out[hit] = t + h
-                alive &= ~hit
-                wS = z
-                t += h
+            # ruined with probability min(1, exp(-2 p x)), at an exact passage
+            hit = np.flatnonzero(rng.random(width) < math.exp(min(-2.0 * p * x, 0.0)))
+            s = _passage(rng, np.full(hit.size, x), np.full(hit.size, abs(p) * x))
+            out[hit] = np.where(s <= t_cap, s, math.inf)
             continue
         blocks = _Blocks(rng, *d.jump_dists())
         t = np.zeros(width)

@@ -150,19 +150,22 @@ def test_criterion_05_mc_vs_exact_million_paths():
 
 def test_criterion_06_finite_time_vs_event_driven_mc():
     with _Budget(60.0) as b:
-        # single line lambda=1, mu=2, p=1 carried on line 2 of a pair
-        pair = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 2.0, 1.0)
-        line = LineModel(CompoundPoissonExp(1.0, 2.0), 1.0)
+        # single line with p=1 carried on line 2 of a pair: CPE lambda=1,
+        # mu=2 (event-driven) and Brownian (exact passages)
         zs = []
-        for x, t in ((1.0, 2.0), (5.0, 5.0)):
-            target = finite_ruin(line, x, t).value
-            cfg = SimConfig(n=1_000_000, seed=31, horizon=FixedTime(t))
-            hits = np.fromiter((r.tau2 <= t for r in simulate(pair, x, x, cfg)), dtype=float)
-            se = hits.std(ddof=1) / math.sqrt(len(hits))
-            z = (hits.mean() - target) / se
-            zs.append(z)
-            assert abs(z) <= 3.0, f"(x={x}, t={t}): z={z:+.2f}"
-    _report(6, f"(1,2) and (5,5) inside 3 sigma, z {zs[0]:+.2f} / {zs[1]:+.2f} ({b.elapsed:.1f}s)")
+        for driver in (CompoundPoissonExp(1.0, 2.0), StandardBrownian()):
+            pair = TwoLineModel(driver, 2.0, 1.0)
+            line = LineModel(driver, 1.0)
+            for x, t in ((1.0, 2.0), (5.0, 5.0)):
+                target = finite_ruin(line, x, t).value
+                cfg = SimConfig(n=1_000_000, seed=31, horizon=FixedTime(t))
+                hits = np.fromiter((r.tau2 <= t for r in simulate(pair, x, x, cfg)), dtype=float)
+                se = hits.std(ddof=1) / math.sqrt(len(hits))
+                z = (hits.mean() - target) / se
+                zs.append(z)
+                assert abs(z) <= 3.0, f"{driver} (x={x}, t={t}): z={z:+.2f}"
+    _report(6, "(1,2) and (5,5) inside 3 sigma, z cpe "
+            f"{zs[0]:+.2f} / {zs[1]:+.2f}, bm {zs[2]:+.2f} / {zs[3]:+.2f} ({b.elapsed:.1f}s)")
 
 
 def test_criterion_07_leading_order_convergence_on_rays():

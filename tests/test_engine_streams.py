@@ -1,9 +1,10 @@
 """Array-level pins of the Monte Carlo chunk engines.
 
-Every array that ``_jump_chunk`` and ``_bm_chunk`` return is pinned by a
-sha256 of its dtype, shape and bytes.  ``test_golden.py`` pins only sums,
-which a permutation of lanes inside a chunk would leave unchanged; these
-pins catch it.  Under the stream contract lane ``k`` of chunk ``j`` is
+Every array that the chunk engines return (``_jump_chunk``, and for the
+Brownian driver ``_bm_exact_chunk`` untilted and ``_bm_chunk`` tilted) is
+pinned by a sha256 of its dtype, shape and bytes.  ``test_golden.py`` pins
+only sums, which a permutation of lanes inside a chunk would leave
+unchanged; these pins catch it.  Under the stream contract lane ``k`` of chunk ``j`` is
 path ``j * chunk_size + k`` and draws from the Philox key ``(seed, j)``,
 so a change that moves any digest here changes the emitted paths.
 """
@@ -27,8 +28,7 @@ from ruin2d.models import (
 from ruin2d.montecarlo import (
     FixedTime,
     SimConfig,
-    _bm_chunk,
-    _jump_chunk,
+    _chunk_fn,
     _line_ruin_times,
     default_safe_level,
 )
@@ -37,7 +37,6 @@ CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 BM = TwoLineModel(StandardBrownian(), 3.0, 1.0)
 RW = TwoLineModel(Renewal(deterministic_dist(1.0), exponential_dist(2.0)), 3.0, 1.0)
 MODELS = {"cpe": CPE, "bm": BM, "renewal": RW}
-ENGINES = {"cpe": _jump_chunk, "bm": _bm_chunk, "renewal": _jump_chunk}
 ARRAYS = ("tau1", "tau2", "tsim", "censor", "w", "w1", "w2", "wsim")
 WIDTH = 4096
 TAIL_K = {"cpe": 20.0, "bm": 8.0}
@@ -88,18 +87,18 @@ DIGESTS = {
     },
     "bm-lower-cone": {
         "tau1": "66efc2d923ff9956",
-        "tau2": "9ce017c8d67d91d3",
+        "tau2": "f4ce840bf4559d93",
         "tsim": "66efc2d923ff9956",
-        "censor": "07328b3fbbc557fb",
+        "censor": "cfab9fd2c97bf618",
         "w": "ad7489174fe06d09",
         "w1": "b7470fd27b67e79f",
-        "w2": "eef70e64c06b7c4d",
+        "w2": "7ffe119fb5668977",
         "wsim": "b7470fd27b67e79f",
     },
     "bm-origin": {
-        "tau1": "ad7489174fe06d09",
-        "tau2": "ad7489174fe06d09",
-        "tsim": "ad7489174fe06d09",
+        "tau1": "b7470fd27b67e79f",
+        "tau2": "b7470fd27b67e79f",
+        "tsim": "b7470fd27b67e79f",
         "censor": "cfab9fd2c97bf618",
         "w": "ad7489174fe06d09",
         "w1": "ad7489174fe06d09",
@@ -107,14 +106,14 @@ DIGESTS = {
         "wsim": "ad7489174fe06d09",
     },
     "bm-partial-chunk": {
-        "tau1": "fd45a975b5dfb29c",
-        "tau2": "c10b54b5784962fe",
-        "tsim": "9497abc2c0458448",
-        "censor": "0e174d5773e0c47d",
+        "tau1": "d37dfa93f8ce1a04",
+        "tau2": "4677c93f88b232e5",
+        "tsim": "160806ddae9b5432",
+        "censor": "eff247a723dcedd5",
         "w": "8431f1d365ba5881",
-        "w1": "66b50966f1a8d054",
-        "w2": "bd958edd5f9bb67e",
-        "wsim": "66b50966f1a8d054",
+        "w1": "541d8f86fbcf5ec1",
+        "w2": "5ee3165cb684c395",
+        "wsim": "24a6364936cf2284",
     },
     "bm-tail-g1": {
         "tau1": "cf89157763ea551f",
@@ -137,13 +136,13 @@ DIGESTS = {
         "wsim": "b7470fd27b67e79f",
     },
     "bm-untilted-1-3": {
-        "tau1": "3f2dad40051ec0ae",
-        "tau2": "296b45afd92d409b",
+        "tau1": "e3a48cc14bef8eea",
+        "tau2": "c38d3c6fe836c658",
         "tsim": "66efc2d923ff9956",
-        "censor": "07328b3fbbc557fb",
+        "censor": "cfab9fd2c97bf618",
         "w": "ad7489174fe06d09",
-        "w1": "9f7ec9ec4f349bf3",
-        "w2": "fcbb1f7f486059f8",
+        "w1": "84a9d131471e0d60",
+        "w2": "cb4be777375afd4e",
         "wsim": "b7470fd27b67e79f",
     },
     "cpe-fixed-time": {
@@ -252,7 +251,7 @@ def _run(case):
                     horizon=horizon or default_safe_level(model2),
                     tilt=None if tilt is None else _tilt(name, tilt),
                     chunk_size=chunk_size)
-    return ENGINES[name](model2, x1, x2, cfg, chunk_idx, width)
+    return _chunk_fn(model2, cfg)(model2, x1, x2, cfg, chunk_idx, width)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -272,7 +271,7 @@ LINE_CASES = {
     "bm-lln-x10": (StandardBrownian(), -0.5, 10.0, 9000, 2, 50.0),
 }
 LINE_DIGESTS = {
-    "bm-lln-x10": "d7ff125f167142b6",
+    "bm-lln-x10": "c97c1c2e046f6b30",
     "cpe-lln-capped": "51a43434c301f5c9",
     "cpe-lln-x10": "1c9af0cf9cc488d9",
 }

@@ -246,5 +246,8 @@ def test_limit_law_refusals():
         limit_law(BM1, 0.5, "survival")  # saddle negative under positive drift
     with pytest.raises(OutOfRange):
         limit_law(BM1, 1.0, "ruin")  # conjugate degenerates to zero
-    with pytest.raises(ValueError):
+    # an unknown side is refused before the saddle point is solved
+    with pytest.raises(OutOfRange, match="unknown side 'both'"):
         limit_law(BM1, 2.0, "both")
+    with pytest.raises(OutOfRange, match="unknown side 'bogus'"):
+        limit_law(CPE1, -1.0, "bogus")  # a velocity the saddle solve refuses

@@ -114,7 +114,7 @@ def _mc(model2, x1, x2, event, **kw):
 
 def test_mc_untilted():
     assert _mc(MODELS["cpe"], 1.0, 3.0, "OR") == (0.050048828125, 0.0034069646228693014)
-    assert _mc(MODELS["brownian"], 1.0, 3.0, "OR") == (0.0048828125, 0.0010891612045131178)
+    assert _mc(MODELS["brownian"], 1.0, 3.0, "OR") == (0.00439453125, 0.0010335225132637607)
 
 
 def test_mc_tilted():

@@ -35,6 +35,7 @@ from ruin2d.montecarlo import (
     SafeLevel,
     SimConfig,
     _Events,
+    _run_chunks,
     check_limits,
     default_safe_level,
     estimate,
@@ -94,11 +95,12 @@ class TestRecords:
         # untilted, the estimator is a plain indicator mean over the
         # same substreams simulate() exposes
         config = cfg(4000, 13)
-        records = list(simulate(CPE, 1.0, 3.0, config))
-        frac = np.mean([math.isfinite(r.tau_or) for r in records])
-        est = estimate(CPE, 1.0, 3.0, "OR", config)
-        assert est.p_hat == frac
-        assert est.n == 4000
+        for model in (CPE, BM):
+            records = list(simulate(model, 1.0, 3.0, config))
+            frac = np.mean([math.isfinite(r.tau_or) for r in records])
+            est = estimate(model, 1.0, 3.0, "OR", config)
+            assert est.p_hat == frac
+            assert est.n == 4000
 
     def test_clean_horizon_censors_everything(self):
         # claim rate ~0: nothing can ruin inside a unit horizon
@@ -130,6 +132,54 @@ class TestRecords:
         assert ev.tau[:, 0].tolist() == [math.inf, 1.0, 1.0]
         with pytest.raises(InternalInconsistency, match="SIM recorded before"):
             ev.check_sim()
+
+
+class TestExactBrownian:
+    """The untilted Brownian engine draws each crossing and its epoch
+    exactly, so its frequencies and epoch laws match the closed forms at
+    any n; 983040 paths per geometry (120 chunks)."""
+
+    N = 983_040
+    GEOMETRIES = [(1.0, 3.0), (0.5, 1.0), (0.2, 2.0), (2.0, 1.0), (0.0, 0.5)]
+
+    @staticmethod
+    def _z(hits, target):
+        if target == 1.0:  # a reserve of 0 is ruined at once
+            return 0.0 if hits.all() else math.inf
+        return (hits.mean() - target) / math.sqrt(target * (1.0 - target) / hits.size)
+
+    @pytest.mark.parametrize("x1,x2", GEOMETRIES)
+    def test_events_and_epoch_laws(self, x1, x2, monkeypatch):
+        checks = []
+        real = _Events.check_sim
+        monkeypatch.setattr(_Events, "check_sim", lambda ev: checks.append(real(ev)))
+        config = SimConfig(n=self.N, seed=23, horizon=default_safe_level(BM))
+        res = list(_run_chunks(BM, x1, x2, config))
+        assert len(checks) == len(res) == 120  # no SIM before a ruin, chunk by chunk
+        t1, t2, ts = (np.concatenate([r[k] for r in res]) for k in ("tau1", "tau2", "tsim"))
+        assert not (ts < np.maximum(t1, t2)).any()
+        assert not np.concatenate([r["censor"] for r in res]).any()  # SafeLevel cuts nothing
+        for event, hits in (("OR", np.minimum(t1, t2)), ("SIM", ts), ("AND", np.maximum(t1, t2))):
+            z = self._z(np.isfinite(hits), exact(BM, RuinQuery(event, x1, x2)).value)
+            assert abs(z) <= 4.0, f"{event}: z={z:+.2f}"
+        T = max(x2 - x1, 0.0) / (BM.p1 - BM.p2)
+        for t in sorted({T / 2, T, 2 * T + 0.5, 5.0} - {0.0}):
+            for line, x, tau in ((BM.line1, x1, t1), (BM.line2, x2, t2)):
+                z = self._z(tau <= t, finite_ruin(line, x, t).value)
+                assert abs(z) <= 4.0, f"P(tau <= {t:g}) from x={x:g}: z={z:+.2f}"
+
+    def test_fixed_time_truncates_the_same_paths(self):
+        t = 2.0
+        safe = list(simulate(BM, 0.5, 1.0, cfg(20_000, 29, SafeLevel(15.0))))
+        fixed = list(simulate(BM, 0.5, 1.0, cfg(20_000, 29, FixedTime(t))))
+        assert all(r.censor_reason is None for r in safe)
+        for a, b in zip(safe, fixed):
+            for name in ("tau1", "tau2", "tau_or", "tau_sim"):
+                want = getattr(a, name)
+                assert getattr(b, name) == (want if want <= t else math.inf)
+            # a lane without SIM by t could still show it later
+            assert b.censor_reason == (None if b.tau_sim <= t else "fixed_time")
+        assert {b.censor_reason for b in fixed} == {None, "fixed_time"}
 
 
 class TestReproducibility:
@@ -325,3 +375,5 @@ class TestCheckLimits:
             check_limits(LineModel(StandardBrownian(), 1.0), ("limit_law", 2.0, "ruin"), cfg(500, 1, SafeLevel(50.0)))
         with pytest.raises(OutOfRange, match="unknown check"):
             check_limits(LineModel(StandardBrownian(), 1.0), "nope", ok)
+        with pytest.raises(OutOfRange, match="unknown side 'bogus'"):
+            check_limits(LineModel(StandardBrownian(), -1.0), ("limit_law", 0.5, "bogus"), ok)
