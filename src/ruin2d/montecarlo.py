@@ -3,10 +3,14 @@
 Event-driven simulation is exact for the jump drivers: the claim
 surplus is nondecreasing between epochs while both reserve lines rise,
 so every ruin (and every simultaneous-ruin spell) can only begin at a
-claim instant.  An untilted Brownian path needs no time grid:
-``_bm_exact_chunk`` draws the claim level at the crossing time T, where
-both barriers meet, and then every crossing and its epoch exactly.  The
-tilted Brownian engine draws exact Gaussian checkpoints and accounts
+claim instant.  A Brownian ``estimate`` needs no time grid, tilted or
+not: ``_bm_exact_chunk`` draws the claim level at the crossing time T,
+where both barriers meet, and then every crossing and its epoch exactly,
+at premiums p_i + c under a tilt c.  Each event is {tau < inf} for a
+stopping time tau at which the claim level is the barrier's, so its
+weight is taken exactly there.  Only a tilted ``simulate`` keeps the
+grid engine, ``_bm_chunk``, which reports a path weight for every record
+(see ``_chunk_fn``): it draws exact Gaussian checkpoints and accounts
 for within-segment excursions with bridge crossing probabilities
 against each linear barrier piece; because the checkpoint grid is
 aligned to T, every barrier is linear on every segment and the event
@@ -30,8 +34,9 @@ lanes are live), so that overhead is paid once per sub-block.
 ``_Events`` spends its calls on the lanes with something new only.  Each
 grid engine compacts its slots at one place per pass, when
 ``_Events.compact`` finds an eighth of them held by stopped lanes (or
-any, before a jump refill).  The exact Brownian engine makes one pass:
-three full-width draws, then a normal and a uniform per crossing.
+any, before a jump refill).  The exact Brownian engine makes one pass,
+tilted or not: three full-width draws, then a normal and a uniform per
+crossing; a tilt adds one pass to record the claim levels.
 
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
@@ -536,7 +541,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
 
 # ---------------------------------------------------------------------------
-# tilted Brownian chunk engine
+# Brownian grid chunk engine: a tilted simulate only (see _chunk_fn)
 
 
 def _bm_segments(T: float, t_hor: float) -> Iterator[Tuple[float, float]]:
@@ -640,7 +645,7 @@ def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
 
 # ---------------------------------------------------------------------------
-# untilted Brownian chunk engine: exact crossings, no time grid
+# exact Brownian chunk engine: every estimate and an untilted simulate
 
 
 def _passage(rng: np.random.Generator, a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -669,26 +674,38 @@ def _bridge_epoch(t0: Union[float, np.ndarray], span: Union[float, np.ndarray],
 
 def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                     chunk_idx: int, width: int) -> dict:
-    """Untilted Brownian chunk: every crossing and its epoch drawn exactly.
+    """Brownian chunk with every crossing and its epoch drawn exactly, at
+    premiums q_i = p_i + c under a tilt c (the tilted law of a Brownian
+    line, see ``StandardBrownian.tilted``).
 
     Draws, in this order: W_T ~ N(0, T), a uniform u and a uniform v, each
     at full width; then, for the crossing lanes only, in lane order, the
     passages of line 1 before T, of line 2 before T, of line 2 after T, one
     uniform per line-2 crossing after T, and the passages of line 1 after T.
 
-    Both barriers reach b = x1 + p1 T at T, and W_T sits g = b - W_T below
-    it.  Before T the bridge crosses line i's barrier with probability
-    exp(-2 x_i g+ / T); line 1's is the lower one, so u decides both,
-    nested.  After T line 2's barrier is the lower one: v decides its
-    crossing, with probability exp(-2 p2 g2), and line 1 can cross only
-    from line 2's epoch, a gap g1 - g2 + (p1 - p2) s2 below its barrier, so
-    its own uniform decides it once s2 is known.  SIM is line 2 before T or
-    line 1 after T.  For T = 0 (x2 <= x1) only the after-T step runs, with
-    g1 = x1 and g2 = x2."""
+    Both barriers reach b = x1 + q1 T at T, and W_T sits g = b - W_T below
+    it; T is the same at any tilt, since q1 - q2 = p1 - p2.  Before T the
+    bridge crosses line i's barrier with probability exp(-2 x_i g+ / T);
+    line 1's is the lower one, so u decides both, nested.  After T line 2's
+    barrier is the lower one: v decides its crossing, with probability
+    exp(-2 q2 g2) capped at 1, and line 1 can cross only from line 2's
+    epoch, a gap g1 - g2 + (p1 - p2) s2 below its barrier, so its own
+    uniform decides it once s2 is known.  SIM is line 2 before T or line 1
+    after T.  For T = 0 (x2 <= x1) only the after-T step runs, with g1 = x1
+    and g2 = x2.
+
+    Under a tilt every event A is {tau_A < inf} for a stopping time tau_A,
+    at which the claim level is the barrier's, so the weight taken there
+    gives E_c[L(tau_A); tau_A < inf] = P(A) with no truncation (Siegmund
+    1976).  The path weight ``w`` of a record with no event has no such
+    value, so ``simulate`` reads this engine only where the weights are 1
+    (see ``_chunk_fn``)."""
     p1, p2 = model2.p1, model2.p2
+    c = 0.0 if cfg.tilt is None else cfg.tilt
+    q1, q2 = p1 + c, p2 + c
     rng = _chunk_rng(cfg.seed, chunk_idx)
     T = crossing_time(x1, x2, p1, p2)
-    g = (x1 + p1 * T) - rng.standard_normal(width) * math.sqrt(T)
+    g = (x1 + q1 * T) - rng.standard_normal(width) * math.sqrt(T)
     u = rng.random(width)
     v = rng.random(width)
     ev = _Events(width)
@@ -709,14 +726,16 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     else:
         later = np.arange(width)
         g1, g2 = np.full(width, x1), np.full(width, x2)
-    cross = v[later] < np.exp(-2.0 * p2 * g2)
+    # a line that drifts down (q <= 0) crosses for sure; given a crossing,
+    # its passage law is the same for either sign of the drift
+    cross = v[later] < np.exp(np.minimum(-2.0 * q2 * g2, 0.0))
     lanes, g1, g2 = later[cross], g1[cross], g2[cross]
-    s2 = _passage(rng, g2, p2 * g2)
+    s2 = _passage(rng, g2, abs(q2) * g2)
     tau2[lanes] = T + s2
     gap = g1 - g2 + (p1 - p2) * s2
-    cross = rng.random(lanes.size) < np.exp(-2.0 * p1 * gap)
+    cross = rng.random(lanes.size) < np.exp(np.minimum(-2.0 * q1 * gap, 0.0))
     lanes, gap = lanes[cross], gap[cross]
-    t = tau2[lanes] + _passage(rng, gap, p1 * gap)
+    t = tau2[lanes] + _passage(rng, gap, abs(q1) * gap)
     tau1[lanes] = np.minimum(tau1[lanes], t)
     tsim[lanes] = t
 
@@ -724,6 +743,13 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     if t_hor < math.inf:
         ev.tau[ev.tau > t_hor] = math.inf
         ev.censor[tsim == math.inf] = _CENSOR_TIME  # SIM still possible after t_hor
+    if cfg.tilt is not None:
+        # each event's claim level is its barrier's at its epoch: the upper
+        # one's at SIM (an event that never happens weighs 0 at any level)
+        t = np.where(np.isfinite(ev.tau), ev.tau, 0.0)
+        ev.s_e[0] = x1 + p1 * t[0]
+        ev.s_e[1] = x2 + p2 * t[1]
+        ev.s_e[2] = np.maximum(x1 + p1 * t[2], x2 + p2 * t[2])
     ev.check_sim()
     return ev.result(model2, cfg)
 
@@ -732,17 +758,27 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 # public driving functions
 
 
-def _chunk_fn(model2: TwoLineModel, cfg: SimConfig):
+def _chunk_fn(model2: TwoLineModel, cfg: SimConfig, records: bool = False):
+    """The chunk engine of a run; records is True for ``simulate``.
+
+    Every Brownian run takes the exact engine except a tilted ``simulate``
+    (c != 0), which keeps the grid of ``_bm_chunk``.  A record's
+    ``likelihood_weight`` is the path weight at its stop.  The exact
+    engine retires nothing, and for c != 0 the tilted and untilted laws
+    of an untruncated record are mutually singular, so it has no unbiased
+    weight; the grid's SafeLevel retirement gives it one."""
     if not isinstance(model2.line2.driver, StandardBrownian):
         return _jump_chunk
-    return _bm_exact_chunk if cfg.tilt is None else _bm_chunk
+    return _bm_chunk if records and cfg.tilt else _bm_exact_chunk
 
 
-def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
+def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
+                records: bool = False):
     """Yield per-chunk result dicts in chunk order, fanning the chunk
     computations out over cfg.workers threads.  At most 2 * workers
-    chunks are in flight, so memory stays flat in n."""
-    fn = _chunk_fn(model2, cfg)
+    chunks are in flight, so memory stays flat in n.  records is True
+    for ``simulate`` (see ``_chunk_fn``)."""
+    fn = _chunk_fn(model2, cfg, records)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
     jobs = ((model2, x1, x2, cfg, i, min(cfg.chunk_size, cfg.n - i * cfg.chunk_size))
             for i in range(n_chunks))
@@ -762,10 +798,14 @@ def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
 
 def simulate(model2: TwoLineModel, x1: float, x2: float,
              config: SimConfig) -> Iterator[PathRecord]:
-    """Stream PathRecords for n paths of the two-line model."""
+    """Stream PathRecords for n paths of the two-line model.
+
+    A tilted run on a Brownian model walks the time grid of ``_bm_chunk``,
+    whose SafeLevel retirement gives every record a likelihood weight;
+    ``estimate`` draws every Brownian event exactly (see ``_chunk_fn``)."""
     _check_reserves(x1, x2)
     config.horizon.check(model2, x1, x2, config.tilt)
-    for res in _run_chunks(model2, x1, x2, config):
+    for res in _run_chunks(model2, x1, x2, config, records=True):
         t1, t2, ts = res["tau1"], res["tau2"], res["tsim"]
         cen, w = res["censor"], res["w"]
         for k in range(t1.size):

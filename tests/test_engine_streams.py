@@ -1,8 +1,9 @@
 """Array-level pins of the Monte Carlo chunk engines.
 
 Every array that the chunk engines return (``_jump_chunk``, and for the
-Brownian driver ``_bm_exact_chunk`` untilted and ``_bm_chunk`` tilted) is
-pinned by a sha256 of its dtype, shape and bytes.  ``test_golden.py`` pins
+Brownian driver ``_bm_exact_chunk``, which every ``estimate`` runs, and
+``_bm_chunk``, the grid that a tilted ``simulate`` keeps) is pinned by a
+sha256 of its dtype, shape and bytes.  ``test_golden.py`` pins
 only sums, which a permutation of lanes inside a chunk would leave
 unchanged; these pins catch it.  Under the stream contract lane ``k`` of chunk ``j`` is
 path ``j * chunk_size + k`` and draws from the Philox key ``(seed, j)``,
@@ -28,6 +29,7 @@ from ruin2d.models import (
 from ruin2d.montecarlo import (
     FixedTime,
     SimConfig,
+    _bm_chunk,
     _chunk_fn,
     _line_ruin_times,
     default_safe_level,
@@ -73,9 +75,26 @@ CASES = {
     # epoch, not at the horizon; 3827 of the 4096 lanes end censored here
     "renewal-fixed-time": ("renewal", 1.0, 3.0, "g2", FixedTime(5.5), 0, WIDTH, 8192),
 }
+# the grid of a tilted simulate (see _chunk_fn), run directly on the
+# tilted cases that estimate takes to the exact engine
+GRID_CASES = {
+    "bm-grid-tail-g1": "bm-tail-g1",
+    "bm-grid-tail-g2": "bm-tail-g2",
+    "bm-grid-fixed-time": "bm-fixed-time",
+}
 
 DIGESTS = {
     "bm-fixed-time": {
+        "tau1": "0d3f4e39049d265c",
+        "tau2": "bc8cf07639c6d11a",
+        "tsim": "4ba7f4f6c114cf1c",
+        "censor": "bd5a8e4a160525e4",
+        "w": "ad7489174fe06d09",
+        "w1": "1e32b3ba1e66c1c9",
+        "w2": "3651b89867e47e9a",
+        "wsim": "12e4a953d5570efa",
+    },
+    "bm-grid-fixed-time": {
         "tau1": "8e742767a5653413",
         "tau2": "91b8440aec9ee7e2",
         "tsim": "d3787267da58951e",
@@ -84,6 +103,26 @@ DIGESTS = {
         "w1": "2b5347788d6607d4",
         "w2": "9a2b0f38725345bb",
         "wsim": "8df77c8671e8e740",
+    },
+    "bm-grid-tail-g1": {
+        "tau1": "cf89157763ea551f",
+        "tau2": "269d0a779b604359",
+        "tsim": "91f3f6037570e6a1",
+        "censor": "cfab9fd2c97bf618",
+        "w": "99e0c31603a1bb86",
+        "w1": "cd31ab409c4354de",
+        "w2": "1ae117b310553692",
+        "wsim": "99e0c31603a1bb86",
+    },
+    "bm-grid-tail-g2": {
+        "tau1": "66efc2d923ff9956",
+        "tau2": "e1508122308f4a63",
+        "tsim": "66efc2d923ff9956",
+        "censor": "07328b3fbbc557fb",
+        "w": "89024cf04c687ea6",
+        "w1": "b7470fd27b67e79f",
+        "w2": "7d82a1418d625c67",
+        "wsim": "b7470fd27b67e79f",
     },
     "bm-lower-cone": {
         "tau1": "66efc2d923ff9956",
@@ -116,23 +155,23 @@ DIGESTS = {
         "wsim": "24a6364936cf2284",
     },
     "bm-tail-g1": {
-        "tau1": "cf89157763ea551f",
-        "tau2": "269d0a779b604359",
-        "tsim": "91f3f6037570e6a1",
+        "tau1": "2042a34b1406c65e",
+        "tau2": "272b559189da40f7",
+        "tsim": "3bb61caacd715e96",
         "censor": "cfab9fd2c97bf618",
-        "w": "99e0c31603a1bb86",
-        "w1": "cd31ab409c4354de",
-        "w2": "1ae117b310553692",
-        "wsim": "99e0c31603a1bb86",
+        "w": "ad7489174fe06d09",
+        "w1": "e5de6b4ed639997e",
+        "w2": "51b63e534b747a2b",
+        "wsim": "5b7e7cfb6e7c0b28",
     },
     "bm-tail-g2": {
         "tau1": "66efc2d923ff9956",
-        "tau2": "e1508122308f4a63",
+        "tau2": "5b7d627d8feb2096",
         "tsim": "66efc2d923ff9956",
-        "censor": "07328b3fbbc557fb",
-        "w": "89024cf04c687ea6",
+        "censor": "cfab9fd2c97bf618",
+        "w": "ad7489174fe06d09",
         "w1": "b7470fd27b67e79f",
-        "w2": "7d82a1418d625c67",
+        "w2": "6422ca7eba45e35f",
         "wsim": "b7470fd27b67e79f",
     },
     "bm-untilted-1-3": {
@@ -245,20 +284,21 @@ def _digest(a: np.ndarray) -> str:
 
 
 def _run(case):
-    name, x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[case]
+    name, x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[GRID_CASES.get(case, case)]
     model2 = MODELS[name]
     cfg = SimConfig(n=chunk_idx * chunk_size + width, seed=7,
                     horizon=horizon or default_safe_level(model2),
                     tilt=None if tilt is None else _tilt(name, tilt),
                     chunk_size=chunk_size)
-    return _chunk_fn(model2, cfg)(model2, x1, x2, cfg, chunk_idx, width)
+    fn = _bm_chunk if case in GRID_CASES else _chunk_fn(model2, cfg)
+    return fn(model2, x1, x2, cfg, chunk_idx, width), width
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(GRID_CASES))
 def test_engine_arrays_are_pinned(case):
-    res = _run(case)
+    res, width = _run(case)
     assert set(res) == set(ARRAYS)
-    assert all(res[k].shape == (CASES[case][6],) for k in ARRAYS)
+    assert all(res[k].shape == (width,) for k in ARRAYS)
     assert {k: _digest(res[k]) for k in ARRAYS} == DIGESTS[case]
 
 

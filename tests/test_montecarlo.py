@@ -27,6 +27,7 @@ from ruin2d.models import (
     Renewal,
     StandardBrownian,
     TwoLineModel,
+    adjustment,
     deterministic_dist,
     exponential_dist,
 )
@@ -41,7 +42,7 @@ from ruin2d.montecarlo import (
     estimate,
     simulate,
 )
-from ruin2d.twodim import RuinQuery, exact
+from ruin2d.twodim import _EVENTS, RuinQuery, exact
 
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 BM = TwoLineModel(StandardBrownian(), 3.0, 1.0)
@@ -180,6 +181,49 @@ class TestExactBrownian:
             # a lane without SIM by t could still show it later
             assert b.censor_reason == (None if b.tau_sim <= t else "fixed_time")
         assert {b.censor_reason for b in fixed} == {None, "fixed_time"}
+
+
+class TestTiltedExactBrownian:
+    """A tilted Brownian ``estimate`` runs the exact engine at premiums
+    p_i + c and weighs each event at its exact epoch, where the claim
+    level is the barrier's; bands at 4 sigma."""
+
+    G1, G2 = adjustment(BM).gamma1, adjustment(BM).gamma2
+    N = 983_040
+
+    def test_zero_tilt_is_the_untilted_stream(self):
+        plain = cfg(20_000, 5, default_safe_level(BM))
+        zero = cfg(20_000, 5, default_safe_level(BM), tilt=0.0)
+        assert estimate(BM, 1.0, 3.0, _EVENTS, zero) == estimate(BM, 1.0, 3.0, _EVENTS, plain)
+        assert (list(simulate(BM, 1.0, 3.0, cfg(2_000, 5, default_safe_level(BM), tilt=0.0)))
+                == list(simulate(BM, 1.0, 3.0, cfg(2_000, 5, default_safe_level(BM)))))
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_weights_take_the_closed_form(self, line):
+        # at c = -gamma_i the weight at line i's ruin is exp(-gamma_i x_i)
+        # whatever the epoch, and the line drifts down, so it always ruins
+        x1, x2 = 2.0, 4.0
+        gamma, x = (self.G1, x1) if line == 1 else (self.G2, x2)
+        config = cfg(16_384, 13, default_safe_level(BM), tilt=-gamma)
+        for res in _run_chunks(BM, x1, x2, config):
+            assert np.isfinite(res[f"tau{line}"]).all()
+            np.testing.assert_allclose(res[f"w{line}"], math.exp(-gamma * x), rtol=1e-12, atol=0.0)
+
+    def test_fixed_time_line2_against_finite_ruin(self):
+        x2, t = 3.0, 5.0
+        est = estimate(BM, 1.0, x2, "LINE2", cfg(50_000, 19, FixedTime(t), tilt=-0.75 * self.G2))
+        target = finite_ruin(BM.line2, x2, t).value
+        assert abs(est.p_hat - target) <= 4.0 * est.std_err
+
+    @pytest.mark.parametrize("x1,x2,which,event", [
+        (2.0, 4.0, "g2", "OR"), (2.0, 4.0, "g2", "SIM"), (2.0, 4.0, "g2", "AND"),
+        (2.0, 4.0, "g1", "SIM"), (4.0, 8.0, "g1", "SIM"),
+    ])
+    def test_large_n_against_exact(self, x1, x2, which, event):
+        c = -self.G1 if which == "g1" else -0.75 * self.G2
+        est = estimate(BM, x1, x2, event, cfg(self.N, 31, default_safe_level(BM), tilt=c))
+        z = (est.p_hat - exact(BM, RuinQuery(event, x1, x2)).value) / est.std_err
+        assert abs(z) <= 4.0, f"{event} at ({x1:g}, {x2:g}), c={c:g}: z={z:+.2f}"
 
 
 class TestReproducibility:
