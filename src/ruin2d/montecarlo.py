@@ -30,7 +30,10 @@ a chunk that resolves in its first rounds draws few of them.  The rest
 is array passes and a fixed Python overhead per step.  The jump engine
 advances its lanes by sub-blocks sized by rounds x lanes (about
 _SUB_BLOCK values: one round at full width, up to a claim piece when few
-lanes are live), so that overhead is paid once per sub-block.
+lanes are live), so that overhead is paid once per sub-block.  Its
+running sums are taken row by row, one numpy call per round over all
+the sub-block's lanes, since numpy's accumulate along the round axis
+runs a short strided loop per lane (see ``_Blocks.walk``).
 ``_Events`` spends its calls on the lanes with something new only.  Each
 grid engine compacts its slots at one place per pass, when
 ``_Events.compact`` finds an eighth of them held by stopped lanes (or
@@ -450,7 +453,11 @@ class _Blocks:
         """Epochs and claim totals of the slots, at times t and claim
         totals s now, after each of the next R <= limit rounds: two
         (R, slots) arrays, summed round by round as one round at a time
-        would."""
+        would.  The running sums add one row to the next, R - 1 calls
+        over whole rows: ``np.add.accumulate(axis=0)`` makes the same
+        additions in the same order, but loops over the rounds of one
+        slot at a time, 4-25x slower on the wide sub-blocks of the first
+        rounds and faster only on thin late ones."""
         nl = t.size
         if self.row == _BLOCK:
             self.gaps = self.ia.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
@@ -472,9 +479,9 @@ class _Blocks:
             T, S = gaps.take(self.pos, axis=1), claims.take(self.pos, axis=1)
         T[0] += t
         S[0] += s
-        if R > 1:
-            np.add.accumulate(T, axis=0, out=T)
-            np.add.accumulate(S, axis=0, out=S)
+        for r in range(1, R):
+            np.add(T[r - 1], T[r], out=T[r])
+            np.add(S[r - 1], S[r], out=S[r])
         return T, S
 
     def keep(self, live: np.ndarray) -> None:

@@ -7,10 +7,16 @@ sample after another: a draw of n values in pieces gives the values, and
 leaves the stream where, one draw of n would.  These tests pin that
 premise, so that a numpy upgrade that breaks it fails here, and check
 that ``_Blocks`` reads the rows of the eager ``(128, lanes)`` draw.
+
+``walk`` sums a sub-block's rounds one row at a time, which makes the
+additions of ``np.add.accumulate(axis=0)`` in the same order; that
+premise is pinned here too.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruin2d.models import deterministic_dist, exponential_dist
 from ruin2d.montecarlo import _BLOCK, _Blocks, _chunk_rng
@@ -32,6 +38,30 @@ def test_pieces_equal_one_draw(dist, lanes):
     parts = np.concatenate([d.sample(lazy, rows * lanes) for rows in PIECES])
     assert np.array_equal(parts, whole)
     assert np.array_equal(lazy.random(4), eager.random(4))
+
+
+def _row_sums(x):
+    """Running sums over the rows of x, one row at a time, as ``walk``
+    takes them."""
+    out = x.copy()
+    for r in range(1, out.shape[0]):
+        np.add(out[r - 1], out[r], out=out[r])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 64), st.sampled_from(["exponential", "mixed"]),
+       st.integers(0, 2**32 - 1))
+def test_row_sums_equal_accumulate(data, rows, kind, seed):
+    lanes = data.draw(st.integers(1, 16384 // rows), label="lanes")
+    rng = np.random.default_rng(seed)
+    if kind == "exponential":
+        x = rng.exponential(0.5, (rows, lanes))
+    else:  # both signs, magnitudes 2**-60 to 2**60
+        x = rng.choice([-1.0, 1.0], (rows, lanes)) * np.ldexp(
+            rng.random((rows, lanes)), rng.integers(-60, 61, (rows, lanes)))
+    x[0] += rng.uniform(1.0, 1e3, lanes)  # a walk starts from t, s > 0
+    assert np.array_equal(_row_sums(x), np.add.accumulate(x, axis=0))
 
 
 def _eager_blocks(seed, chunk, widths):

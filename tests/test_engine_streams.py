@@ -304,16 +304,21 @@ def test_engine_arrays_are_pinned(case):
 
 # (driver, premium, x, n, salt, t_cap in units of x / |drift|): the
 # single-line ruin times that check_limits("lln_ruin_time") averages; n
-# spans one full and one partial chunk, and a cap of 1 leaves paths unruined
+# spans one full and one partial chunk, and a cap of 1 leaves paths
+# unruined.  The renewal case's partial chunk has 4096 lanes, so its
+# sub-blocks hold two rounds from the first (its digest was taken with
+# the engine that summed rounds by np.add.accumulate)
 LINE_CASES = {
     "cpe-lln-x10": (CompoundPoissonExp(2.0, 2.0), 0.5, 10.0, 9000, 1, 50.0),
     "cpe-lln-capped": (CompoundPoissonExp(2.0, 2.0), 0.5, 10.0, 9000, 1, 1.0),
     "bm-lln-x10": (StandardBrownian(), -0.5, 10.0, 9000, 2, 50.0),
+    "renewal-lln-x10": (RW.driver, 0.3, 10.0, 12288, 1, 50.0),
 }
 LINE_DIGESTS = {
     "bm-lln-x10": "c97c1c2e046f6b30",
     "cpe-lln-capped": "51a43434c301f5c9",
     "cpe-lln-x10": "1c9af0cf9cc488d9",
+    "renewal-lln-x10": "4daf8fef386b3944",
 }
 
 

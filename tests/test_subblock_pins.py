@@ -4,9 +4,12 @@ claim pieces and refills.
 The jump engine draws a block of rounds at each refill and reads it in
 pieces.  These cases sit where that bookkeeping can slip: a chunk that
 stops inside its first few rounds, chunks whose late refills hold a
-handful of lanes (so their rounds run many at a time), and horizon
-censoring on both sides of a refill.  The digests were computed with the
-one-round-at-a-time engine; any engine change must leave them unchanged.
+handful of lanes (so their rounds run many at a time), horizon
+censoring on both sides of a refill, and the 4096-lane chunk of a
+``compare --n 4096`` run, whose sub-blocks hold two rounds from the
+first.  The digests were computed with the one-round-at-a-time engine
+(the 4096-lane one with the engine that summed rounds by
+``np.add.accumulate``); any engine change must leave them unchanged.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from ruin2d.montecarlo import FixedTime, SimConfig, _jump_chunk, default_safe_le
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 ARRAYS = ("tau1", "tau2", "tsim", "censor", "w", "w1", "w2", "wsim")
 
-# case id: (x1, x2, tilt ("g1" = -gamma1, "g2" = -0.75 gamma2),
+# case id: (x1, x2, tilt (None, "g1" = -gamma1, "g2" = -0.75 gamma2),
 #           horizon (None = default_safe_level), chunk index, width, chunk_size)
 CASES = {
     # every lane stops within 7 rounds: the chunk never leaves its first piece
@@ -33,6 +36,10 @@ CASES = {
     # 1804 of 2048 lanes are censored at the horizon, between rounds 113
     # and 204, on both sides of the refill at round 128
     "cpe-fixed-time-refill": (1.0, 3.0, "g2", FixedTime(100.0), 1, 2048, 2048),
+    # the CLI's --n 4096 chunk at (1, 3): 8192 // 4096 = 2 rounds per
+    # sub-block from round 1; chunk 1, a stream that test_engine_streams'
+    # cpe-untilted-1-3 (chunk 0) does not read
+    "cpe-untilted-4096": (1.0, 3.0, None, None, 1, 4096, 4096),
 }
 
 DIGESTS = {
@@ -76,6 +83,16 @@ DIGESTS = {
         "w2": "13a6d67b72d74ec5",
         "wsim": "e3307df18029bad1",
     },
+    "cpe-untilted-4096": {
+        "tau1": "e0071a0644969e25",
+        "tau2": "43c785557c40860a",
+        "tsim": "eace3c8f55e85437",
+        "censor": "e178f0ff15118b9d",
+        "w": "ad7489174fe06d09",
+        "w1": "010a18401e59d8a8",
+        "w2": "64fe30a3a1f74962",
+        "wsim": "99009feaf9072bb6",
+    },
 }
 
 
@@ -88,7 +105,7 @@ def _digest(a: np.ndarray) -> str:
 def _run(case):
     x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[case]
     adj = adjustment(CPE)
-    c = -adj.gamma1 if tilt == "g1" else -0.75 * adj.gamma2
+    c = {None: None, "g1": -adj.gamma1, "g2": -0.75 * adj.gamma2}[tilt]
     cfg = SimConfig(n=chunk_idx * chunk_size + width, seed=7,
                     horizon=horizon or default_safe_level(CPE), tilt=c,
                     chunk_size=chunk_size)
