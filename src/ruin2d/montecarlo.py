@@ -3,43 +3,35 @@
 Event-driven simulation is exact for the jump drivers: the claim
 surplus is nondecreasing between epochs while both reserve lines rise,
 so every ruin (and every simultaneous-ruin spell) can only begin at a
-claim instant.  A Brownian ``estimate`` needs no time grid, tilted or
-not: ``_bm_exact_chunk`` draws the claim level at the crossing time T,
-where both barriers meet, and then every crossing and its epoch exactly,
-at premiums p_i + c under a tilt c.  Each event is {tau < inf} for a
-stopping time tau at which the claim level is the barrier's, so its
-weight is taken exactly there.  Only a tilted ``simulate`` keeps the
-grid engine, ``_bm_chunk``, which reports a path weight for every record
-(see ``_chunk_fn``): it draws exact Gaussian checkpoints and accounts
-for within-segment excursions with bridge crossing probabilities
-against each linear barrier piece; because the checkpoint grid is
-aligned to T, every barrier is linear on every segment and the event
-indicators carry no discretisation bias.  Checkpoint spacing only
-limits the resolution of the reported crossing times.
+claim instant.  The Brownian driver needs no time grid, tilted or not:
+``_bm_exact_chunk`` draws the claim level at the crossing time T, where
+both barriers meet, and then every crossing and its epoch exactly, at
+premiums p_i + c under a tilt c.
 
-The engines keep their per-chunk bookkeeping (outputs, live-lane flags,
-first sightings, stopping, FixedTime censoring, weights) in one core,
-``_Events``, and add only their draws, crossing and safe-level tests; the
-jump engine and ``_line_ruin_times`` read their draws through ``_Blocks``.
+The jump engine keeps its per-chunk bookkeeping (outputs, live-lane
+flags, first sightings, stopping, FixedTime censoring) in one core,
+``_Events``, and adds only its draws, crossing and safe-level tests; it
+and ``_line_ruin_times`` read their draws through ``_Blocks``.  The exact
+Brownian engine fills the same outputs, and both weigh them in
+``_Events.result``.
 
-Cost model.  The draws take about half of each grid engine's time, and
-the stream contract fixes them: a Brownian segment draws at full width
-and a jump refill draws the gaps of _BLOCK rounds for its live lanes.
-Claims are drawn on demand, in pieces of 8, 8, 16, 32 and 64 rounds, so
-a chunk that resolves in its first rounds draws few of them.  The rest
-is array passes and a fixed Python overhead per step.  The jump engine
-advances its lanes by sub-blocks sized by rounds x lanes (about
-_SUB_BLOCK values: one round at full width, up to a claim piece when few
-lanes are live), so that overhead is paid once per sub-block.  Its
-running sums are taken row by row, one numpy call per round over all
+Cost model.  The draws take about half of the jump engine's time, and
+the stream contract fixes them: a refill draws the gaps of _BLOCK rounds
+for its live lanes.  Claims are drawn on demand, in pieces of 8, 8, 16,
+32 and 64 rounds, so a chunk that resolves in its first rounds draws few
+of them.  The rest is array passes and a fixed Python overhead per step.
+The engine advances its lanes by sub-blocks sized by rounds x lanes
+(about _SUB_BLOCK values: one round at full width, up to a claim piece
+when few lanes are live), so that overhead is paid once per sub-block.
+Its running sums are taken row by row, one numpy call per round over all
 the sub-block's lanes, since numpy's accumulate along the round axis
-runs a short strided loop per lane (see ``_Blocks.walk``).
-``_Events`` spends its calls on the lanes with something new only.  Each
-grid engine compacts its slots at one place per pass, when
-``_Events.compact`` finds an eighth of them held by stopped lanes (or
-any, before a jump refill).  The exact Brownian engine makes one pass,
-tilted or not: three full-width draws, then a normal and a uniform per
-crossing; a tilt adds one pass to record the claim levels.
+runs a short strided loop per lane (see ``_Blocks.walk``).  ``_Events``
+spends its calls on the lanes with something new only.  The engine
+compacts its slots at one place per pass, when ``_Events.compact`` finds
+an eighth of them held by stopped lanes (or any, before a refill).  The
+exact Brownian engine makes one pass, tilted or not: three full-width
+draws, then a normal and a uniform per crossing; a tilt adds one pass to
+record the claim levels.
 
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
@@ -49,12 +41,14 @@ changes any emitted number.
 
 Importance sampling follows the classical exponential change of
 measure: under a tilt ``c`` the claim dynamics are exchanged for their
-tilted family member and every path carries the likelihood weight
-``exp(-c Z(t_stop) + kappa(c) t_stop)`` where ``Z = p2 t - S``.  The
-weight is insensitive to which line it is written against because the
-premium parts cancel.  The renewal driver has no continuous-time
-cumulant, so its weight uses the per-step analogue
+tilted family member, and each event is weighed at its own epoch tau,
+the first time it is known, with ``exp(-c Z(tau) + kappa(c) tau)`` where
+``Z = p2 t - S``.  The weight is insensitive to which line it is written
+against because the premium parts cancel.  The renewal driver has no
+continuous-time cumulant, so its weight uses the per-step analogue
 ``exp(-c Z_n + n phi(c))`` with ``phi(c) = log E exp(c (p2 z - s))``.
+``estimate`` averages these weights, 0 where the event did not happen,
+and ``simulate`` reports them per record in ``PathRecord.weights``.
 """
 
 from __future__ import annotations
@@ -100,7 +94,6 @@ _PIECE = 8  # claim rows of a block's first piece; each later piece ends at twic
 _SUB_BLOCK = 8192  # about rounds x slots per step of the jump engine (see _Blocks)
 _MAX_ROUNDS = 5_000_000  # a jump chunk still live after this many rounds is a bug
 _MASK64 = (1 << 64) - 1
-_EXP_FLOOR = -40.0  # bridge exponents are clipped here; see _bridge_hit
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +202,17 @@ class SimConfig:
 @dataclass(frozen=True)
 class PathRecord:
     """One simulated path.  Censored times are +inf; ``censor_reason``
-    says why anything was left unobserved (or declared by retirement)."""
+    says why anything was left unobserved (or declared by retirement).
+    ``weights`` maps each event name to the value that ``estimate``
+    averages for it: the likelihood weight at the event's epoch, 0 where
+    the event did not happen (1 where it did, untilted)."""
 
     tau1: float
     tau2: float
     tau_or: float
     tau_sim: float
     censor_reason: Optional[str]
-    likelihood_weight: float = 1.0
+    weights: Dict[str, float] = field(hash=False)  # a dict does not hash; the times do
 
     def __post_init__(self) -> None:
         if math.isfinite(self.tau1) or math.isfinite(self.tau2):
@@ -225,7 +221,7 @@ class PathRecord:
         if math.isfinite(self.tau_sim):
             if self.tau_sim + 1e-12 < max(self.tau1, self.tau2):
                 raise InternalInconsistency("tau_sim below an individual ruin time")
-        if self.likelihood_weight < 0.0:
+        if min(self.weights.values()) < 0.0:
             raise InternalInconsistency("negative likelihood weight")
 
 
@@ -262,7 +258,8 @@ def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# per-chunk event bookkeeping, shared by both chunk engines
+# per-chunk event bookkeeping: the outputs of both chunk engines, and the
+# sightings and stops of the jump engine
 
 _CENSOR_SAFE = 1
 _CENSOR_TIME = 2
@@ -278,11 +275,10 @@ class _Events:
     shows anything new, until the engine calls ``compact`` at the top of
     a pass, so the slots stay put through a pass.  Each event (LINE1,
     LINE2, SIM) records the time, claim level and step count of its first
-    sighting in its row of tau, s_e and n_e, so its importance weight
-    stops accumulating variance once the event is decided instead of
-    drifting until the whole record resolves.  A stopped lane records the
-    time, claim level and step count at which its path weight is taken;
-    for a lane censored at a FixedTime horizon the engine passes them.
+    sighting in its row of tau, s_e and n_e, where its importance weight
+    is taken: the weight stops accumulating variance once the event is
+    decided instead of drifting until the whole record resolves.  A lane
+    that no event decides has no weight, only its censor code.
 
     Cost model: a step makes a few passes over its (5, R, slots)
     sightings to find the lanes with something new, then a fixed number
@@ -295,9 +291,6 @@ class _Events:
         self.tau = np.full((3, width), math.inf)
         self.s_e = np.zeros((3, width))
         self.n_e = np.zeros((3, width), dtype=np.int64)
-        self.stop_t = np.zeros(width)
-        self.stop_s = np.zeros(width)
-        self.nstep = np.zeros(width, dtype=np.int64)
         self.censor = np.zeros(width, dtype=np.int8)
         self.ids = np.arange(width)
         # sighted so far, per slot: line 1 ruined, line 2 ruined, SIM, line 1
@@ -306,7 +299,7 @@ class _Events:
         self.seen = np.zeros((5, width), dtype=bool)
         self.dead = 0  # stopped lanes that still hold a slot (see compact)
 
-    def step(self, hits: np.ndarray, t, s: np.ndarray, n: int) -> None:
+    def step(self, hits: np.ndarray, t: np.ndarray, s: np.ndarray, n: int) -> None:
         """Record the first sightings among the live lanes over a
         sub-block of R rounds and stop every lane whose record is decided:
         each line is ruined or retired, and SIM has happened or cannot be
@@ -315,8 +308,8 @@ class _Events:
 
         hits is a (5, R, slots) bool array, in the order of ``seen``: a
         line below zero, both at once, a line past the safe level.  t and s
-        are the times and claim levels of the rounds, (R, slots) arrays, or
-        for t one time that every lane shares; round r is step n + r."""
+        are the times and claim levels of the rounds, (R, slots) arrays;
+        round r is step n + r."""
         R = hits.shape[1]
         news = np.greater(hits[:, 0] if R == 1 else hits.any(axis=1), self.seen)
         idx = news.any(axis=0).nonzero()[0]
@@ -329,12 +322,11 @@ class _Events:
         f1, f2, fs, g1, g2 = first
         k = np.maximum(np.maximum(np.minimum(f1, g1), np.minimum(f2, g2)),
                        np.minimum(fs, np.minimum(g1, g2)))
-        per_lane = isinstance(t, np.ndarray)
         e, j = np.nonzero(new[:3] & (first[:3] <= k))
         if e.size:
             r, lanes = first[e, j], idx[j]
-            dest = e * self.stop_t.size + self.ids[lanes]  # into the raveled outputs
-            self.tau.reshape(-1)[dest] = t[r, lanes] if per_lane else t
+            dest = e * self.censor.size + self.ids[lanes]  # into the raveled outputs
+            self.tau.reshape(-1)[dest] = t[r, lanes]
             self.s_e.reshape(-1)[dest] = s[r, lanes]
             self.n_e.reshape(-1)[dest] = n + r
         # the lanes that stop below get every flag, so the extra ones are moot
@@ -342,21 +334,14 @@ class _Events:
         done = (k < R).nonzero()[0]
         if not done.size:
             return
-        lanes, r = idx[done], k[done]
-        t_k = t[r, lanes] if per_lane else t
         # a decided lane that misses an event has retired a line
-        declared = np.maximum(np.maximum(f1[done], f2[done]), fs[done]) > r
-        self.stop(lanes, t_k, s[r, lanes], n + r, np.where(declared, _CENSOR_SAFE, 0))
+        declared = np.maximum(np.maximum(f1[done], f2[done]), fs[done]) > k[done]
+        self.stop(idx[done], np.where(declared, _CENSOR_SAFE, 0))
 
-    def stop(self, lanes: np.ndarray, t, s, n, code) -> None:
-        """Stop the live lanes at indices lanes, to be weighed at time t,
-        claim level s and step count n, with censor code code; each is one
+    def stop(self, lanes: np.ndarray, code) -> None:
+        """Stop the live lanes at indices lanes with censor code code, one
         value per stopped lane or one value for all."""
-        k = self.ids[lanes]
-        self.stop_t[k] = t
-        self.stop_s[k] = s
-        self.nstep[k] = n
-        self.censor[k] = code
+        self.censor[self.ids[lanes]] = code
         self.seen[:, lanes] = True
         self.dead += lanes.size
 
@@ -369,7 +354,7 @@ class _Events:
         has every flag, since that decides its record."""
         return ~self.seen.all(axis=0)
 
-    def compact(self, refill: bool = False) -> Optional[np.ndarray]:
+    def compact(self, refill: bool) -> Optional[np.ndarray]:
         """Drop the slots of stopped lanes once an eighth of the slots are
         stopped ones, or once any are if refill (a jump refill draws for
         the live lanes alone): compacting every array of a wide chunk costs
@@ -393,12 +378,10 @@ class _Events:
             raise InternalInconsistency("SIM recorded before a line's ruin")
 
     def result(self, model2: TwoLineModel, cfg: SimConfig) -> dict:
-        """The chunk's arrays.  Every lane has stopped, so its path weight
-        is the event weight of its stop."""
-        w = _event_weight(model2, cfg, self.stop_t, self.stop_s, self.nstep)
+        """The chunk's arrays: each event's epoch and its weight there."""
         w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
         return {"tau1": self.tau[0], "tau2": self.tau[1], "tsim": self.tau[2],
-                "censor": self.censor, "w": w, "w1": w1, "w2": w2, "wsim": wsim}
+                "censor": self.censor, "w1": w1, "w2": w2, "wsim": wsim}
 
 
 def _log_weight(model2: TwoLineModel, c: float, t, s, n):
@@ -495,12 +478,6 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     ia, cl = d.jump_dists()
     blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
     t_hor, level = cfg.horizon.limits()
-    # A lane censored at a deterministic horizon carries the weight at the
-    # horizon when its gaps are exponential: the Levy form holds at any
-    # time, and for a renewal walk the memoryless survival ratio extends
-    # the epoch value there.  A deterministic gap has ratio 1, so its
-    # weight stays at the last epoch.
-    at_epoch = not math.isfinite(ia.mgf_sup)
     ev = _Events(width)
 
     # per-slot state, compacted with ev's slots; every live lane has taken
@@ -533,13 +510,8 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         if over is not None:
             hits &= ~over  # a lane past the horizon sees nothing from that round on
         ev.step(hits, T, S, steps + 1)
-        if over is not None:
-            # and, if still live, stops at its last epoch before the horizon
-            lanes = np.flatnonzero(over[-1] & ev.live())
-            r = over[:, lanes].argmax(axis=0)
-            t_e = np.where(r > 0, T[r - 1, lanes], t[lanes])
-            s_e = np.where(r > 0, S[r - 1, lanes], s[lanes])
-            ev.stop(lanes, t_e if at_epoch else t_hor, s_e, steps + r, _CENSOR_TIME)
+        if over is not None:  # and, if still live, stops there
+            ev.stop(np.flatnonzero(over[-1] & ev.live()), _CENSOR_TIME)
         t, s = T[-1], S[-1]
         steps += R
 
@@ -548,111 +520,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 
 
 # ---------------------------------------------------------------------------
-# Brownian grid chunk engine: a tilted simulate only (see _chunk_fn)
-
-
-def _bm_segments(T: float, t_hor: float) -> Iterator[Tuple[float, float]]:
-    """Checkpoint pairs up to t_hor: at least 64 per unit time up to T, so
-    that T is a checkpoint, then one per unit time."""
-    n1 = max(1, math.ceil(T / (min(T, 1.0) / 64.0))) if T > 0.0 else 0
-    h1 = T / max(n1, 1)
-    t, k = 0.0, 0
-    while t < t_hor:
-        k += 1
-        t1 = min(k * h1 if k <= n1 else t + 1.0, t_hor)
-        if t1 <= t:
-            return
-        yield t, t1
-        t = t1
-
-
-def _bridge_hit(g0: np.ndarray, g1: np.ndarray, h: float, u: np.ndarray,
-                small: Optional[np.ndarray], out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Whether a Brownian bridge over a segment of length h, at distances
-    g0 and g1 above a linear barrier at its ends, crosses it: certain if
-    an endpoint touches, otherwise with probability exp(-2 g0 g1 / h),
-    decided by the uniform u.  The exponent overflows only where an
-    endpoint touches, and is not used there; callers run this under
-    ``np.errstate(over="ignore")``.
-
-    Most exponents of a far-from-barrier lane lie deep below zero, where
-    np.exp is many times slower (underflow and subnormal results), so
-    they are clipped at _EXP_FLOOR first, and at 0 above, where the
-    probability is 1 and u < 1 passes either way.  exp(_EXP_FLOOR) <
-    2**-53, the grid of ``Generator.random``, so a lane clipped below can
-    pass the test only with u == 0.  small is None or the lanes with
-    u < exp(_EXP_FLOOR), which the caller finds once for all barriers of a
-    segment; those lanes are decided again on the exact exponent."""
-    e = -2.0 * g0
-    e *= g1
-    e /= h
-    np.exp(np.clip(e, _EXP_FLOOR, 0.0, out=e), out=e)
-    hit = np.less(u, e, out=out)
-    hit |= np.minimum(g0, g1) <= 0.0
-    if small is not None:
-        a, b = g0[small], g1[small]
-        e = np.minimum(-2.0 * a * b / h, 0.0)
-        hit[small] = (a <= 0.0) | (b <= 0.0) | (u[small] < np.exp(e))
-    return hit
-
-
-def _bm_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
-              chunk_idx: int, width: int) -> dict:
-    p1, p2 = model2.p1, model2.p2
-    rng = _chunk_rng(cfg.seed, chunk_idx)
-    c = cfg.tilt
-    t_hor, level = cfg.horizon.limits()
-    T = crossing_time(x1, x2, p1, p2)
-    ev = _Events(width)
-
-    # per-slot state, compacted with ev's slots.  The stream contract draws
-    # every segment at full width; the lane in slot j reads column ids[j]
-    wS = np.zeros(width)  # claim process S = W at the current checkpoint
-    slow = max(min(abs(p1 + c), abs(p2 + c)), 1e-3)  # the slower line decides when a lane resolves
-    t_retire = (level + max(x1, x2)) * 10.0 / slow + 100.0 * (T + 1.0)
-    for t0, t1 in _bm_segments(T, t_hor):
-        if not ev.running():
-            break
-        if t0 > t_retire:
-            raise InternalInconsistency("Brownian engine failed to resolve a chunk")
-        live = ev.compact()
-        if live is not None:
-            wS = wS[live]
-        h = t1 - t0
-        ids = ev.ids
-        z = rng.standard_normal(width)
-        u = rng.random(width)
-        if ids.size < width:
-            z, u = z.take(ids), u.take(ids)
-        z *= math.sqrt(h)
-        z += wS
-        z -= c * h
-        small = u < math.exp(_EXP_FLOOR)
-        small = small if small.any() else None
-
-        # one segment of step's sightings (see _Events.step)
-        hits = np.zeros((5, 1, ids.size), dtype=bool)
-        with np.errstate(over="ignore"):
-            _bridge_hit((x1 + p1 * t0) - wS, (x1 + p1 * t1) - z, h, u, small, out=hits[0, 0])
-            _bridge_hit((x2 + p2 * t0) - wS, (x2 + p2 * t1) - z, h, u, small, out=hits[1, 0])
-        hits[2] = hits[1] if t1 <= T else hits[0]  # upper envelope piece
-        if level < math.inf:
-            np.less(z, p1 * t1 - level, out=hits[3, 0])
-            np.less(z, p2 * t1 - level, out=hits[4, 0])
-        # crossings are only localised to a segment, so its end is the
-        # earliest stopping time at which an event is known
-        ev.step(hits, t1, z.reshape(1, -1), 0)
-        wS = z
-
-        if t1 >= t_hor:
-            lanes = np.flatnonzero(ev.live())
-            ev.stop(lanes, t_hor, z[lanes], 0, _CENSOR_TIME)
-            break
-    return ev.result(model2, cfg)
-
-
-# ---------------------------------------------------------------------------
-# exact Brownian chunk engine: every estimate and an untilted simulate
+# exact Brownian chunk engine
 
 
 def _passage(rng: np.random.Generator, a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -704,9 +572,7 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     Under a tilt every event A is {tau_A < inf} for a stopping time tau_A,
     at which the claim level is the barrier's, so the weight taken there
     gives E_c[L(tau_A); tau_A < inf] = P(A) with no truncation (Siegmund
-    1976).  The path weight ``w`` of a record with no event has no such
-    value, so ``simulate`` reads this engine only where the weights are 1
-    (see ``_chunk_fn``)."""
+    1976), for ``estimate`` and for each record of ``simulate`` alike."""
     p1, p2 = model2.p1, model2.p2
     c = 0.0 if cfg.tilt is None else cfg.tilt
     q1, q2 = p1 + c, p2 + c
@@ -765,27 +631,17 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
 # public driving functions
 
 
-def _chunk_fn(model2: TwoLineModel, cfg: SimConfig, records: bool = False):
-    """The chunk engine of a run; records is True for ``simulate``.
-
-    Every Brownian run takes the exact engine except a tilted ``simulate``
-    (c != 0), which keeps the grid of ``_bm_chunk``.  A record's
-    ``likelihood_weight`` is the path weight at its stop.  The exact
-    engine retires nothing, and for c != 0 the tilted and untilted laws
-    of an untruncated record are mutually singular, so it has no unbiased
-    weight; the grid's SafeLevel retirement gives it one."""
-    if not isinstance(model2.line2.driver, StandardBrownian):
-        return _jump_chunk
-    return _bm_chunk if records and cfg.tilt else _bm_exact_chunk
+def _chunk_fn(model2: TwoLineModel):
+    """The chunk engine of a run: the exact engine for the Brownian
+    driver, the jump engine for the others."""
+    return _bm_exact_chunk if isinstance(model2.line2.driver, StandardBrownian) else _jump_chunk
 
 
-def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
-                records: bool = False):
+def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
     """Yield per-chunk result dicts in chunk order, fanning the chunk
     computations out over cfg.workers threads.  At most 2 * workers
-    chunks are in flight, so memory stays flat in n.  records is True
-    for ``simulate`` (see ``_chunk_fn``)."""
-    fn = _chunk_fn(model2, cfg, records)
+    chunks are in flight, so memory stays flat in n."""
+    fn = _chunk_fn(model2)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
     jobs = ((model2, x1, x2, cfg, i, min(cfg.chunk_size, cfg.n - i * cfg.chunk_size))
             for i in range(n_chunks))
@@ -807,29 +663,23 @@ def simulate(model2: TwoLineModel, x1: float, x2: float,
              config: SimConfig) -> Iterator[PathRecord]:
     """Stream PathRecords for n paths of the two-line model.
 
-    A tilted run on a Brownian model walks the time grid of ``_bm_chunk``,
-    whose SafeLevel retirement gives every record a likelihood weight;
-    ``estimate`` draws every Brownian event exactly (see ``_chunk_fn``)."""
+    Each record's ``weights`` holds, per event, the value that ``estimate``
+    averages on the same path, so the records of a run reassemble its
+    estimates (see ``_event_value``)."""
     _check_reserves(x1, x2)
     config.horizon.check(model2, x1, x2, config.tilt)
-    for res in _run_chunks(model2, x1, x2, config, records=True):
-        t1, t2, ts = res["tau1"], res["tau2"], res["tsim"]
-        cen, w = res["censor"], res["w"]
-        for k in range(t1.size):
-            yield PathRecord(
-                tau1=float(t1[k]),
-                tau2=float(t2[k]),
-                tau_or=float(min(t1[k], t2[k])),
-                tau_sim=float(ts[k]),
-                censor_reason=_CENSOR_NAMES[int(cen[k])],
-                likelihood_weight=float(w[k]),
-            )
+    for res in _run_chunks(model2, x1, x2, config):
+        cols = [res[k].tolist() for k in ("tau1", "tau2", "tsim", "censor")]
+        rows = zip(*[_event_value(res, e).tolist() for e in _EVENTS])
+        for t1, t2, ts, cen, w in zip(*cols, rows):
+            yield PathRecord(t1, t2, min(t1, t2), ts, _CENSOR_NAMES[cen], dict(zip(_EVENTS, w)))
 
 
 def _event_value(res: dict, event: str) -> np.ndarray:
     """indicator * likelihood weight, the weight taken at the event's own
-    resolution time.  The event-epoch weights are already zero where the
-    event did not happen, so the selections below need no extra masking."""
+    resolution time; ``estimate`` averages it and ``simulate`` reports it.
+    The event-epoch weights are already zero where the event did not
+    happen, so the selections below need no extra masking."""
     if event == "OR":
         return np.where(res["tau1"] <= res["tau2"], res["w1"], res["w2"])
     if event == "AND":
@@ -851,8 +701,9 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
     given.  Every event is read off the same simulated paths, so each
     entry equals the single-name call with the same config bit for bit.
 
-    With a tilt the estimator averages likelihood_weight * indicator and
-    stays unbiased up to the declared horizon truncation.
+    The estimator averages each event's value, its weight at its epoch
+    times its indicator (1 * indicator untilted; see ``_event_value``),
+    and stays unbiased up to the declared horizon truncation.
     """
     many = isinstance(event, (list, tuple))
     names = list(event) if many else [event]

@@ -1,13 +1,13 @@
 """Array-level pins of the Monte Carlo chunk engines.
 
 Every array that the chunk engines return (``_jump_chunk``, and for the
-Brownian driver ``_bm_exact_chunk``, which every ``estimate`` runs, and
-``_bm_chunk``, the grid that a tilted ``simulate`` keeps) is pinned by a
-sha256 of its dtype, shape and bytes.  ``test_golden.py`` pins
-only sums, which a permutation of lanes inside a chunk would leave
-unchanged; these pins catch it.  Under the stream contract lane ``k`` of chunk ``j`` is
-path ``j * chunk_size + k`` and draws from the Philox key ``(seed, j)``,
-so a change that moves any digest here changes the emitted paths.
+Brownian driver ``_bm_exact_chunk``, which every ``estimate`` and
+``simulate`` runs) is pinned by a sha256 of its dtype, shape and
+bytes.  ``test_golden.py`` pins only sums, which a permutation of lanes
+inside a chunk would leave unchanged; these pins catch it.  Under the
+stream contract lane ``k`` of chunk ``j`` is path ``j * chunk_size + k``
+and draws from the Philox key ``(seed, j)``, so a change that moves any
+digest here changes the emitted paths.
 """
 
 import hashlib
@@ -29,7 +29,6 @@ from ruin2d.models import (
 from ruin2d.montecarlo import (
     FixedTime,
     SimConfig,
-    _bm_chunk,
     _chunk_fn,
     _line_ruin_times,
     default_safe_level,
@@ -39,7 +38,7 @@ CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 BM = TwoLineModel(StandardBrownian(), 3.0, 1.0)
 RW = TwoLineModel(Renewal(deterministic_dist(1.0), exponential_dist(2.0)), 3.0, 1.0)
 MODELS = {"cpe": CPE, "bm": BM, "renewal": RW}
-ARRAYS = ("tau1", "tau2", "tsim", "censor", "w", "w1", "w2", "wsim")
+ARRAYS = ("tau1", "tau2", "tsim", "censor", "w1", "w2", "wsim")
 WIDTH = 4096
 TAIL_K = {"cpe": 20.0, "bm": 8.0}
 
@@ -71,16 +70,9 @@ CASES = {
     "cpe-partial-chunk": ("cpe", 1.0, 3.0, None, None, 3, 777, 1024),
     "bm-partial-chunk": ("bm", 1.0, 3.0, None, None, 3, 777, 1024),
     "renewal-tail-g1": ("renewal", 6.0, 12.0, "g1", None, 0, WIDTH, 8192),
-    # deterministic gaps weigh a horizon-censored lane at its last claim
-    # epoch, not at the horizon; 3827 of the 4096 lanes end censored here
+    # deterministic gaps under a FixedTime horizon: 3827 of the 4096
+    # lanes end censored at the horizon
     "renewal-fixed-time": ("renewal", 1.0, 3.0, "g2", FixedTime(5.5), 0, WIDTH, 8192),
-}
-# the grid of a tilted simulate (see _chunk_fn), run directly on the
-# tilted cases that estimate takes to the exact engine
-GRID_CASES = {
-    "bm-grid-tail-g1": "bm-tail-g1",
-    "bm-grid-tail-g2": "bm-tail-g2",
-    "bm-grid-fixed-time": "bm-fixed-time",
 }
 
 DIGESTS = {
@@ -89,47 +81,15 @@ DIGESTS = {
         "tau2": "bc8cf07639c6d11a",
         "tsim": "4ba7f4f6c114cf1c",
         "censor": "bd5a8e4a160525e4",
-        "w": "ad7489174fe06d09",
         "w1": "1e32b3ba1e66c1c9",
         "w2": "3651b89867e47e9a",
         "wsim": "12e4a953d5570efa",
-    },
-    "bm-grid-fixed-time": {
-        "tau1": "8e742767a5653413",
-        "tau2": "91b8440aec9ee7e2",
-        "tsim": "d3787267da58951e",
-        "censor": "4cadafe82fd3cfdb",
-        "w": "46eb5f466b39294c",
-        "w1": "2b5347788d6607d4",
-        "w2": "9a2b0f38725345bb",
-        "wsim": "8df77c8671e8e740",
-    },
-    "bm-grid-tail-g1": {
-        "tau1": "cf89157763ea551f",
-        "tau2": "269d0a779b604359",
-        "tsim": "91f3f6037570e6a1",
-        "censor": "cfab9fd2c97bf618",
-        "w": "99e0c31603a1bb86",
-        "w1": "cd31ab409c4354de",
-        "w2": "1ae117b310553692",
-        "wsim": "99e0c31603a1bb86",
-    },
-    "bm-grid-tail-g2": {
-        "tau1": "66efc2d923ff9956",
-        "tau2": "e1508122308f4a63",
-        "tsim": "66efc2d923ff9956",
-        "censor": "07328b3fbbc557fb",
-        "w": "89024cf04c687ea6",
-        "w1": "b7470fd27b67e79f",
-        "w2": "7d82a1418d625c67",
-        "wsim": "b7470fd27b67e79f",
     },
     "bm-lower-cone": {
         "tau1": "66efc2d923ff9956",
         "tau2": "f4ce840bf4559d93",
         "tsim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "w": "ad7489174fe06d09",
         "w1": "b7470fd27b67e79f",
         "w2": "7ffe119fb5668977",
         "wsim": "b7470fd27b67e79f",
@@ -139,7 +99,6 @@ DIGESTS = {
         "tau2": "b7470fd27b67e79f",
         "tsim": "b7470fd27b67e79f",
         "censor": "cfab9fd2c97bf618",
-        "w": "ad7489174fe06d09",
         "w1": "ad7489174fe06d09",
         "w2": "ad7489174fe06d09",
         "wsim": "ad7489174fe06d09",
@@ -149,7 +108,6 @@ DIGESTS = {
         "tau2": "4677c93f88b232e5",
         "tsim": "160806ddae9b5432",
         "censor": "eff247a723dcedd5",
-        "w": "8431f1d365ba5881",
         "w1": "541d8f86fbcf5ec1",
         "w2": "5ee3165cb684c395",
         "wsim": "24a6364936cf2284",
@@ -159,7 +117,6 @@ DIGESTS = {
         "tau2": "272b559189da40f7",
         "tsim": "3bb61caacd715e96",
         "censor": "cfab9fd2c97bf618",
-        "w": "ad7489174fe06d09",
         "w1": "e5de6b4ed639997e",
         "w2": "51b63e534b747a2b",
         "wsim": "5b7e7cfb6e7c0b28",
@@ -169,7 +126,6 @@ DIGESTS = {
         "tau2": "5b7d627d8feb2096",
         "tsim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "w": "ad7489174fe06d09",
         "w1": "b7470fd27b67e79f",
         "w2": "6422ca7eba45e35f",
         "wsim": "b7470fd27b67e79f",
@@ -179,7 +135,6 @@ DIGESTS = {
         "tau2": "c38d3c6fe836c658",
         "tsim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "w": "ad7489174fe06d09",
         "w1": "84a9d131471e0d60",
         "w2": "cb4be777375afd4e",
         "wsim": "b7470fd27b67e79f",
@@ -189,7 +144,6 @@ DIGESTS = {
         "tau2": "0d51de4dfdf90212",
         "tsim": "f72df7774fc5bde6",
         "censor": "afa4049b6f276076",
-        "w": "5c4f819bab03362c",
         "w1": "fd975edbfd7152f1",
         "w2": "7c334129a7e10653",
         "wsim": "35d71728ae311db7",
@@ -199,7 +153,6 @@ DIGESTS = {
         "tau2": "b6ce2bc542869fd2",
         "tsim": "dc671bc0c81d4d38",
         "censor": "84b1e93ab795ba36",
-        "w": "ad7489174fe06d09",
         "w1": "83d689c55f3aa600",
         "w2": "d358fc1f5f7a75b8",
         "wsim": "83d689c55f3aa600",
@@ -209,7 +162,6 @@ DIGESTS = {
         "tau2": "2e71db3875690764",
         "tsim": "3df3ae3fd949fa4f",
         "censor": "7d432f1b95dfa96e",
-        "w": "ad7489174fe06d09",
         "w1": "64cc72b0abab3419",
         "w2": "633e80fa9a6e3b7b",
         "wsim": "64cc72b0abab3419",
@@ -219,7 +171,6 @@ DIGESTS = {
         "tau2": "8a47ddf990755821",
         "tsim": "0223890070697c7a",
         "censor": "357ad0502f1dc584",
-        "w": "8431f1d365ba5881",
         "w1": "115cf9414fbf42dc",
         "w2": "0f54297aa852e2fb",
         "wsim": "458f5b121d968e85",
@@ -229,7 +180,6 @@ DIGESTS = {
         "tau2": "89cf37114c2fd237",
         "tsim": "89cf37114c2fd237",
         "censor": "cfab9fd2c97bf618",
-        "w": "796b6d51c7d9a0cc",
         "w1": "c34829ca2c65e1a5",
         "w2": "796b6d51c7d9a0cc",
         "wsim": "796b6d51c7d9a0cc",
@@ -239,7 +189,6 @@ DIGESTS = {
         "tau2": "3f7a8ce486408dfe",
         "tsim": "16c289feac32a159",
         "censor": "823c9d10c82e0f53",
-        "w": "ccdce91ad89d3784",
         "w1": "98e393b4caeaf063",
         "w2": "d44c0cb7b21c178c",
         "wsim": "f87646f97a311671",
@@ -249,7 +198,6 @@ DIGESTS = {
         "tau2": "03dfbcea61926899",
         "tsim": "1a1f5af92514bc41",
         "censor": "c114135d41026172",
-        "w": "ad7489174fe06d09",
         "w1": "aadc1f451dd6cc42",
         "w2": "7b1a16472bfd900c",
         "wsim": "744a27c7bc517d9e",
@@ -259,7 +207,6 @@ DIGESTS = {
         "tau2": "3a64aaf5d138a0ad",
         "tsim": "19ce595f4a1dcbb1",
         "censor": "13d045bdd3d7a8f1",
-        "w": "a0ce693369b773c1",
         "w1": "bae0db85a62e0193",
         "w2": "53f63f05e7cdf36a",
         "wsim": "bae0db85a62e0193",
@@ -269,7 +216,6 @@ DIGESTS = {
         "tau2": "6acb9350eceb8509",
         "tsim": "6acb9350eceb8509",
         "censor": "cfab9fd2c97bf618",
-        "w": "d452d7ade08a9da6",
         "w1": "52ca1fee9e8c07f9",
         "w2": "d452d7ade08a9da6",
         "wsim": "d452d7ade08a9da6",
@@ -284,17 +230,16 @@ def _digest(a: np.ndarray) -> str:
 
 
 def _run(case):
-    name, x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[GRID_CASES.get(case, case)]
+    name, x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[case]
     model2 = MODELS[name]
     cfg = SimConfig(n=chunk_idx * chunk_size + width, seed=7,
                     horizon=horizon or default_safe_level(model2),
                     tilt=None if tilt is None else _tilt(name, tilt),
                     chunk_size=chunk_size)
-    fn = _bm_chunk if case in GRID_CASES else _chunk_fn(model2, cfg)
-    return fn(model2, x1, x2, cfg, chunk_idx, width), width
+    return _chunk_fn(model2)(model2, x1, x2, cfg, chunk_idx, width), width
 
 
-@pytest.mark.parametrize("case", sorted(CASES) + sorted(GRID_CASES))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_engine_arrays_are_pinned(case):
     res, width = _run(case)
     assert set(res) == set(ARRAYS)

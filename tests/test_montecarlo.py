@@ -33,6 +33,7 @@ from ruin2d.models import (
 )
 from ruin2d.montecarlo import (
     FixedTime,
+    PathRecord,
     SafeLevel,
     SimConfig,
     _Events,
@@ -55,6 +56,13 @@ RW_GAMMA2 = 1.59362426004004
 
 def cfg(n, seed, horizon=None, **kw):
     return SimConfig(n=n, seed=seed, horizon=horizon or SafeLevel(30.0), **kw)
+
+
+def unit_weights(r):
+    """An untilted record's weights: 1 for each event that happened."""
+    epochs = {"OR": r.tau_or, "SIM": r.tau_sim, "AND": max(r.tau1, r.tau2),
+              "LINE1": r.tau1, "LINE2": r.tau2}
+    return {e: float(math.isfinite(epochs[e])) for e in _EVENTS}
 
 
 class TestConfig:
@@ -89,8 +97,9 @@ class TestRecords:
                 assert r.tau_sim + 1e-12 >= max(r.tau1, r.tau2)
                 sim_ruined += 1
             assert r.censor_reason in (None, "safe_level")
-            assert r.likelihood_weight == 1.0  # untilted runs carry unit weight
+            assert r.weights == unit_weights(r)  # untilted runs carry unit weights
         assert sim_ruined > 0
+        assert records[-1] in set(records)  # records hash, their weights aside
 
     def test_estimate_matches_record_average(self):
         # untilted, the estimator is a plain indicator mean over the
@@ -109,7 +118,7 @@ class TestRecords:
         records = list(simulate(quiet, 1.0, 3.0, cfg(60, 1, FixedTime(1.0))))
         assert all(r.censor_reason == "fixed_time" for r in records)
         assert all(math.isinf(r.tau_or) for r in records)
-        assert all(r.likelihood_weight == 1.0 for r in records)
+        assert all(r.weights == unit_weights(r) for r in records)
 
     def test_first_claim_sinks_both_lines(self):
         # mean claim 5 against reserves 0.01: the opening claim almost
@@ -126,13 +135,36 @@ class TestRecords:
         ev = _Events(2)
         hits = np.zeros((5, 1, 2), dtype=bool)
         hits[:3, 0, 1] = True
-        ev.step(hits, 0.5, np.zeros((1, 2)), 1)
+        ev.step(hits, np.full((1, 2), 0.5), np.zeros((1, 2)), 1)
         ev.check_sim()
         hits[1:3, 0, 0] = True
-        ev.step(hits, 1.0, np.zeros((1, 2)), 2)
+        ev.step(hits, np.full((1, 2), 1.0), np.zeros((1, 2)), 2)
         assert ev.tau[:, 0].tolist() == [math.inf, 1.0, 1.0]
         with pytest.raises(InternalInconsistency, match="SIM recorded before"):
             ev.check_sim()
+
+    def test_negative_weight_is_refused(self):
+        weights = dict.fromkeys(_EVENTS, 0.0)
+        PathRecord(math.inf, math.inf, math.inf, math.inf, None, weights)
+        with pytest.raises(InternalInconsistency, match="negative likelihood weight"):
+            PathRecord(math.inf, math.inf, math.inf, math.inf, None, {**weights, "AND": -1e-300})
+
+    @pytest.mark.parametrize("model", [CPE, BM, RW], ids=["cpe", "bm", "renewal"])
+    @pytest.mark.parametrize("tilt,fixed", [(None, False), (-0.5, False), (-0.5, True)],
+                             ids=["untilted", "tilted", "tilted-fixed-time"])
+    def test_records_reassemble_every_estimate(self, model, tilt, fixed):
+        # each record's weights are the values estimate averages, so their
+        # chunk sums, added in chunk order, give its p_hat bit for bit
+        horizon = FixedTime(5.0) if fixed else default_safe_level(model)
+        config = SimConfig(n=5000, seed=17, horizon=horizon, tilt=tilt, chunk_size=1024)
+        records = list(simulate(model, 1.0, 3.0, config))
+        ests = estimate(model, 1.0, 3.0, _EVENTS, config)
+        for e in _EVENTS:
+            total = 0.0
+            for k in range(0, config.n, config.chunk_size):
+                chunk = records[k:k + config.chunk_size]
+                total += float(np.array([r.weights[e] for r in chunk]).sum())
+            assert total / config.n == ests[e].p_hat, e
 
 
 class TestExactBrownian:
@@ -285,7 +317,7 @@ class TestImportanceSampling:
         for tilt in (None, -1.0):
             config = SimConfig(n=30_000, seed=3, horizon=FixedTime(5.0), tilt=tilt)
             vals = np.fromiter(
-                (r.likelihood_weight * (r.tau2 <= 5.0) for r in simulate(single, 5.0, 5.0, config)),
+                (r.weights["LINE2"] for r in simulate(single, 5.0, 5.0, config)),
                 dtype=float,
             )
             se = vals.std(ddof=1) / math.sqrt(len(vals))

@@ -1,7 +1,9 @@
 """The public surface: the README's library quick start runs as written and
-prints what it says, and the names exported by ``ruin2d`` are pinned, so a
-change to them is a deliberate edit of this file."""
+prints what it says, and the names exported by ``ruin2d`` and the fields
+of ``PathRecord`` are pinned, so a change to them is a deliberate edit of
+this file."""
 
+import dataclasses
 import re
 from pathlib import Path
 
@@ -50,3 +52,8 @@ def test_readme_quick_start_prints_what_it_says():
 
 def test_public_names_are_pinned():
     assert sorted(ruin2d.__all__) == PUBLIC_NAMES
+
+
+def test_path_record_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(ruin2d.PathRecord)] == [
+        "tau1", "tau2", "tau_or", "tau_sim", "censor_reason", "weights"]

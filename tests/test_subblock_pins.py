@@ -21,7 +21,7 @@ from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment
 from ruin2d.montecarlo import FixedTime, SimConfig, _jump_chunk, default_safe_level
 
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
-ARRAYS = ("tau1", "tau2", "tsim", "censor", "w", "w1", "w2", "wsim")
+ARRAYS = ("tau1", "tau2", "tsim", "censor", "w1", "w2", "wsim")
 
 # case id: (x1, x2, tilt (None, "g1" = -gamma1, "g2" = -0.75 gamma2),
 #           horizon (None = default_safe_level), chunk index, width, chunk_size)
@@ -48,7 +48,6 @@ DIGESTS = {
         "tau2": "8086fa40c9c7eefd",
         "tsim": "6f8b0acdfb13f887",
         "censor": "572e13d79db42452",
-        "w": "0b8d99bb7c125ba2",
         "w1": "7762da319027636c",
         "w2": "99b94b311d055395",
         "wsim": "3fc41a5b5308d66a",
@@ -58,7 +57,6 @@ DIGESTS = {
         "tau2": "30661d36390d0b68",
         "tsim": "2b4d1d58a27a7ecf",
         "censor": "906a76d3372ecf96",
-        "w": "efa315f3c9ce0e50",
         "w1": "090483b714327cb8",
         "w2": "2c5c4fc367bdc2e1",
         "wsim": "efa315f3c9ce0e50",
@@ -68,7 +66,6 @@ DIGESTS = {
         "tau2": "f4c89b16ca36447e",
         "tsim": "ab067c2aa8b23e37",
         "censor": "0fd0fd93cf998661",
-        "w": "36bab03db05a3933",
         "w1": "e6b496daf862007a",
         "w2": "6236c9872d32e12d",
         "wsim": "ed4beefdfa2c4aaa",
@@ -78,7 +75,6 @@ DIGESTS = {
         "tau2": "154d86cafd6c03c8",
         "tsim": "e400007421eed96d",
         "censor": "bc8db246ea1d64c5",
-        "w": "0bf25ef1d6bf0ade",
         "w1": "d9be86227799a413",
         "w2": "13a6d67b72d74ec5",
         "wsim": "e3307df18029bad1",
@@ -88,7 +84,6 @@ DIGESTS = {
         "tau2": "43c785557c40860a",
         "tsim": "eace3c8f55e85437",
         "censor": "e178f0ff15118b9d",
-        "w": "ad7489174fe06d09",
         "w1": "010a18401e59d8a8",
         "w2": "64fe30a3a1f74962",
         "wsim": "99009feaf9072bb6",
