@@ -58,7 +58,8 @@ import numbers
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -205,14 +206,16 @@ class PathRecord:
     says why anything was left unobserved (or declared by retirement).
     ``weights`` maps each event name to the value that ``estimate``
     averages for it: the likelihood weight at the event's epoch, 0 where
-    the event did not happen (1 where it did, untilted)."""
+    the event did not happen (1 where it did, untilted).  It is a
+    read-only view of a copy, so what ``__post_init__`` checks holds for
+    the record's lifetime."""
 
     tau1: float
     tau2: float
     tau_or: float
     tau_sim: float
     censor_reason: Optional[str]
-    weights: Dict[str, float] = field(hash=False)  # a dict does not hash; the times do
+    weights: Mapping[str, float] = field(hash=False)  # a mapping does not hash; the times do
 
     def __post_init__(self) -> None:
         if math.isfinite(self.tau1) or math.isfinite(self.tau2):
@@ -221,8 +224,10 @@ class PathRecord:
         if math.isfinite(self.tau_sim):
             if self.tau_sim + 1e-12 < max(self.tau1, self.tau2):
                 raise InternalInconsistency("tau_sim below an individual ruin time")
-        if min(self.weights.values()) < 0.0:
+        weights = dict(self.weights)
+        if min(weights.values()) < 0.0:
             raise InternalInconsistency("negative likelihood weight")
+        object.__setattr__(self, "weights", MappingProxyType(weights))
 
 
 @dataclass(frozen=True)

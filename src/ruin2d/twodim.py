@@ -14,9 +14,11 @@ under a tilted law:
     psi_and = w_1(x1, T)   + psi_2(x2) * psi_1^(-g2)(x1, T)
 
 These identities are exact for the two concrete drivers because
-psi_i(y) e^{g_i y} is constant in y (exponential claims are memoryless at
-overshoot; Brownian paths have none), which is also what makes the
-two-term expansions here carry explicit constants.
+psi_i(y) e^{g_i y} = C_i for every y (exponential claims are memoryless at
+overshoot; Brownian paths have none).  The same fact makes the two-term
+constant C-tilde_j(v) of OR and SIM equal C_j at every velocity, so those
+two expansions are the exact assembly split into its two terms; under
+phase-type claims the overshoot keeps a memory and C-tilde_j(v) != C_j.
 
 The saddle quantities reuse a shared-driver identity throughout: since
 kappa_1' - kappa_2' = p1 - p2, the kappa_i-conjugate of the kappa_2
@@ -273,24 +275,6 @@ def _conjugate_pair(model2: TwoLineModel, i: int, v: float) -> tuple[float, floa
     return sd2.theta_v, sd1.theta_conj
 
 
-def _prop2_constant(model2: TwoLineModel, i: int, v: float,
-                    adj: AdjustmentData) -> tuple[float, str]:
-    """C-tilde_i(v): the limiting discounted-overshoot constant of the
-    second expansion term.  Returns (value, branch name)."""
-    l2 = model2.line2
-    g = (adj.gamma1, adj.gamma2)[i - 1]
-    c_const = (adj.C1, adj.C2)[i - 1]
-    for gj, name in ((adj.gamma1, "-kappa_2'(-gamma_1)"), (adj.gamma2, "-kappa_2'(-gamma_2)")):
-        _guard_velocity(v, -l2.kappa_prime(-gj), name)
-    if v > -l2.kappa_prime(-g):
-        return c_const, "constant"
-    line_i = (model2.line1, model2.line2)[i - 1]
-    theta_v, theta_cross = _conjugate_pair(model2, 3 - i, v)
-    c_norm = (theta_cross - theta_v) / ((theta_cross + g) * (theta_v + g))
-    value = (_psi_star(line_i, theta_v) - _psi_star(line_i, theta_cross)) / c_norm
-    return value, "laplace"
-
-
 def _two_term_pre(model2: TwoLineModel, x1: float,
                   x2: float) -> tuple[float, float, AdjustmentData]:
     if not x2 > x1:
@@ -304,25 +288,30 @@ def _two_term_pre(model2: TwoLineModel, x1: float,
 
 
 def _two_term_or_sim(model2: TwoLineModel, x1: float, x2: float, event: str) -> ExpansionTerms:
-    """The exact assembly A + psi_j(x_j) * B with psi_j(x_j) replaced by
-    C-tilde_j(v) e^{-gamma_j x_j}."""
+    """The exact assembly A + psi_j(x_j) * B, split into its two terms:
+    C-tilde_j(v) e^{-gamma_j x_j} is psi_j(x_j), read as in ``exact``."""
     T, v, adj = _two_term_pre(model2, x1, x2)
     settled, b, _, j = _conditioned(model2, x1, x2, T, event, adj)
-    c_tilde, branch = _prop2_constant(model2, j, v, adj)
-    term2 = c_tilde * math.exp(-(adj.gamma1, adj.gamma2)[j - 1] * (x1, x2)[j - 1]) * b
+    psi_j = ultimate_ruin((model2.line1, model2.line2)[j - 1], (x1, x2)[j - 1])
     cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
-    return ExpansionTerms(term1=settled.value, term2=term2,
-                          constants={f"C{j}_tilde": c_tilde, "branch": branch},
+    return ExpansionTerms(term1=settled.value, term2=psi_j * b,
+                          constants={f"C{j}_tilde": (adj.C1, adj.C2)[j - 1]},
                           cone=cone, velocity=v)
 
 
 def two_term_or(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
-    """psi_or ~ psi_1(x1, T) + C-tilde_2(v) e^{-gamma_2 x2} survival_1^(-gamma_2)(x1, T)."""
+    """psi_or ~ psi_1(x1, T) + C-tilde_2(v) e^{-gamma_2 x2} survival_1^(-gamma_2)(x1, T).
+
+    C-tilde_2(v) = C_2 for both Levy drivers, so the total is ``exact``'s
+    value bit for bit; phase-type claims are where the two would part."""
     return _two_term_or_sim(model2, x1, x2, "OR")
 
 
 def two_term_sim(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
-    """psi_sim ~ psi_2(x2, T) + C-tilde_1(v) e^{-gamma_1 x1} survival_2^(-gamma_1)(x2, T)."""
+    """psi_sim ~ psi_2(x2, T) + C-tilde_1(v) e^{-gamma_1 x1} survival_2^(-gamma_1)(x2, T).
+
+    C-tilde_1(v) = C_1 for both Levy drivers, so the total is ``exact``'s
+    value bit for bit; phase-type claims are where the two would part."""
     return _two_term_or_sim(model2, x1, x2, "SIM")
 
 

@@ -68,12 +68,12 @@ PINS = {
     ("cpe", "exact", 0.8): "4c953db0ab972dba3fb798b46c11d5f2f5ecb9f92f52e0bca525532a25612843",
     ("cpe", "exact", 0.95): "072b4da219e12860b15a2ce2b9b711afc8e1077bc3c295e2f7425b722c7ea24a",
     ("cpe", "exact", 1.5): "70139843121486aa7ebebc0016c9f36e7e111b3a281dbfce80dd376d014af0ad",
-    ("cpe", "two_term", 0.0): "d20f22b40ffb67ef69049dab34c09e58a36903139dbbbdf28e593cf74bd7b2de",
-    ("cpe", "two_term", 0.2): "2e570e9a79adbf0abffca2a5ae6ee44586d3b12db0876b0b52a8c0947da6386f",
-    ("cpe", "two_term", 0.5): "a7ff83d7fcbae5a2c72e154e7f2395dde5601719f2d4f8d06c62e32d825c1bcc",
-    ("cpe", "two_term", 0.6): "55cb7ac1dcd8a840b08f9e73910092e55c51d3099f0a350a47d632eaeec3cc82",
-    ("cpe", "two_term", 0.8): "03edea34c843a8f2149cf5635333e675a3c1bc4f2ba0246ed776f8bea22432d0",
-    ("cpe", "two_term", 0.95): "2b064c5ed35fd3dde8bb05bc10c2a85eeb31d27ca1f636b1f768d96fcc78937c",
+    ("cpe", "two_term", 0.0): "26ab110c7f8ce54ed13079a9dbe0a12b0f0cebf20399bbd65bd24a198cf40818",
+    ("cpe", "two_term", 0.2): "abbf76b3526b431951a93eb4205a9b5b4d77e5ab8158073ec694675ad410c49e",
+    ("cpe", "two_term", 0.5): "c8a1e87d07855e76e308791d0884c4dc4981f435d40ed891b0c141d54c58c51f",
+    ("cpe", "two_term", 0.6): "ec44b30104bba6827750034f957cf1d4a17757790b57cf87004e6057ef130942",
+    ("cpe", "two_term", 0.8): "7b99aa7cf962c925ed854f4e98007c3801146b6ee7cd498d423e864d0218f67d",
+    ("cpe", "two_term", 0.95): "bfdd9a8c14f5ee0154049d9e18038fe49f35d6738285f8157b7a83fd52473c4f",
     ("cpe", "two_term", 1.5): "e85068acbf60e05d4434d5e020fcac5b6050f813b7ce7e0377568c7bae791fa6",
     ("cpe", "leading", 0.0): "d604c8a554bcbda168ac997c39dfe36c5696dc85e29472eb3cbaa26fc95c9067",
     ("cpe", "leading", 0.2): "fc3faf8774f0f0720579590a82d1af623e133b7151af7549dc90879d19101c36",
@@ -89,12 +89,12 @@ PINS = {
     ("brownian", "exact", 0.8): "8c8fcdf143450f6a08fb506e9ffdf95d97cc27114ef4810f5f5184f93fae2b6d",
     ("brownian", "exact", 0.95): "ffce4cb196b82a46537197ba511e360dc5a35682c308f3272a9db8989acd9de6",
     ("brownian", "exact", 1.5): "75ad3c89f5a66c6f808a7986ab18152cc9cd6fd129a2e1e89d6ddea43fa5696c",
-    ("brownian", "two_term", 0.0): "ce9201b213398416267ab5cc3bab5b310e26fd6bf00238c377a34c29d21f841f",
-    ("brownian", "two_term", 0.2): "d0e3f746e77b7ac5f9220ee5ddbc8a11a1a67d49a5bb65b22f065676a6e5c6da",
-    ("brownian", "two_term", 0.5): "af4158eb4a5edf6997d0766bf94fd5d7ca5609e31dfbd3ad5e9825664f9739a3",
-    ("brownian", "two_term", 0.6): "f19ea439a05b889b576f79ec7917b6ab903e5b4522ac71019fc3c7e104139f9e",
-    ("brownian", "two_term", 0.8): "f587e03f9fd6d48055ede9307ddd437962562b4904bb76b37820eda7115c0758",
-    ("brownian", "two_term", 0.95): "57dc10737e40ca1fbc4c6a2ead48691907c2508f557743915e37c007b2146564",
+    ("brownian", "two_term", 0.0): "f85d08ccd5a15abbec4fca3b7a4ef5c167e15d2225be629fdc61f6e5f1a5f7da",
+    ("brownian", "two_term", 0.2): "17b314da621acdffe1490bb504df086e2f311517861ccf7f569b640194390fab",
+    ("brownian", "two_term", 0.5): "14e8bf474c11f51a31b2c9947de90616c30d0a5c4057e7b482945d30a5e9e18a",
+    ("brownian", "two_term", 0.6): "b93daae593cfffb7d66d83b7ba4bf263d62b91bd95667d255fc02a40b76dbf7c",
+    ("brownian", "two_term", 0.8): "66018312e4d22f391e99e8ed2260ede61d600f313300df47a594803ac0e8473e",
+    ("brownian", "two_term", 0.95): "8da1685c05aba2ee139c92fe519041715517cc3e35b5eafd1f3d520f77e1d9b6",
     ("brownian", "two_term", 1.5): "e85068acbf60e05d4434d5e020fcac5b6050f813b7ce7e0377568c7bae791fa6",
     ("brownian", "leading", 0.0): "d604c8a554bcbda168ac997c39dfe36c5696dc85e29472eb3cbaa26fc95c9067",
     ("brownian", "leading", 0.2): "1d5d2d926798828e1899dc7677dca136df9ffd521f4a04911592234b79a2cd30",

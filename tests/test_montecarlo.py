@@ -149,6 +149,18 @@ class TestRecords:
         with pytest.raises(InternalInconsistency, match="negative likelihood weight"):
             PathRecord(math.inf, math.inf, math.inf, math.inf, None, {**weights, "AND": -1e-300})
 
+    def test_weights_are_read_only(self):
+        # a weight written after the record is made would skip the refusal
+        # above and part two equal records
+        weights = dict.fromkeys(_EVENTS, 0.0)
+        r = PathRecord(math.inf, math.inf, math.inf, math.inf, None, weights)
+        with pytest.raises(TypeError):
+            r.weights["OR"] = -1.0
+        weights["OR"] = -1.0  # the record holds a copy
+        assert r.weights["OR"] == 0.0
+        assert r == PathRecord(math.inf, math.inf, math.inf, math.inf, None,
+                               dict.fromkeys(_EVENTS, 0.0))
+
     @pytest.mark.parametrize("model", [CPE, BM, RW], ids=["cpe", "bm", "renewal"])
     @pytest.mark.parametrize("tilt,fixed", [(None, False), (-0.5, False), (-0.5, True)],
                              ids=["untilted", "tilted", "tilted-fixed-time"])

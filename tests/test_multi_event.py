@@ -131,7 +131,7 @@ CLI_CASES = {
     "mc": (["mc", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "or,sim,and",
             "--n", "2048", "--seed", "5", "--format", "json"], 1, "c05e3aa3459cc6a3"),
     "compare": (["compare", *BM_FLAGS, "--x1", "1", "--x2", "4",
-                 "--n", "2048", "--seed", "5", "--format", "json"], 1, "2706b9c62bb3db67"),
+                 "--n", "2048", "--seed", "5", "--format", "json"], 1, "0e5251c52c8e1a05"),
     "compute": (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--method", "mc",
                  "--event", "or,sim", "--n", "2048", "--seed", "5", "--format", "csv"],
                 1, "117bccf59aad6359"),

@@ -11,6 +11,7 @@ from ruin2d.errors import (
     ConfigError,
     InternalInconsistency,
     OutOfRange,
+    Ruin2dError,
     UnsupportedDriver,
 )
 from ruin2d.finite_time import ultimate_ruin
@@ -207,12 +208,48 @@ def test_two_term_exact_for_memoryless_drivers():
                 _psi(m, "SIM", x1, x2).value, rel=1e-10)
 
 
-def test_two_term_constant_branches():
-    assert two_term_or(CPE, 1.0, 3.0).constants["branch"] == "constant"
-    assert two_term_or(CPE, 1.0, 3.0).constants["C2_tilde"] == pytest.approx(0.5, abs=1e-10)
-    # slower crossings on the nondegenerate model resolve the transform
-    assert two_term_or(CPE_D2, 1.0, 4.0).constants["branch"] == "laplace"
-    assert two_term_sim(CPE_D2, 1.0, 4.0).constants["branch"] == "laplace"
+GRID_MODELS = {
+    **{f"cpe-{p1}-{p2}": TwoLineModel(CompoundPoissonExp(1.0, 2.0), p1, p2)
+       for p1, p2 in ((3.0, 1.0), (2.0, 1.0), (3.0, 2.0), (5.0, 1.0))},
+    **{f"bm-{p1}-{p2}": TwoLineModel(StandardBrownian(), p1, p2)
+       for p1, p2 in ((3.0, 1.0), (2.0, 1.0), (3.0, 2.0))},
+}
+
+
+def _refused_or_value(call):
+    try:
+        return call()
+    except Ruin2dError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MODELS))
+def test_two_term_or_sim_total_is_exact_bit_for_bit(name):
+    # C-tilde_j(v) = C_j for both Levy drivers, so the two-term OR/SIM
+    # total is the exact assembly itself: same float, same refusals, also
+    # at the velocities -kappa_2'(-gamma_j) where C-tilde_j(v) branches
+    model2 = GRID_MODELS[name]
+    answered = 0
+    for i in range(40):
+        for K in (1.0, 5.0, 20.0, 40.0):
+            x1, x2 = i / 40 * K, K
+            for event, fn in (("OR", two_term_or), ("SIM", two_term_sim)):
+                want = _refused_or_value(lambda: _psi(model2, event, x1, x2).value)
+                got = _refused_or_value(lambda: fn(model2, x1, x2).total)
+                assert got == want, (event, x1, x2)
+                answered += isinstance(want, float)
+    assert answered >= 160
+
+
+@pytest.mark.parametrize("model2, x1, x2", [
+    (CPE_D2, 1.0, 4.0),   # v below -kappa_2'(-gamma_j): C-tilde_j from the transform of psi_j
+    (CPE, 15.0, 17.0),    # the crossing velocity v = 17 on -kappa_2'(-gamma_1)
+    (BM, 0.6, 1.0),       # the crossing velocity v = 5 on -kappa_2'(-gamma_1)
+], ids=["cpe-d2-1-4", "cpe-15-17", "bm-0.6-1"])
+def test_two_term_or_sim_exact_where_c_tilde_branches(model2, x1, x2):
+    assert two_term_or(model2, x1, x2).total == _psi(model2, "OR", x1, x2).value
+    assert two_term_sim(model2, x1, x2).total == _psi(model2, "SIM", x1, x2).value
+    assert two_term_or(model2, x1, x2).constants == {"C2_tilde": adjustment(model2).C2}
 
 
 def test_two_term_and_small_velocity_exact():
@@ -239,9 +276,9 @@ def test_two_term_guards():
         two_term_sim(CPE, 2.0, 2.0)
     with pytest.raises(UnsupportedDriver):
         two_term_or(TwoLineModel(RENEWAL, 3.0, 1.0), 1.0, 3.0)
-    with pytest.raises(BoundaryVelocity):
-        # a = 15/17 puts the crossing velocity exactly on a branch point
-        two_term_or(CPE, 15.0, 17.0)
+    # a = 15/17 puts the crossing velocity on a branch point of C-tilde,
+    # which is C_2 there as everywhere
+    assert two_term_or(CPE, 15.0, 17.0).total == _psi(CPE, "OR", 15.0, 17.0).value
     for fn in (two_term_or, two_term_sim, two_term_and):
         with pytest.raises(OutOfRange, match="nonnegative"):
             fn(CPE, -1.0, 3.0)
