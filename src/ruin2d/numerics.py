@@ -8,7 +8,8 @@ deliberately boring; the interesting mathematics happens in the callers.
 The quadrature evaluates its integrand ahead, on the panels of the next
 few levels of bisection in one call, so an integrand must be elementwise
 in its abscissae and finite on the open interval of integration, and it
-may be evaluated on panels that the adaptive loop never uses.
+may be evaluated on panels that the adaptive loop never uses.  The nodes
+it gets are read-only, and the panel sums of one call are taken together.
 """
 
 from __future__ import annotations
@@ -137,18 +138,10 @@ _WG_FULL = _wg_full
 del _wg_full
 
 
-def _gk_sums(h: float, y: np.ndarray) -> tuple[float, float]:
-    """Kronrod value and Gauss/Kronrod defect of one panel of half-width h
-    from its 15 integrand values."""
-    k = h * float(np.dot(_WK, y))
-    g = h * float(np.dot(_WG_FULL, y))
-    return k, abs(k - g)
-
-
 # Levels of bisection evaluated ahead: below the whole interval on the
 # first call of the integrand, and below a panel whose halves are missing.
-_FIRST_DEPTH = 3
-_AHEAD_DEPTH = 2
+_FIRST_DEPTH = 5
+_AHEAD_DEPTH = 1
 _MAX_SPLITS = 200  # bisections before integrate refuses with MaxIterations
 
 
@@ -169,14 +162,32 @@ def _panels_below(lo: float, hi: float, depth: int) -> list[tuple[float, float]]
     return spans
 
 
-def _evaluate(f: Callable[[np.ndarray], np.ndarray], spans: list[tuple[float, float]],
-              values: dict[tuple[float, float], np.ndarray]) -> None:
-    """Store in ``values`` the 15 integrand values of each panel of
-    ``spans``, from one call of ``f`` on all their nodes."""
+def _geometry(spans: list[tuple[float, float]]) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """``spans``, their 15 nodes each in one read-only array, and their half-widths."""
     centre = np.array([0.5 * (lo + hi) for lo, hi in spans])
     half = np.array([0.5 * (hi - lo) for lo, hi in spans])
-    y = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
-    values.update(zip(spans, y.reshape(len(spans), 15)))
+    x = (centre[:, None] + half[:, None] * _NODES).ravel()
+    x.flags.writeable = half.flags.writeable = False
+    return tuple(spans), x, half
+
+
+@functools.lru_cache(maxsize=8)
+def _first_call(a: float, b: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The first call's geometry on [a, b]: it and ``_FIRST_DEPTH`` levels of bisection."""
+    return _geometry([(a, b), *_panels_below(a, b, _FIRST_DEPTH)])
+
+
+def _evaluate(f: Callable[[np.ndarray], np.ndarray],
+              geometry: tuple[tuple, np.ndarray, np.ndarray],
+              values: dict[tuple[float, float], tuple[float, float]]) -> None:
+    """Store in ``values`` the Kronrod value and Gauss/Kronrod defect of
+    each panel of ``geometry``, from one call of ``f`` on all its nodes.
+    A stacked 1x15 by 15x1 product gives each panel's ``np.dot`` float."""
+    spans, x, half = geometry
+    y = np.asarray(f(x), dtype=float).reshape(len(spans), 1, 15)
+    k = half * np.matmul(y, _WK[:, None])[:, 0, 0]
+    g = half * np.matmul(y, _WG_FULL[:, None])[:, 0, 0]
+    values.update(zip(spans, zip(k.tolist(), np.abs(k - g).tolist())))
 
 
 def integrate(
@@ -192,13 +203,17 @@ def integrate(
     same shape, each depending on its own abscissa only and finite on the
     open interval (a, b).  It is evaluated ahead of the loop: the first
     call passes the 15 nodes of each panel of the whole interval and its
-    first 3 levels of bisection, and a bisection whose halves are missing
-    passes the panels of the next 2 levels below it, so ``f`` also sees
-    panels the loop never uses.  Returns ``(value, err_est)`` where
-    ``err_est`` is the final conservative error bound (the summed
-    Gauss/Kronrod defects).  The worst panel is bisected until the bound
-    drops below ``tol``; exceeding ``_MAX_SPLITS`` splits raises
-    MaxIterations; a limit that is not finite raises ValueError.
+    first 5 levels of bisection (63 panels, 945 nodes), and a bisection
+    whose halves are missing passes the 30 nodes of those two halves, so
+    ``f`` also sees panels the loop never uses.  The array ``f`` gets is
+    read-only, as the first call's nodes are kept for the next integral
+    on [a, b]; writing into it raises ValueError.  The panel sums of one
+    call are taken together, each the float of one ``np.dot``.  Returns
+    ``(value, err_est)`` where ``err_est`` is the final conservative
+    error bound (the summed Gauss/Kronrod defects).  The worst panel is
+    bisected until the bound drops below ``tol``; exceeding
+    ``_MAX_SPLITS`` splits raises MaxIterations; a limit that is not
+    finite raises ValueError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
@@ -208,10 +223,10 @@ def integrate(
         v, e = integrate(f, b, a, tol=tol)
         return -v, e
 
-    values: dict[tuple[float, float], np.ndarray] = {}  # (lo, hi) -> 15 values
-    _evaluate(f, [(a, b), *_panels_below(a, b, _FIRST_DEPTH)], values)
+    values: dict[tuple[float, float], tuple[float, float]] = {}  # (lo, hi) -> (value, defect)
+    _evaluate(f, _first_call(a, b), values)
     panels: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
-    v, e = _gk_sums(0.5 * (b - a), values.pop((a, b)))
+    v, e = values.pop((a, b))
     panels.append((-e, a, b, v))
     for _ in range(_MAX_SPLITS):
         total_err = -sum(p[0] for p in panels)
@@ -225,9 +240,9 @@ def integrate(
             panels.append((-0.0, lo, hi, v))
             continue
         if (lo, mid) not in values:
-            _evaluate(f, _panels_below(lo, hi, _AHEAD_DEPTH), values)
+            _evaluate(f, _geometry(_panels_below(lo, hi, _AHEAD_DEPTH)), values)
         for l, h in ((lo, mid), (mid, hi)):
-            v, e = _gk_sums(0.5 * (h - l), values.pop((l, h)))
+            v, e = values.pop((l, h))
             panels.append((-e, l, h, v))
     else:
         total_err = -sum(p[0] for p in panels)

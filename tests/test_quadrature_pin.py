@@ -72,8 +72,8 @@ def test_cpe_deferred_is_pinned(name):
 
 # integrand calls of each deferred pin: the panels are evaluated ahead, a
 # batch of levels per call (one call per bisection took 7 to 14)
-CALLS = {"line1": 2, "line2": 3, "line1_tilt_g2": 3, "line2_tilt_g1": 4,
-         "line2_deep_k40": 8, "line2_tilt_g1_deep_k40": 7}
+CALLS = {"line1": 1, "line2": 1, "line1_tilt_g2": 1, "line2_tilt_g1": 1,
+         "line2_deep_k40": 6, "line2_tilt_g1_deep_k40": 5}
 
 
 @pytest.mark.parametrize("name", sorted(DEFERRED))
