@@ -12,8 +12,9 @@ The jump engine keeps its per-chunk bookkeeping (outputs, live-lane
 flags, first sightings, stopping, FixedTime censoring) in one core,
 ``_Events``, and adds only its draws, crossing and safe-level tests; it
 and ``_line_ruin_times`` read their draws through ``_Blocks``.  The exact
-Brownian engine fills the same outputs, and both weigh them in
-``_Events.result``.
+Brownian engine fills the same outputs.  Either returns ``_Events.result``:
+the epochs, the censor codes and one value column per event, which
+``estimate`` sums and ``simulate`` reports.
 
 Cost model.  The draws take about half of the jump engine's time, and
 the stream contract fixes them: a refill draws the gaps of _BLOCK rounds
@@ -47,8 +48,8 @@ the first time it is known, with ``exp(-c Z(tau) + kappa(c) tau)`` where
 against because the premium parts cancel.  The renewal driver has no
 continuous-time cumulant, so its weight uses the per-step analogue
 ``exp(-c Z_n + n phi(c))`` with ``phi(c) = log E exp(c (p2 z - s))``.
-``estimate`` averages these weights, 0 where the event did not happen,
-and ``simulate`` reports them per record in ``PathRecord.weights``.
+OR takes the weight at the first ruin and AND at the second.  Each
+event's column holds these weights, 0 where the event did not happen.
 """
 
 from __future__ import annotations
@@ -280,10 +281,10 @@ class _Events:
     shows anything new, until the engine calls ``compact`` at the top of
     a pass, so the slots stay put through a pass.  Each event (LINE1,
     LINE2, SIM) records the time, claim level and step count of its first
-    sighting in its row of tau, s_e and n_e, where its importance weight
-    is taken: the weight stops accumulating variance once the event is
-    decided instead of drifting until the whole record resolves.  A lane
-    that no event decides has no weight, only its censor code.
+    sighting in its row of tau, s_e and n_e, where ``result`` takes its
+    importance weight: the weight stops accumulating variance once the
+    event is decided instead of drifting until the whole record resolves.
+    A lane that no event decides has no weight, only its censor code.
 
     Cost model: a step makes a few passes over its (5, R, slots)
     sightings to find the lanes with something new, then a fixed number
@@ -383,29 +384,33 @@ class _Events:
             raise InternalInconsistency("SIM recorded before a line's ruin")
 
     def result(self, model2: TwoLineModel, cfg: SimConfig) -> dict:
-        """The chunk's arrays: each event's epoch and its weight there."""
+        """The chunk's arrays: the epochs of both ruins and of SIM, the
+        censor codes, and per event the values that ``estimate`` averages
+        and ``simulate`` reports: the weight at the event's epoch, 0 where
+        it did not happen.  OR is decided at the first ruin, AND at the
+        second."""
+        self.check_sim()
+        tau1, tau2, tsim = self.tau
         w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
-        return {"tau1": self.tau[0], "tau2": self.tau[1], "tsim": self.tau[2],
-                "censor": self.censor, "w1": w1, "w2": w2, "wsim": wsim}
-
-
-def _log_weight(model2: TwoLineModel, c: float, t, s, n):
-    """Log likelihood weight of tilt c after time t, claim total s and n
-    claims: -c Z + the driver's compensator, with Z = p2 t - s."""
-    p2 = model2.p2
-    return -c * (p2 * t - s) + model2.driver.tilt_compensator(p2, c, t, n)
+        return {"tau1": tau1, "tau2": tau2, "tsim": tsim, "censor": self.censor,
+                "OR": np.where(tau1 <= tau2, w1, w2), "SIM": wsim,
+                "AND": np.where(tau1 >= tau2, w1, w2), "LINE1": w1, "LINE2": w2}
 
 
 def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
                   s_e: np.ndarray, n_e: np.ndarray) -> np.ndarray:
-    """Likelihood weight frozen at an event epoch; 0 where the event never
-    happened (any finite placeholder would do, the indicator kills it)."""
+    """Likelihood weight of tilt c frozen at an event epoch t, after claim
+    total s and n claims: exp(-c Z + the driver's compensator) with
+    Z = p2 t - s; 1 untilted, and 0 where the event never happened (any
+    finite placeholder time would do, the indicator kills it)."""
     c = cfg.tilt
     hit = np.isfinite(tau)
     if c is None:
         return hit.astype(float)
-    t_e = np.where(hit, tau, 0.0)
-    return np.where(hit, np.exp(_log_weight(model2, c, t_e, s_e, n_e)), 0.0)
+    t = np.where(hit, tau, 0.0)
+    p2 = model2.p2
+    log_w = -c * (p2 * t - s_e) + model2.driver.tilt_compensator(p2, c, t, n_e)
+    return np.where(hit, np.exp(log_w), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +525,6 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         t, s = T[-1], S[-1]
         steps += R
 
-    ev.check_sim()
     return ev.result(model2, cfg)
 
 
@@ -628,7 +632,6 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
         ev.s_e[0] = x1 + p1 * t[0]
         ev.s_e[1] = x2 + p2 * t[1]
         ev.s_e[2] = np.maximum(x1 + p1 * t[2], x2 + p2 * t[2])
-    ev.check_sim()
     return ev.result(model2, cfg)
 
 
@@ -670,30 +673,13 @@ def simulate(model2: TwoLineModel, x1: float, x2: float,
 
     Each record's ``weights`` holds, per event, the value that ``estimate``
     averages on the same path, so the records of a run reassemble its
-    estimates (see ``_event_value``)."""
+    estimates (both read the chunk columns of ``_Events.result``)."""
     _check_reserves(x1, x2)
     config.horizon.check(model2, x1, x2, config.tilt)
     for res in _run_chunks(model2, x1, x2, config):
-        cols = [res[k].tolist() for k in ("tau1", "tau2", "tsim", "censor")]
-        rows = zip(*[_event_value(res, e).tolist() for e in _EVENTS])
-        for t1, t2, ts, cen, w in zip(*cols, rows):
+        cols = [res[k].tolist() for k in ("tau1", "tau2", "tsim", "censor", *_EVENTS)]
+        for t1, t2, ts, cen, *w in zip(*cols):
             yield PathRecord(t1, t2, min(t1, t2), ts, _CENSOR_NAMES[cen], dict(zip(_EVENTS, w)))
-
-
-def _event_value(res: dict, event: str) -> np.ndarray:
-    """indicator * likelihood weight, the weight taken at the event's own
-    resolution time; ``estimate`` averages it and ``simulate`` reports it.
-    The event-epoch weights are already zero where the event did not
-    happen, so the selections below need no extra masking."""
-    if event == "OR":
-        return np.where(res["tau1"] <= res["tau2"], res["w1"], res["w2"])
-    if event == "AND":
-        return np.where(res["tau1"] >= res["tau2"], res["w1"], res["w2"])
-    if event == "SIM":
-        return res["wsim"]
-    if event == "LINE1":
-        return res["w1"]
-    return res["w2"]
 
 
 def estimate(model2: TwoLineModel, x1: float, x2: float,
@@ -707,7 +693,7 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
     entry equals the single-name call with the same config bit for bit.
 
     The estimator averages each event's value, its weight at its epoch
-    times its indicator (1 * indicator untilted; see ``_event_value``),
+    times its indicator (1 * indicator untilted; see ``_Events.result``),
     and stays unbiased up to the declared horizon truncation.
     """
     many = isinstance(event, (list, tuple))
@@ -726,7 +712,7 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
     sums = {name: [0.0, 0.0] for name in names}
     for res in _run_chunks(model2, x1, x2, config):
         for name, acc in sums.items():
-            wi = _event_value(res, name)
+            wi = res[name]
             acc[0] += float(wi.sum())
             acc[1] += float((wi * wi).sum())
     n = config.n

@@ -38,7 +38,7 @@ CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 BM = TwoLineModel(StandardBrownian(), 3.0, 1.0)
 RW = TwoLineModel(Renewal(deterministic_dist(1.0), exponential_dist(2.0)), 3.0, 1.0)
 MODELS = {"cpe": CPE, "bm": BM, "renewal": RW}
-ARRAYS = ("tau1", "tau2", "tsim", "censor", "w1", "w2", "wsim")
+ARRAYS = ("tau1", "tau2", "tsim", "censor", "OR", "SIM", "AND", "LINE1", "LINE2")
 WIDTH = 4096
 TAIL_K = {"cpe": 20.0, "bm": 8.0}
 
@@ -81,144 +81,176 @@ DIGESTS = {
         "tau2": "bc8cf07639c6d11a",
         "tsim": "4ba7f4f6c114cf1c",
         "censor": "bd5a8e4a160525e4",
-        "w1": "1e32b3ba1e66c1c9",
-        "w2": "3651b89867e47e9a",
-        "wsim": "12e4a953d5570efa",
+        "LINE1": "1e32b3ba1e66c1c9",
+        "LINE2": "3651b89867e47e9a",
+        "SIM": "12e4a953d5570efa",
+        "OR": "62968a71990f9e30",
+        "AND": "52d985ad3dac98a6",
     },
     "bm-lower-cone": {
         "tau1": "66efc2d923ff9956",
         "tau2": "f4ce840bf4559d93",
         "tsim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "w1": "b7470fd27b67e79f",
-        "w2": "7ffe119fb5668977",
-        "wsim": "b7470fd27b67e79f",
+        "LINE1": "b7470fd27b67e79f",
+        "LINE2": "7ffe119fb5668977",
+        "SIM": "b7470fd27b67e79f",
+        "OR": "7ffe119fb5668977",
+        "AND": "b7470fd27b67e79f",
     },
     "bm-origin": {
         "tau1": "b7470fd27b67e79f",
         "tau2": "b7470fd27b67e79f",
         "tsim": "b7470fd27b67e79f",
         "censor": "cfab9fd2c97bf618",
-        "w1": "ad7489174fe06d09",
-        "w2": "ad7489174fe06d09",
-        "wsim": "ad7489174fe06d09",
+        "LINE1": "ad7489174fe06d09",
+        "LINE2": "ad7489174fe06d09",
+        "SIM": "ad7489174fe06d09",
+        "OR": "ad7489174fe06d09",
+        "AND": "ad7489174fe06d09",
     },
     "bm-partial-chunk": {
         "tau1": "d37dfa93f8ce1a04",
         "tau2": "4677c93f88b232e5",
         "tsim": "160806ddae9b5432",
         "censor": "eff247a723dcedd5",
-        "w1": "541d8f86fbcf5ec1",
-        "w2": "5ee3165cb684c395",
-        "wsim": "24a6364936cf2284",
+        "LINE1": "541d8f86fbcf5ec1",
+        "LINE2": "5ee3165cb684c395",
+        "SIM": "24a6364936cf2284",
+        "OR": "f1e7a408de31eb40",
+        "AND": "24a6364936cf2284",
     },
     "bm-tail-g1": {
         "tau1": "2042a34b1406c65e",
         "tau2": "272b559189da40f7",
         "tsim": "3bb61caacd715e96",
         "censor": "cfab9fd2c97bf618",
-        "w1": "e5de6b4ed639997e",
-        "w2": "51b63e534b747a2b",
-        "wsim": "5b7e7cfb6e7c0b28",
+        "LINE1": "e5de6b4ed639997e",
+        "LINE2": "51b63e534b747a2b",
+        "SIM": "5b7e7cfb6e7c0b28",
+        "OR": "b9628dcab2823a21",
+        "AND": "ee5845087a82a5f5",
     },
     "bm-tail-g2": {
         "tau1": "66efc2d923ff9956",
         "tau2": "5b7d627d8feb2096",
         "tsim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "w1": "b7470fd27b67e79f",
-        "w2": "6422ca7eba45e35f",
-        "wsim": "b7470fd27b67e79f",
+        "LINE1": "b7470fd27b67e79f",
+        "LINE2": "6422ca7eba45e35f",
+        "SIM": "b7470fd27b67e79f",
+        "OR": "6422ca7eba45e35f",
+        "AND": "b7470fd27b67e79f",
     },
     "bm-untilted-1-3": {
         "tau1": "e3a48cc14bef8eea",
         "tau2": "c38d3c6fe836c658",
         "tsim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "w1": "84a9d131471e0d60",
-        "w2": "cb4be777375afd4e",
-        "wsim": "b7470fd27b67e79f",
+        "LINE1": "84a9d131471e0d60",
+        "LINE2": "cb4be777375afd4e",
+        "SIM": "b7470fd27b67e79f",
+        "OR": "157ad2ee422d9f99",
+        "AND": "b7470fd27b67e79f",
     },
     "cpe-fixed-time": {
         "tau1": "ea51b14b164f6785",
         "tau2": "0d51de4dfdf90212",
         "tsim": "f72df7774fc5bde6",
         "censor": "afa4049b6f276076",
-        "w1": "fd975edbfd7152f1",
-        "w2": "7c334129a7e10653",
-        "wsim": "35d71728ae311db7",
+        "LINE1": "fd975edbfd7152f1",
+        "LINE2": "7c334129a7e10653",
+        "SIM": "35d71728ae311db7",
+        "OR": "58005c3ad914dee2",
+        "AND": "cc28237898296338",
     },
     "cpe-lower-cone": {
         "tau1": "dc671bc0c81d4d38",
         "tau2": "b6ce2bc542869fd2",
         "tsim": "dc671bc0c81d4d38",
         "censor": "84b1e93ab795ba36",
-        "w1": "83d689c55f3aa600",
-        "w2": "d358fc1f5f7a75b8",
-        "wsim": "83d689c55f3aa600",
+        "LINE1": "83d689c55f3aa600",
+        "LINE2": "d358fc1f5f7a75b8",
+        "SIM": "83d689c55f3aa600",
+        "OR": "d358fc1f5f7a75b8",
+        "AND": "83d689c55f3aa600",
     },
     "cpe-origin": {
         "tau1": "3df3ae3fd949fa4f",
         "tau2": "2e71db3875690764",
         "tsim": "3df3ae3fd949fa4f",
         "censor": "7d432f1b95dfa96e",
-        "w1": "64cc72b0abab3419",
-        "w2": "633e80fa9a6e3b7b",
-        "wsim": "64cc72b0abab3419",
+        "LINE1": "64cc72b0abab3419",
+        "LINE2": "633e80fa9a6e3b7b",
+        "SIM": "64cc72b0abab3419",
+        "OR": "633e80fa9a6e3b7b",
+        "AND": "64cc72b0abab3419",
     },
     "cpe-partial-chunk": {
         "tau1": "e70101db63d99ed3",
         "tau2": "8a47ddf990755821",
         "tsim": "0223890070697c7a",
         "censor": "357ad0502f1dc584",
-        "w1": "115cf9414fbf42dc",
-        "w2": "0f54297aa852e2fb",
-        "wsim": "458f5b121d968e85",
+        "LINE1": "115cf9414fbf42dc",
+        "LINE2": "0f54297aa852e2fb",
+        "SIM": "458f5b121d968e85",
+        "OR": "c2d237a3d8ac2aeb",
+        "AND": "a5c77cc7bf1ae94c",
     },
     "cpe-tail-g1": {
         "tau1": "6d20550cc31979bc",
         "tau2": "89cf37114c2fd237",
         "tsim": "89cf37114c2fd237",
         "censor": "cfab9fd2c97bf618",
-        "w1": "c34829ca2c65e1a5",
-        "w2": "796b6d51c7d9a0cc",
-        "wsim": "796b6d51c7d9a0cc",
+        "LINE1": "c34829ca2c65e1a5",
+        "LINE2": "796b6d51c7d9a0cc",
+        "SIM": "796b6d51c7d9a0cc",
+        "OR": "c34829ca2c65e1a5",
+        "AND": "796b6d51c7d9a0cc",
     },
     "cpe-tail-g2": {
         "tau1": "3822c0448c5ba263",
         "tau2": "3f7a8ce486408dfe",
         "tsim": "16c289feac32a159",
         "censor": "823c9d10c82e0f53",
-        "w1": "98e393b4caeaf063",
-        "w2": "d44c0cb7b21c178c",
-        "wsim": "f87646f97a311671",
+        "LINE1": "98e393b4caeaf063",
+        "LINE2": "d44c0cb7b21c178c",
+        "SIM": "f87646f97a311671",
+        "OR": "192bc1e2e1bd7910",
+        "AND": "e00f2f19f578aa55",
     },
     "cpe-untilted-1-3": {
         "tau1": "da0d4ac70c3828b6",
         "tau2": "03dfbcea61926899",
         "tsim": "1a1f5af92514bc41",
         "censor": "c114135d41026172",
-        "w1": "aadc1f451dd6cc42",
-        "w2": "7b1a16472bfd900c",
-        "wsim": "744a27c7bc517d9e",
+        "LINE1": "aadc1f451dd6cc42",
+        "LINE2": "7b1a16472bfd900c",
+        "SIM": "744a27c7bc517d9e",
+        "OR": "ccb4b2b331226c34",
+        "AND": "2146e4e3705838b0",
     },
     "renewal-fixed-time": {
         "tau1": "19ce595f4a1dcbb1",
         "tau2": "3a64aaf5d138a0ad",
         "tsim": "19ce595f4a1dcbb1",
         "censor": "13d045bdd3d7a8f1",
-        "w1": "bae0db85a62e0193",
-        "w2": "53f63f05e7cdf36a",
-        "wsim": "bae0db85a62e0193",
+        "LINE1": "bae0db85a62e0193",
+        "LINE2": "53f63f05e7cdf36a",
+        "SIM": "bae0db85a62e0193",
+        "OR": "53f63f05e7cdf36a",
+        "AND": "bae0db85a62e0193",
     },
     "renewal-tail-g1": {
         "tau1": "98bbfe6abcba164c",
         "tau2": "6acb9350eceb8509",
         "tsim": "6acb9350eceb8509",
         "censor": "cfab9fd2c97bf618",
-        "w1": "52ca1fee9e8c07f9",
-        "w2": "d452d7ade08a9da6",
-        "wsim": "d452d7ade08a9da6",
+        "LINE1": "52ca1fee9e8c07f9",
+        "LINE2": "d452d7ade08a9da6",
+        "SIM": "d452d7ade08a9da6",
+        "OR": "52ca1fee9e8c07f9",
+        "AND": "d452d7ade08a9da6",
     },
 }
 

@@ -36,8 +36,10 @@ from ruin2d.montecarlo import (
     PathRecord,
     SafeLevel,
     SimConfig,
+    _chunk_rng,
     _Events,
     _run_chunks,
+    _truncated_std_normal,
     check_limits,
     default_safe_level,
     estimate,
@@ -251,7 +253,7 @@ class TestTiltedExactBrownian:
         config = cfg(16_384, 13, default_safe_level(BM), tilt=-gamma)
         for res in _run_chunks(BM, x1, x2, config):
             assert np.isfinite(res[f"tau{line}"]).all()
-            np.testing.assert_allclose(res[f"w{line}"], math.exp(-gamma * x), rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(res[f"LINE{line}"], math.exp(-gamma * x), rtol=1e-12, atol=0.0)
 
     def test_fixed_time_line2_against_finite_ruin(self):
         x2, t = 3.0, 5.0
@@ -450,6 +452,18 @@ class TestCheckLimits:
         assert report.passed
         assert report.details["ks"] < report.details["threshold"] == 0.05
         assert report.details["t"] == 200.0
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.5])
+    def test_truncated_normal_by_rejection(self, alpha):
+        # below alpha = 3 the sampler rejects plain normals; the mean of
+        # N(0, 1) given Z > alpha is the inverse Mills ratio lam, and the
+        # variance 1 + alpha lam - lam^2
+        z = _truncated_std_normal(_chunk_rng(1, 0), 20_000, alpha)
+        assert z.shape == (20_000,) and (z > alpha).all()
+        lam = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi) \
+            / (0.5 * math.erfc(alpha / math.sqrt(2.0)))
+        se = math.sqrt((1.0 + alpha * lam - lam * lam) / z.size)
+        assert abs(z.mean() - lam) <= 4.0 * se
 
     def test_refusals(self):
         ok = cfg(2_000, 1, SafeLevel(50.0))

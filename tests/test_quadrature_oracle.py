@@ -141,6 +141,20 @@ def test_degenerate_and_resolution_intervals(a, ulps, tol):
                 == outcome(oracle, lambda x: np.cos(x) + 2.0, lo, hi, tol))
 
 
+def test_step_at_floating_point_resolution():
+    # a step at the midpoint of [1, 1 + 8 ulps] keeps the loop bisecting
+    # down to panels with no float strictly inside, which it keeps as they
+    # are; a tolerance below every nonzero defect forces that
+    a = b = 1.0
+    for _ in range(8):
+        b = math.nextafter(b, math.inf)
+    step = 0.5 * (a + b)
+
+    def f(x):
+        return np.where(x > step, 1e300, 0.0)
+    assert outcome(integrate, f, a, b, 1e-310) == outcome(oracle, f, a, b, 1e-310)
+
+
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 _ADJ = adjustment(CPE)
 # the plain lines and the tilted lines that exact SIM integrates

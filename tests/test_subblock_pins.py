@@ -21,7 +21,7 @@ from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment
 from ruin2d.montecarlo import FixedTime, SimConfig, _jump_chunk, default_safe_level
 
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
-ARRAYS = ("tau1", "tau2", "tsim", "censor", "w1", "w2", "wsim")
+ARRAYS = ("tau1", "tau2", "tsim", "censor", "OR", "SIM", "AND", "LINE1", "LINE2")
 
 # case id: (x1, x2, tilt (None, "g1" = -gamma1, "g2" = -0.75 gamma2),
 #           horizon (None = default_safe_level), chunk index, width, chunk_size)
@@ -48,45 +48,55 @@ DIGESTS = {
         "tau2": "8086fa40c9c7eefd",
         "tsim": "6f8b0acdfb13f887",
         "censor": "572e13d79db42452",
-        "w1": "7762da319027636c",
-        "w2": "99b94b311d055395",
-        "wsim": "3fc41a5b5308d66a",
+        "LINE1": "7762da319027636c",
+        "LINE2": "99b94b311d055395",
+        "SIM": "3fc41a5b5308d66a",
+        "OR": "0971d34b5fd7925f",
+        "AND": "fc487d5a602acf7b",
     },
     "cpe-g1-first-piece": {
         "tau1": "5c29da776e84c042",
         "tau2": "30661d36390d0b68",
         "tsim": "2b4d1d58a27a7ecf",
         "censor": "906a76d3372ecf96",
-        "w1": "090483b714327cb8",
-        "w2": "2c5c4fc367bdc2e1",
-        "wsim": "efa315f3c9ce0e50",
+        "LINE1": "090483b714327cb8",
+        "LINE2": "2c5c4fc367bdc2e1",
+        "SIM": "efa315f3c9ce0e50",
+        "OR": "8bf40004266028d5",
+        "AND": "cfe3789561f452ca",
     },
     "cpe-g2-thin-partial": {
         "tau1": "223b7ce993945204",
         "tau2": "f4c89b16ca36447e",
         "tsim": "ab067c2aa8b23e37",
         "censor": "0fd0fd93cf998661",
-        "w1": "e6b496daf862007a",
-        "w2": "6236c9872d32e12d",
-        "wsim": "ed4beefdfa2c4aaa",
+        "LINE1": "e6b496daf862007a",
+        "LINE2": "6236c9872d32e12d",
+        "SIM": "ed4beefdfa2c4aaa",
+        "OR": "ebe07c8e422a7d47",
+        "AND": "baf53fba9e971f52",
     },
     "cpe-g2-thin-refills": {
         "tau1": "a6b092d5db08286c",
         "tau2": "154d86cafd6c03c8",
         "tsim": "e400007421eed96d",
         "censor": "bc8db246ea1d64c5",
-        "w1": "d9be86227799a413",
-        "w2": "13a6d67b72d74ec5",
-        "wsim": "e3307df18029bad1",
+        "LINE1": "d9be86227799a413",
+        "LINE2": "13a6d67b72d74ec5",
+        "SIM": "e3307df18029bad1",
+        "OR": "5a4ed12d34545dc3",
+        "AND": "2640e61cda8e6bbb",
     },
     "cpe-untilted-4096": {
         "tau1": "e0071a0644969e25",
         "tau2": "43c785557c40860a",
         "tsim": "eace3c8f55e85437",
         "censor": "e178f0ff15118b9d",
-        "w1": "010a18401e59d8a8",
-        "w2": "64fe30a3a1f74962",
-        "wsim": "99009feaf9072bb6",
+        "LINE1": "010a18401e59d8a8",
+        "LINE2": "64fe30a3a1f74962",
+        "SIM": "99009feaf9072bb6",
+        "OR": "66511b2e7582203c",
+        "AND": "6170398a02782bb0",
     },
 }
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ruin2d.cones import ConeLabel
+from ruin2d.cones import ConeLabel, partition
 from ruin2d.errors import (
     BoundaryRay,
     BoundaryVelocity,
@@ -28,6 +28,7 @@ from ruin2d.twodim import (
     ExpansionTerms,
     RuinEstimate,
     RuinQuery,
+    _psi_star,
     exact,
     leading,
     renewal_exponents,
@@ -284,6 +285,23 @@ def test_two_term_guards():
             fn(CPE, -1.0, 3.0)
 
 
+@pytest.mark.parametrize("line", [CPE.line1, CPE.line2, BM.line1, BM.line2],
+                         ids=["cpe-p3", "cpe-p1", "bm-p3", "bm-p1"])
+def test_psi_star_near_the_adjustment_root(line):
+    # kappa in factored form keeps its relative accuracy at theta = -gamma + h,
+    # where theta + gamma is exact (Sterbenz); the direct kappa(theta) there
+    # is off by 1e-10 to 1e-7
+    p, g = line.p, line.driver.gamma(line.p)
+    for h in (1e-7, -1e-7, 1e-9, -1e-9):
+        theta = -g + h
+        if isinstance(line.driver, StandardBrownian):
+            k = theta * (theta + 2.0 * p) / 2.0
+        else:
+            k = p * theta * (theta + g) / (line.driver.mu + theta)
+        want = 1.0 / theta - line.kappa_prime(0.0) / k
+        assert abs(_psi_star(line, theta) - want) <= 1e-12 * abs(want), h
+
+
 # --- leading-order asymptotics -----------------------------------------------
 
 def test_leading_or_two_exponential_law():
@@ -309,6 +327,27 @@ def test_leading_outer_cones():
     assert r.cone is ConeLabel.D2_HAT
     assert r.diagnostics["rate_per_x2"] == pytest.approx(1.1, abs=1e-10)
     assert r.value == pytest.approx((1.0 / 3.0) * math.exp(-11.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("model2", [
+    TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.5),
+    TwoLineModel(StandardBrownian(), 3.0, 2.0),
+], ids=["cpe", "bm"])
+def test_leading_d2_cone(model2):
+    # both premium pairs bound a nonempty D2 by s2 = 0.5 (the reference
+    # models' is empty), so the ray a = 0.25 lies in it, where SIM decays
+    # like line 2's ruin alone
+    cones = partition(model2)
+    assert not cones.d2_empty and cones.s2 == pytest.approx(0.5, abs=1e-12)
+    adj = adjustment(model2)
+    ratios = []
+    for k in (5.0, 10.0, 20.0, 40.0):
+        r = leading(model2, 0.25 * k, k, "SIM")
+        assert r.cone is ConeLabel.D2
+        assert r.value == adj.C2 * math.exp(-adj.gamma2 * k)
+        ratios.append(exact(model2, RuinQuery("SIM", 0.25 * k, k)).value / r.value)
+    assert all(a < b < 1.0 for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] > 0.9
 
 
 def test_leading_middle_cone_brownian_constants():
