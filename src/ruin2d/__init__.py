@@ -67,7 +67,6 @@ from .montecarlo import (
     CheckReport,
     FixedTime,
     McEstimate,
-    PathRecord,
     SafeLevel,
     SimConfig,
     check_limits,

@@ -13,8 +13,9 @@ flags, first sightings, stopping, FixedTime censoring) in one core,
 ``_Events``, and adds only its draws, crossing and safe-level tests; it
 and ``_line_ruin_times`` read their draws through ``_Blocks``.  The exact
 Brownian engine fills the same outputs.  Either returns ``_Events.result``:
-the epochs, the censor codes and one value column per event, which
-``estimate`` sums and ``simulate`` reports.
+the epochs, the censor codes and one value column per event, all
+read-only.  ``estimate`` sums the value columns chunk by chunk, and
+``simulate`` yields each chunk's columns as one read-only block.
 
 Cost model.  The draws take about half of the jump engine's time, and
 the stream contract fixes them: a refill draws the gaps of _BLOCK rounds
@@ -82,7 +83,6 @@ __all__ = [
     "FixedTime",
     "SafeLevel",
     "SimConfig",
-    "PathRecord",
     "McEstimate",
     "CheckReport",
     "default_safe_level",
@@ -202,36 +202,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class PathRecord:
-    """One simulated path.  Censored times are +inf; ``censor_reason``
-    says why anything was left unobserved (or declared by retirement).
-    ``weights`` maps each event name to the value that ``estimate``
-    averages for it: the likelihood weight at the event's epoch, 0 where
-    the event did not happen (1 where it did, untilted).  It is a
-    read-only view of a copy, so what ``__post_init__`` checks holds for
-    the record's lifetime."""
-
-    tau1: float
-    tau2: float
-    tau_or: float
-    tau_sim: float
-    censor_reason: Optional[str]
-    weights: Mapping[str, float] = field(hash=False)  # a mapping does not hash; the times do
-
-    def __post_init__(self) -> None:
-        if math.isfinite(self.tau1) or math.isfinite(self.tau2):
-            if abs(self.tau_or - min(self.tau1, self.tau2)) > 1e-12:
-                raise InternalInconsistency("tau_or must equal min(tau1, tau2)")
-        if math.isfinite(self.tau_sim):
-            if self.tau_sim + 1e-12 < max(self.tau1, self.tau2):
-                raise InternalInconsistency("tau_sim below an individual ruin time")
-        weights = dict(self.weights)
-        if min(weights.values()) < 0.0:
-            raise InternalInconsistency("negative likelihood weight")
-        object.__setattr__(self, "weights", MappingProxyType(weights))
-
-
-@dataclass(frozen=True)
 class McEstimate:
     p_hat: float
     std_err: float
@@ -269,7 +239,7 @@ def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
 
 _CENSOR_SAFE = 1
 _CENSOR_TIME = 2
-_CENSOR_NAMES = {0: None, 1: "safe_level", 2: "fixed_time"}
+_CENSOR_NAMES = np.array([None, "safe_level", "fixed_time"], dtype=object)  # by censor code
 
 
 class _Events:
@@ -384,17 +354,24 @@ class _Events:
             raise InternalInconsistency("SIM recorded before a line's ruin")
 
     def result(self, model2: TwoLineModel, cfg: SimConfig) -> dict:
-        """The chunk's arrays: the epochs of both ruins and of SIM, the
-        censor codes, and per event the values that ``estimate`` averages
-        and ``simulate`` reports: the weight at the event's epoch, 0 where
-        it did not happen.  OR is decided at the first ruin, AND at the
-        second."""
+        """The chunk's arrays, all read-only: the epochs of both ruins and
+        of SIM, the censor codes, and per event the values that
+        ``estimate`` averages and ``simulate`` yields: the weight at the
+        event's epoch, 0 where it did not happen.  OR is decided at the
+        first ruin, AND at the second.  Refuses SIM before a ruin
+        (``check_sim``) and a negative weight in any event column: every
+        column takes its values from w1, w2 and wsim."""
         self.check_sim()
-        tau1, tau2, tsim = self.tau
+        tau1, tau2, tau_sim = self.tau
         w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
-        return {"tau1": tau1, "tau2": tau2, "tsim": tsim, "censor": self.censor,
-                "OR": np.where(tau1 <= tau2, w1, w2), "SIM": wsim,
-                "AND": np.where(tau1 >= tau2, w1, w2), "LINE1": w1, "LINE2": w2}
+        if min(w1.min(), w2.min(), wsim.min()) < 0.0:
+            raise InternalInconsistency("negative likelihood weight")
+        res = {"tau1": tau1, "tau2": tau2, "tau_sim": tau_sim, "censor": self.censor,
+               "OR": np.where(tau1 <= tau2, w1, w2), "SIM": wsim,
+               "AND": np.where(tau1 >= tau2, w1, w2), "LINE1": w1, "LINE2": w2}
+        for a in (self.tau, *res.values()):
+            a.flags.writeable = False
+        return res
 
 
 def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
@@ -581,7 +558,7 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     Under a tilt every event A is {tau_A < inf} for a stopping time tau_A,
     at which the claim level is the barrier's, so the weight taken there
     gives E_c[L(tau_A); tau_A < inf] = P(A) with no truncation (Siegmund
-    1976), for ``estimate`` and for each record of ``simulate`` alike."""
+    1976), for ``estimate`` and for each path of ``simulate`` alike."""
     p1, p2 = model2.p1, model2.p2
     c = 0.0 if cfg.tilt is None else cfg.tilt
     q1, q2 = p1 + c, p2 + c
@@ -591,7 +568,7 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     u = rng.random(width)
     v = rng.random(width)
     ev = _Events(width)
-    tau1, tau2, tsim = ev.tau
+    tau1, tau2, tau_sim = ev.tau
     if T > 0.0:
         gp = np.maximum(g, 0.0)
         h1 = np.flatnonzero(u < np.exp(gp * (-2.0 * x1 / T)))
@@ -601,9 +578,9 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                                                   np.abs(g[h1]) * (x1 / T)))
         h2 = h1[u[h1] < np.exp(gp[h1] * (-2.0 * x2 / T))]
         span = T - tau1[h2]
-        tau2[h2] = tsim[h2] = _bridge_epoch(
+        tau2[h2] = tau_sim[h2] = _bridge_epoch(
             tau1[h2], span, _passage(rng, (p1 - p2) * span, (p1 - p2) * np.abs(g[h2])))
-        later = np.flatnonzero(tsim == math.inf)
+        later = np.flatnonzero(tau_sim == math.inf)
         g1 = g2 = g[later]
     else:
         later = np.arange(width)
@@ -619,12 +596,12 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     lanes, gap = lanes[cross], gap[cross]
     t = tau2[lanes] + _passage(rng, gap, abs(q1) * gap)
     tau1[lanes] = np.minimum(tau1[lanes], t)
-    tsim[lanes] = t
+    tau_sim[lanes] = t
 
     t_hor = cfg.horizon.limits()[0]  # a safe level truncates nothing here
     if t_hor < math.inf:
         ev.tau[ev.tau > t_hor] = math.inf
-        ev.censor[tsim == math.inf] = _CENSOR_TIME  # SIM still possible after t_hor
+        ev.censor[tau_sim == math.inf] = _CENSOR_TIME  # SIM still possible after t_hor
     if cfg.tilt is not None:
         # each event's claim level is its barrier's at its epoch: the upper
         # one's at SIM (an event that never happens weighs 0 at any level)
@@ -668,18 +645,28 @@ def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
 
 
 def simulate(model2: TwoLineModel, x1: float, x2: float,
-             config: SimConfig) -> Iterator[PathRecord]:
-    """Stream PathRecords for n paths of the two-line model.
+             config: SimConfig) -> Iterator[Mapping[str, np.ndarray]]:
+    """Yield one read-only block per chunk of the n paths, in chunk order.
 
-    Each record's ``weights`` holds, per event, the value that ``estimate``
-    averages on the same path, so the records of a run reassemble its
-    estimates (both read the chunk columns of ``_Events.result``)."""
+    A block maps each column name to an array with one entry per path of
+    the chunk: the epochs ``tau1``, ``tau2``, ``tau_or`` (their minimum)
+    and ``tau_sim``, inf where not observed; ``censor_reason``, None or
+    why anything was left unobserved or declared by a retirement
+    ("fixed_time", "safe_level"); and per event of ``OR``, ``SIM``,
+    ``AND``, ``LINE1``, ``LINE2`` the value that ``estimate`` averages on
+    the same path: the likelihood weight at the event's epoch, 0 where it
+    did not happen (1 where it did, untilted).
+    Summed chunk by chunk, the value columns give ``estimate``'s p_hat.
+    No column can be written."""
     _check_reserves(x1, x2)
     config.horizon.check(model2, x1, x2, config.tilt)
     for res in _run_chunks(model2, x1, x2, config):
-        cols = [res[k].tolist() for k in ("tau1", "tau2", "tsim", "censor", *_EVENTS)]
-        for t1, t2, ts, cen, *w in zip(*cols):
-            yield PathRecord(t1, t2, min(t1, t2), ts, _CENSOR_NAMES[cen], dict(zip(_EVENTS, w)))
+        tau_or = np.minimum(res["tau1"], res["tau2"])
+        censor_reason = _CENSOR_NAMES.take(res["censor"])
+        tau_or.flags.writeable = censor_reason.flags.writeable = False
+        yield MappingProxyType({"tau1": res["tau1"], "tau2": res["tau2"], "tau_or": tau_or,
+                                "tau_sim": res["tau_sim"], "censor_reason": censor_reason,
+                                **{e: res[e] for e in _EVENTS}})
 
 
 def estimate(model2: TwoLineModel, x1: float, x2: float,

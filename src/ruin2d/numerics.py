@@ -212,8 +212,9 @@ def integrate(
     ``(value, err_est)`` where ``err_est`` is the final conservative
     error bound (the summed Gauss/Kronrod defects).  The worst panel is
     bisected until the bound drops below ``tol``; exceeding
-    ``_MAX_SPLITS`` splits raises MaxIterations; a limit that is not
-    finite raises ValueError.
+    ``_MAX_SPLITS`` splits raises MaxIterations, and so do panels with no
+    float strictly inside once their defects alone exceed ``tol``; a
+    limit that is not finite raises ValueError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
@@ -228,16 +229,23 @@ def integrate(
     panels: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
     v, e = values.pop((a, b))
     panels.append((-e, a, b, v))
+    # panels with no float strictly inside: set aside, their defects counted
+    unsplit: list[tuple[float, float, float, float]] = []
+    unsplit_err = 0.0
     for _ in range(_MAX_SPLITS):
-        total_err = -sum(p[0] for p in panels)
+        total_err = -sum(p[0] for p in panels) + unsplit_err
         if total_err <= tol:
             break
         panels.sort()  # worst (most negative first entry) panel first
-        _, lo, hi, v = panels.pop(0)
+        worst = panels.pop(0)
+        _, lo, hi, v = worst
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            # Panel at floating-point resolution; keep its estimate as is.
-            panels.append((-0.0, lo, hi, v))
+            unsplit.append(worst)
+            unsplit_err -= worst[0]
+            if unsplit_err > tol:
+                raise MaxIterations(f"quadrature error {unsplit_err:g} above tol {tol:g} "
+                                    "on panels at floating-point resolution")
             continue
         if (lo, mid) not in values:
             _evaluate(f, _geometry(_panels_below(lo, hi, _AHEAD_DEPTH)), values)
@@ -245,12 +253,13 @@ def integrate(
             v, e = values.pop((l, h))
             panels.append((-e, l, h, v))
     else:
-        total_err = -sum(p[0] for p in panels)
+        total_err = -sum(p[0] for p in panels) + unsplit_err
         if total_err > tol:
             raise MaxIterations(
                 f"quadrature error {total_err:g} above tol {tol:g} after {_MAX_SPLITS} panel splits"
             )
 
+    panels += unsplit
     value = math.fsum(p[3] for p in panels)
     err = -math.fsum(p[0] for p in panels)
     return value, err

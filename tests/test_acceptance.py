@@ -159,7 +159,8 @@ def test_criterion_06_finite_time_vs_event_driven_mc():
             for x, t in ((1.0, 2.0), (5.0, 5.0)):
                 target = finite_ruin(line, x, t).value
                 cfg = SimConfig(n=1_000_000, seed=31, horizon=FixedTime(t))
-                hits = np.fromiter((r.tau2 <= t for r in simulate(pair, x, x, cfg)), dtype=float)
+                hits = np.concatenate([b["tau2"] <= t for b in simulate(pair, x, x, cfg)])
+                hits = hits.astype(float)
                 se = hits.std(ddof=1) / math.sqrt(len(hits))
                 z = (hits.mean() - target) / se
                 zs.append(z)

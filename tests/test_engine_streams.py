@@ -38,7 +38,7 @@ CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
 BM = TwoLineModel(StandardBrownian(), 3.0, 1.0)
 RW = TwoLineModel(Renewal(deterministic_dist(1.0), exponential_dist(2.0)), 3.0, 1.0)
 MODELS = {"cpe": CPE, "bm": BM, "renewal": RW}
-ARRAYS = ("tau1", "tau2", "tsim", "censor", "OR", "SIM", "AND", "LINE1", "LINE2")
+ARRAYS = ("tau1", "tau2", "tau_sim", "censor", "OR", "SIM", "AND", "LINE1", "LINE2")
 WIDTH = 4096
 TAIL_K = {"cpe": 20.0, "bm": 8.0}
 
@@ -79,7 +79,7 @@ DIGESTS = {
     "bm-fixed-time": {
         "tau1": "0d3f4e39049d265c",
         "tau2": "bc8cf07639c6d11a",
-        "tsim": "4ba7f4f6c114cf1c",
+        "tau_sim": "4ba7f4f6c114cf1c",
         "censor": "bd5a8e4a160525e4",
         "LINE1": "1e32b3ba1e66c1c9",
         "LINE2": "3651b89867e47e9a",
@@ -90,7 +90,7 @@ DIGESTS = {
     "bm-lower-cone": {
         "tau1": "66efc2d923ff9956",
         "tau2": "f4ce840bf4559d93",
-        "tsim": "66efc2d923ff9956",
+        "tau_sim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "b7470fd27b67e79f",
         "LINE2": "7ffe119fb5668977",
@@ -101,7 +101,7 @@ DIGESTS = {
     "bm-origin": {
         "tau1": "b7470fd27b67e79f",
         "tau2": "b7470fd27b67e79f",
-        "tsim": "b7470fd27b67e79f",
+        "tau_sim": "b7470fd27b67e79f",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "ad7489174fe06d09",
         "LINE2": "ad7489174fe06d09",
@@ -112,7 +112,7 @@ DIGESTS = {
     "bm-partial-chunk": {
         "tau1": "d37dfa93f8ce1a04",
         "tau2": "4677c93f88b232e5",
-        "tsim": "160806ddae9b5432",
+        "tau_sim": "160806ddae9b5432",
         "censor": "eff247a723dcedd5",
         "LINE1": "541d8f86fbcf5ec1",
         "LINE2": "5ee3165cb684c395",
@@ -123,7 +123,7 @@ DIGESTS = {
     "bm-tail-g1": {
         "tau1": "2042a34b1406c65e",
         "tau2": "272b559189da40f7",
-        "tsim": "3bb61caacd715e96",
+        "tau_sim": "3bb61caacd715e96",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "e5de6b4ed639997e",
         "LINE2": "51b63e534b747a2b",
@@ -134,7 +134,7 @@ DIGESTS = {
     "bm-tail-g2": {
         "tau1": "66efc2d923ff9956",
         "tau2": "5b7d627d8feb2096",
-        "tsim": "66efc2d923ff9956",
+        "tau_sim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "b7470fd27b67e79f",
         "LINE2": "6422ca7eba45e35f",
@@ -145,7 +145,7 @@ DIGESTS = {
     "bm-untilted-1-3": {
         "tau1": "e3a48cc14bef8eea",
         "tau2": "c38d3c6fe836c658",
-        "tsim": "66efc2d923ff9956",
+        "tau_sim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "84a9d131471e0d60",
         "LINE2": "cb4be777375afd4e",
@@ -156,7 +156,7 @@ DIGESTS = {
     "cpe-fixed-time": {
         "tau1": "ea51b14b164f6785",
         "tau2": "0d51de4dfdf90212",
-        "tsim": "f72df7774fc5bde6",
+        "tau_sim": "f72df7774fc5bde6",
         "censor": "afa4049b6f276076",
         "LINE1": "fd975edbfd7152f1",
         "LINE2": "7c334129a7e10653",
@@ -167,7 +167,7 @@ DIGESTS = {
     "cpe-lower-cone": {
         "tau1": "dc671bc0c81d4d38",
         "tau2": "b6ce2bc542869fd2",
-        "tsim": "dc671bc0c81d4d38",
+        "tau_sim": "dc671bc0c81d4d38",
         "censor": "84b1e93ab795ba36",
         "LINE1": "83d689c55f3aa600",
         "LINE2": "d358fc1f5f7a75b8",
@@ -178,7 +178,7 @@ DIGESTS = {
     "cpe-origin": {
         "tau1": "3df3ae3fd949fa4f",
         "tau2": "2e71db3875690764",
-        "tsim": "3df3ae3fd949fa4f",
+        "tau_sim": "3df3ae3fd949fa4f",
         "censor": "7d432f1b95dfa96e",
         "LINE1": "64cc72b0abab3419",
         "LINE2": "633e80fa9a6e3b7b",
@@ -189,7 +189,7 @@ DIGESTS = {
     "cpe-partial-chunk": {
         "tau1": "e70101db63d99ed3",
         "tau2": "8a47ddf990755821",
-        "tsim": "0223890070697c7a",
+        "tau_sim": "0223890070697c7a",
         "censor": "357ad0502f1dc584",
         "LINE1": "115cf9414fbf42dc",
         "LINE2": "0f54297aa852e2fb",
@@ -200,7 +200,7 @@ DIGESTS = {
     "cpe-tail-g1": {
         "tau1": "6d20550cc31979bc",
         "tau2": "89cf37114c2fd237",
-        "tsim": "89cf37114c2fd237",
+        "tau_sim": "89cf37114c2fd237",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "c34829ca2c65e1a5",
         "LINE2": "796b6d51c7d9a0cc",
@@ -211,7 +211,7 @@ DIGESTS = {
     "cpe-tail-g2": {
         "tau1": "3822c0448c5ba263",
         "tau2": "3f7a8ce486408dfe",
-        "tsim": "16c289feac32a159",
+        "tau_sim": "16c289feac32a159",
         "censor": "823c9d10c82e0f53",
         "LINE1": "98e393b4caeaf063",
         "LINE2": "d44c0cb7b21c178c",
@@ -222,7 +222,7 @@ DIGESTS = {
     "cpe-untilted-1-3": {
         "tau1": "da0d4ac70c3828b6",
         "tau2": "03dfbcea61926899",
-        "tsim": "1a1f5af92514bc41",
+        "tau_sim": "1a1f5af92514bc41",
         "censor": "c114135d41026172",
         "LINE1": "aadc1f451dd6cc42",
         "LINE2": "7b1a16472bfd900c",
@@ -233,7 +233,7 @@ DIGESTS = {
     "renewal-fixed-time": {
         "tau1": "19ce595f4a1dcbb1",
         "tau2": "3a64aaf5d138a0ad",
-        "tsim": "19ce595f4a1dcbb1",
+        "tau_sim": "19ce595f4a1dcbb1",
         "censor": "13d045bdd3d7a8f1",
         "LINE1": "bae0db85a62e0193",
         "LINE2": "53f63f05e7cdf36a",
@@ -244,7 +244,7 @@ DIGESTS = {
     "renewal-tail-g1": {
         "tau1": "98bbfe6abcba164c",
         "tau2": "6acb9350eceb8509",
-        "tsim": "6acb9350eceb8509",
+        "tau_sim": "6acb9350eceb8509",
         "censor": "cfab9fd2c97bf618",
         "LINE1": "52ca1fee9e8c07f9",
         "LINE2": "d452d7ade08a9da6",

@@ -6,11 +6,14 @@ closed-form oracles.  The heavy n=10^6 comparisons live in the
 acceptance suite; these runs are sized to keep the file under a minute.
 """
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ruin2d import montecarlo
 from ruin2d.errors import (
     ConfigError,
     InsufficientConditionedSamples,
@@ -33,7 +36,6 @@ from ruin2d.models import (
 )
 from ruin2d.montecarlo import (
     FixedTime,
-    PathRecord,
     SafeLevel,
     SimConfig,
     _chunk_rng,
@@ -60,11 +62,18 @@ def cfg(n, seed, horizon=None, **kw):
     return SimConfig(n=n, seed=seed, horizon=horizon or SafeLevel(30.0), **kw)
 
 
-def unit_weights(r):
-    """An untilted record's weights: 1 for each event that happened."""
-    epochs = {"OR": r.tau_or, "SIM": r.tau_sim, "AND": max(r.tau1, r.tau2),
-              "LINE1": r.tau1, "LINE2": r.tau2}
-    return {e: float(math.isfinite(epochs[e])) for e in _EVENTS}
+def columns(blocks):
+    """A run's columns, each joined over its blocks in chunk order."""
+    blocks = list(blocks)
+    return {k: np.concatenate([b[k] for b in blocks]) for k in blocks[0]}
+
+
+def has_unit_weights(c):
+    """Whether an untilted run's event columns are 1 for each event that
+    happened and 0 elsewhere."""
+    epochs = {"OR": c["tau_or"], "SIM": c["tau_sim"], "AND": np.maximum(c["tau1"], c["tau2"]),
+              "LINE1": c["tau1"], "LINE2": c["tau2"]}
+    return all(np.array_equal(c[e], np.isfinite(epochs[e]).astype(float)) for e in _EVENTS)
 
 
 class TestConfig:
@@ -87,29 +96,54 @@ class TestConfig:
             assert sl.L == pytest.approx(30.0 / lo_gamma, rel=1e-12)
 
 
+# sha256 over every path field in stream order (tau1, tau2, tau_or and
+# tau_sim as float64 bytes, repr of the censor_reason list, then each event's
+# column as float64 bytes), n=5000, chunk_size 1024, seed 17, at (1, 3);
+# taken from the one-record-per-path simulate that the blocks replaced
+STREAM_DIGESTS = {
+    ("cpe", "untilted"): "a82c6be630340338",
+    ("cpe", "tilted"): "bed170e2e6fea9ff",
+    ("cpe", "tilted-fixed-time"): "425580f17cc0239a",
+    ("bm", "untilted"): "ceff51dfbc9bb3fa",
+    ("bm", "tilted"): "695c45be4704603e",
+    ("bm", "tilted-fixed-time"): "973d6832441a45fd",
+    ("renewal", "untilted"): "0131bff4ef25c4e5",
+    ("renewal", "tilted"): "53a8ca67f68d2868",
+    ("renewal", "tilted-fixed-time"): "4b458ce446fcd9df",
+}
+STREAM_MODELS = {"cpe": CPE, "bm": BM, "renewal": RW}
+STREAM_CASES = {"untilted": (None, False), "tilted": (-0.5, False),
+                "tilted-fixed-time": (-0.5, True)}
+
+
+def stream_config(name, case):
+    model = STREAM_MODELS[name]
+    tilt, fixed = STREAM_CASES[case]
+    horizon = FixedTime(5.0) if fixed else default_safe_level(model)
+    return model, SimConfig(n=5000, seed=17, horizon=horizon, tilt=tilt, chunk_size=1024)
+
+
 class TestRecords:
     def test_invariants(self):
-        config = cfg(4000, 13)
-        records = list(simulate(CPE, 1.0, 3.0, config))
-        assert len(records) == 4000
-        sim_ruined = 0
-        for r in records:
-            assert r.tau_or == min(r.tau1, r.tau2)
-            if math.isfinite(r.tau_sim):
-                assert r.tau_sim + 1e-12 >= max(r.tau1, r.tau2)
-                sim_ruined += 1
-            assert r.censor_reason in (None, "safe_level")
-            assert r.weights == unit_weights(r)  # untilted runs carry unit weights
-        assert sim_ruined > 0
-        assert records[-1] in set(records)  # records hash, their weights aside
+        c = columns(simulate(CPE, 1.0, 3.0, cfg(4000, 13)))
+        assert c["tau1"].size == 4000
+        assert np.array_equal(c["tau_or"], np.minimum(c["tau1"], c["tau2"]))
+        sim = np.isfinite(c["tau_sim"])
+        assert (c["tau_sim"][sim] + 1e-12 >= np.maximum(c["tau1"], c["tau2"])[sim]).all()
+        assert sim.any()
+        assert set(c["censor_reason"]) <= {None, "safe_level"}
+        assert has_unit_weights(c)  # untilted runs carry unit weights
+
+    def test_one_block_per_chunk(self):
+        config = cfg(2500, 13, chunk_size=1024)
+        assert [b["tau1"].size for b in simulate(CPE, 1.0, 3.0, config)] == [1024, 1024, 452]
 
     def test_estimate_matches_record_average(self):
         # untilted, the estimator is a plain indicator mean over the
         # same substreams simulate() exposes
         config = cfg(4000, 13)
         for model in (CPE, BM):
-            records = list(simulate(model, 1.0, 3.0, config))
-            frac = np.mean([math.isfinite(r.tau_or) for r in records])
+            frac = np.isfinite(columns(simulate(model, 1.0, 3.0, config))["tau_or"]).mean()
             est = estimate(model, 1.0, 3.0, "OR", config)
             assert est.p_hat == frac
             assert est.n == 4000
@@ -117,18 +151,18 @@ class TestRecords:
     def test_clean_horizon_censors_everything(self):
         # claim rate ~0: nothing can ruin inside a unit horizon
         quiet = TwoLineModel(CompoundPoissonExp(1e-9, 2.0), 3.0, 1.0)
-        records = list(simulate(quiet, 1.0, 3.0, cfg(60, 1, FixedTime(1.0))))
-        assert all(r.censor_reason == "fixed_time" for r in records)
-        assert all(math.isinf(r.tau_or) for r in records)
-        assert all(r.weights == unit_weights(r) for r in records)
+        c = columns(simulate(quiet, 1.0, 3.0, cfg(60, 1, FixedTime(1.0))))
+        assert set(c["censor_reason"]) == {"fixed_time"}
+        assert np.isinf(c["tau_or"]).all()
+        assert has_unit_weights(c)
 
     def test_first_claim_sinks_both_lines(self):
         # mean claim 5 against reserves 0.01: the opening claim almost
         # surely ruins both lines in the same instant
         heavy = TwoLineModel(CompoundPoissonExp(5.0, 0.2), 3.0, 1.0)
-        records = list(simulate(heavy, 0.01, 0.01, cfg(300, 4, SafeLevel(1.0))))
-        simo = [r for r in records if math.isfinite(r.tau_sim) and r.tau1 == r.tau2 == r.tau_sim]
-        assert len(simo) > len(records) // 2
+        c = columns(simulate(heavy, 0.01, 0.01, cfg(300, 4, SafeLevel(1.0))))
+        simo = np.isfinite(c["tau_sim"]) & (c["tau1"] == c["tau_sim"]) & (c["tau2"] == c["tau_sim"])
+        assert simo.sum() > 300 // 2
 
     def test_sim_before_a_ruin_is_refused(self):
         # lane 1 sees both ruins and SIM at once and stops, a record the
@@ -145,39 +179,63 @@ class TestRecords:
         with pytest.raises(InternalInconsistency, match="SIM recorded before"):
             ev.check_sim()
 
-    def test_negative_weight_is_refused(self):
-        weights = dict.fromkeys(_EVENTS, 0.0)
-        PathRecord(math.inf, math.inf, math.inf, math.inf, None, weights)
+    @pytest.mark.parametrize("model", [CPE, BM], ids=["cpe", "bm"])
+    @pytest.mark.parametrize("row", [0, 1, 2], ids=["LINE1", "LINE2", "SIM"])
+    def test_negative_weight_is_refused(self, monkeypatch, model, row):
+        # one lane of one of the three weights a chunk takes (the rows of
+        # _Events.tau) is -1e-300; every event column reads those three,
+        # so estimate refuses it whichever event it is asked for
+        real, calls = montecarlo._event_weight, itertools.count()
+
+        def one_negative(*args):
+            w = real(*args)
+            if next(calls) % 3 == row:
+                w[0] = -1e-300
+            return w
+        monkeypatch.setattr(montecarlo, "_event_weight", one_negative)
+        config = cfg(100, 13)
         with pytest.raises(InternalInconsistency, match="negative likelihood weight"):
-            PathRecord(math.inf, math.inf, math.inf, math.inf, None, {**weights, "AND": -1e-300})
+            estimate(model, 1.0, 3.0, "OR", config)
+        with pytest.raises(InternalInconsistency, match="negative likelihood weight"):
+            next(simulate(model, 1.0, 3.0, config))
 
-    def test_weights_are_read_only(self):
-        # a weight written after the record is made would skip the refusal
-        # above and part two equal records
-        weights = dict.fromkeys(_EVENTS, 0.0)
-        r = PathRecord(math.inf, math.inf, math.inf, math.inf, None, weights)
+    @pytest.mark.parametrize("model", [CPE, BM], ids=["cpe", "bm"])
+    def test_no_column_can_be_written(self, model):
+        # a value written after the chunk's checks would skip them
+        block = next(simulate(model, 1.0, 3.0, cfg(100, 13, tilt=-0.5)))
+        for name, col in block.items():
+            with pytest.raises(ValueError):
+                col[0] = col[0]
         with pytest.raises(TypeError):
-            r.weights["OR"] = -1.0
-        weights["OR"] = -1.0  # the record holds a copy
-        assert r.weights["OR"] == 0.0
-        assert r == PathRecord(math.inf, math.inf, math.inf, math.inf, None,
-                               dict.fromkeys(_EVENTS, 0.0))
+            block["OR"] = np.zeros(100)
+        with pytest.raises(TypeError):
+            del block["OR"]
 
-    @pytest.mark.parametrize("model", [CPE, BM, RW], ids=["cpe", "bm", "renewal"])
-    @pytest.mark.parametrize("tilt,fixed", [(None, False), (-0.5, False), (-0.5, True)],
-                             ids=["untilted", "tilted", "tilted-fixed-time"])
-    def test_records_reassemble_every_estimate(self, model, tilt, fixed):
-        # each record's weights are the values estimate averages, so their
+    @pytest.mark.parametrize("name", STREAM_MODELS)
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_records_keep_every_path_value(self, name, case):
+        model, config = stream_config(name, case)
+        c = columns(simulate(model, 1.0, 3.0, config))
+        h = hashlib.sha256()
+        for k in ("tau1", "tau2", "tau_or", "tau_sim"):
+            h.update(c[k].tobytes())
+        h.update(repr(c["censor_reason"].tolist()).encode())
+        for e in _EVENTS:
+            h.update(c[e].tobytes())
+        assert h.hexdigest()[:16] == STREAM_DIGESTS[name, case]
+
+    @pytest.mark.parametrize("name", STREAM_MODELS)
+    @pytest.mark.parametrize("case", STREAM_CASES)
+    def test_records_reassemble_every_estimate(self, name, case):
+        # each event column holds the values estimate averages, so their
         # chunk sums, added in chunk order, give its p_hat bit for bit
-        horizon = FixedTime(5.0) if fixed else default_safe_level(model)
-        config = SimConfig(n=5000, seed=17, horizon=horizon, tilt=tilt, chunk_size=1024)
-        records = list(simulate(model, 1.0, 3.0, config))
+        model, config = stream_config(name, case)
+        blocks = list(simulate(model, 1.0, 3.0, config))
         ests = estimate(model, 1.0, 3.0, _EVENTS, config)
         for e in _EVENTS:
             total = 0.0
-            for k in range(0, config.n, config.chunk_size):
-                chunk = records[k:k + config.chunk_size]
-                total += float(np.array([r.weights[e] for r in chunk]).sum())
+            for b in blocks:
+                total += float(b[e].sum())
             assert total / config.n == ests[e].p_hat, e
 
 
@@ -203,7 +261,7 @@ class TestExactBrownian:
         config = SimConfig(n=self.N, seed=23, horizon=default_safe_level(BM))
         res = list(_run_chunks(BM, x1, x2, config))
         assert len(checks) == len(res) == 120  # no SIM before a ruin, chunk by chunk
-        t1, t2, ts = (np.concatenate([r[k] for r in res]) for k in ("tau1", "tau2", "tsim"))
+        t1, t2, ts = (np.concatenate([r[k] for r in res]) for k in ("tau1", "tau2", "tau_sim"))
         assert not (ts < np.maximum(t1, t2)).any()
         assert not np.concatenate([r["censor"] for r in res]).any()  # SafeLevel cuts nothing
         for event, hits in (("OR", np.minimum(t1, t2)), ("SIM", ts), ("AND", np.maximum(t1, t2))):
@@ -217,16 +275,16 @@ class TestExactBrownian:
 
     def test_fixed_time_truncates_the_same_paths(self):
         t = 2.0
-        safe = list(simulate(BM, 0.5, 1.0, cfg(20_000, 29, SafeLevel(15.0))))
-        fixed = list(simulate(BM, 0.5, 1.0, cfg(20_000, 29, FixedTime(t))))
-        assert all(r.censor_reason is None for r in safe)
-        for a, b in zip(safe, fixed):
-            for name in ("tau1", "tau2", "tau_or", "tau_sim"):
-                want = getattr(a, name)
-                assert getattr(b, name) == (want if want <= t else math.inf)
-            # a lane without SIM by t could still show it later
-            assert b.censor_reason == (None if b.tau_sim <= t else "fixed_time")
-        assert {b.censor_reason for b in fixed} == {None, "fixed_time"}
+        safe = columns(simulate(BM, 0.5, 1.0, cfg(20_000, 29, SafeLevel(15.0))))
+        fixed = columns(simulate(BM, 0.5, 1.0, cfg(20_000, 29, FixedTime(t))))
+        assert set(safe["censor_reason"]) == {None}
+        for name in ("tau1", "tau2", "tau_or", "tau_sim"):
+            want = safe[name]
+            assert np.array_equal(fixed[name], np.where(want <= t, want, math.inf))
+        # a lane without SIM by t could still show it later
+        assert np.array_equal(fixed["censor_reason"],
+                              np.where(fixed["tau_sim"] <= t, None, "fixed_time"))
+        assert set(fixed["censor_reason"]) == {None, "fixed_time"}
 
 
 class TestTiltedExactBrownian:
@@ -241,8 +299,10 @@ class TestTiltedExactBrownian:
         plain = cfg(20_000, 5, default_safe_level(BM))
         zero = cfg(20_000, 5, default_safe_level(BM), tilt=0.0)
         assert estimate(BM, 1.0, 3.0, _EVENTS, zero) == estimate(BM, 1.0, 3.0, _EVENTS, plain)
-        assert (list(simulate(BM, 1.0, 3.0, cfg(2_000, 5, default_safe_level(BM), tilt=0.0)))
-                == list(simulate(BM, 1.0, 3.0, cfg(2_000, 5, default_safe_level(BM)))))
+        zero = columns(simulate(BM, 1.0, 3.0, cfg(2_000, 5, default_safe_level(BM), tilt=0.0)))
+        plain = columns(simulate(BM, 1.0, 3.0, cfg(2_000, 5, default_safe_level(BM))))
+        assert zero.keys() == plain.keys()
+        assert all(np.array_equal(zero[k], plain[k]) for k in zero)
 
     @pytest.mark.parametrize("line", [1, 2])
     def test_weights_take_the_closed_form(self, line):
@@ -330,10 +390,7 @@ class TestImportanceSampling:
         errs = {}
         for tilt in (None, -1.0):
             config = SimConfig(n=30_000, seed=3, horizon=FixedTime(5.0), tilt=tilt)
-            vals = np.fromiter(
-                (r.weights["LINE2"] for r in simulate(single, 5.0, 5.0, config)),
-                dtype=float,
-            )
+            vals = columns(simulate(single, 5.0, 5.0, config))["LINE2"]
             se = vals.std(ddof=1) / math.sqrt(len(vals))
             assert abs(vals.mean() - target) <= 3.5 * se
             errs[tilt] = se

@@ -1,10 +1,10 @@
 """The public surface: the README's library quick start runs as written and
-prints what it says, and the names exported by ``ruin2d`` and the fields
-of ``PathRecord`` are pinned, so a change to them is a deliberate edit of
-this file."""
+prints what it says, and the names exported by ``ruin2d`` and the columns
+of a ``simulate`` block are pinned, so a change to them is a deliberate
+edit of this file."""
 
-import dataclasses
 import re
+import types
 from pathlib import Path
 
 import ruin2d
@@ -17,7 +17,7 @@ PUBLIC_NAMES = [
     "ExpansionTerms", "FixedTime", "InsufficientConditionedSamples",
     "InternalInconsistency", "InvalidHorizon", "InvalidProportions", "LimitLaw",
     "LineModel", "McEstimate", "NoAdjustment", "NoConjugate", "NumericalRefusal",
-    "OutOfDomain", "OutOfRange", "PathRecord", "Renewal", "Ruin2dError",
+    "OutOfDomain", "OutOfRange", "Renewal", "Ruin2dError",
     "RuinEstimate", "RuinQuery", "SaddleData", "SafeLevel", "SimConfig",
     "StandardBrownian", "TwoLineModel", "UnsupportedDriver",
     "adjustment", "ah_asymptotic", "ah_branches", "ah_ruin_after", "check_limits",
@@ -54,6 +54,15 @@ def test_public_names_are_pinned():
     assert sorted(ruin2d.__all__) == PUBLIC_NAMES
 
 
-def test_path_record_fields_are_pinned():
-    assert [f.name for f in dataclasses.fields(ruin2d.PathRecord)] == [
-        "tau1", "tau2", "tau_or", "tau_sim", "censor_reason", "weights"]
+def test_block_columns_are_pinned():
+    model = ruin2d.TwoLineModel(ruin2d.CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
+    config = ruin2d.SimConfig(n=5, seed=1, horizon=ruin2d.SafeLevel(30.0))
+    block = next(ruin2d.simulate(model, 1.0, 3.0, config))
+    assert isinstance(block, types.MappingProxyType)
+    assert {k: (v.dtype.str, v.shape) for k, v in block.items()} == {
+        "tau1": ("<f8", (5,)), "tau2": ("<f8", (5,)), "tau_or": ("<f8", (5,)),
+        "tau_sim": ("<f8", (5,)), "censor_reason": ("|O", (5,)),
+        "OR": ("<f8", (5,)), "SIM": ("<f8", (5,)), "AND": ("<f8", (5,)),
+        "LINE1": ("<f8", (5,)), "LINE2": ("<f8", (5,))}
+    assert list(block) == ["tau1", "tau2", "tau_or", "tau_sim", "censor_reason",
+                           "OR", "SIM", "AND", "LINE1", "LINE2"]

@@ -60,27 +60,35 @@ def oracle(
     panels: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
     v, e = _gk_panel(f, a, b)
     panels.append((-e, a, b, v))
+    unsplit: list[tuple[float, float, float, float]] = []  # at floating-point resolution
+    unsplit_err = 0.0
     for _ in range(max_panels):
-        total_err = -sum(p[0] for p in panels)
+        total_err = -sum(p[0] for p in panels) + unsplit_err
         if total_err <= tol:
             break
         panels.sort()  # worst (most negative first entry) panel first
-        _, lo, hi, v = panels.pop(0)
+        worst = panels.pop(0)
+        _, lo, hi, v = worst
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            # Panel at floating-point resolution; keep its estimate as is.
-            panels.append((-0.0, lo, hi, v))
+            # no float strictly inside: set the panel aside, its defect counted
+            unsplit.append(worst)
+            unsplit_err -= worst[0]
+            if unsplit_err > tol:
+                raise MaxIterations(f"quadrature error {unsplit_err:g} above tol {tol:g} "
+                                    "on panels at floating-point resolution")
             continue
         (v1, e1), (v2, e2) = _gk_pair(f, lo, mid, hi)
         panels.append((-e1, lo, mid, v1))
         panels.append((-e2, mid, hi, v2))
     else:
-        total_err = -sum(p[0] for p in panels)
+        total_err = -sum(p[0] for p in panels) + unsplit_err
         if total_err > tol:
             raise MaxIterations(
                 f"quadrature error {total_err:g} above tol {tol:g} after {max_panels} panel splits"
             )
 
+    panels += unsplit
     value = math.fsum(p[3] for p in panels)
     err = -math.fsum(p[0] for p in panels)
     return value, err
@@ -143,8 +151,9 @@ def test_degenerate_and_resolution_intervals(a, ulps, tol):
 
 def test_step_at_floating_point_resolution():
     # a step at the midpoint of [1, 1 + 8 ulps] keeps the loop bisecting
-    # down to panels with no float strictly inside, which it keeps as they
-    # are; a tolerance below every nonzero defect forces that
+    # down to panels with no float strictly inside; a tolerance below every
+    # nonzero defect leaves their defects above it, so both loops refuse
+    # rather than return a value 25% low with an error bound of 0
     a = b = 1.0
     for _ in range(8):
         b = math.nextafter(b, math.inf)
@@ -152,7 +161,10 @@ def test_step_at_floating_point_resolution():
 
     def f(x):
         return np.where(x > step, 1e300, 0.0)
-    assert outcome(integrate, f, a, b, 1e-310) == outcome(oracle, f, a, b, 1e-310)
+    got = outcome(integrate, f, a, b, 1e-310)
+    assert got == outcome(oracle, f, a, b, 1e-310)
+    assert got.startswith("MaxIterations: ") and got.endswith(
+        "above tol 1e-310 on panels at floating-point resolution"), got
 
 
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)

@@ -21,7 +21,7 @@ from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment
 from ruin2d.montecarlo import FixedTime, SimConfig, _jump_chunk, default_safe_level
 
 CPE = TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0)
-ARRAYS = ("tau1", "tau2", "tsim", "censor", "OR", "SIM", "AND", "LINE1", "LINE2")
+ARRAYS = ("tau1", "tau2", "tau_sim", "censor", "OR", "SIM", "AND", "LINE1", "LINE2")
 
 # case id: (x1, x2, tilt (None, "g1" = -gamma1, "g2" = -0.75 gamma2),
 #           horizon (None = default_safe_level), chunk index, width, chunk_size)
@@ -46,7 +46,7 @@ DIGESTS = {
     "cpe-fixed-time-refill": {
         "tau1": "d40a7f9ce47c0f08",
         "tau2": "8086fa40c9c7eefd",
-        "tsim": "6f8b0acdfb13f887",
+        "tau_sim": "6f8b0acdfb13f887",
         "censor": "572e13d79db42452",
         "LINE1": "7762da319027636c",
         "LINE2": "99b94b311d055395",
@@ -57,7 +57,7 @@ DIGESTS = {
     "cpe-g1-first-piece": {
         "tau1": "5c29da776e84c042",
         "tau2": "30661d36390d0b68",
-        "tsim": "2b4d1d58a27a7ecf",
+        "tau_sim": "2b4d1d58a27a7ecf",
         "censor": "906a76d3372ecf96",
         "LINE1": "090483b714327cb8",
         "LINE2": "2c5c4fc367bdc2e1",
@@ -68,7 +68,7 @@ DIGESTS = {
     "cpe-g2-thin-partial": {
         "tau1": "223b7ce993945204",
         "tau2": "f4c89b16ca36447e",
-        "tsim": "ab067c2aa8b23e37",
+        "tau_sim": "ab067c2aa8b23e37",
         "censor": "0fd0fd93cf998661",
         "LINE1": "e6b496daf862007a",
         "LINE2": "6236c9872d32e12d",
@@ -79,7 +79,7 @@ DIGESTS = {
     "cpe-g2-thin-refills": {
         "tau1": "a6b092d5db08286c",
         "tau2": "154d86cafd6c03c8",
-        "tsim": "e400007421eed96d",
+        "tau_sim": "e400007421eed96d",
         "censor": "bc8db246ea1d64c5",
         "LINE1": "d9be86227799a413",
         "LINE2": "13a6d67b72d74ec5",
@@ -90,7 +90,7 @@ DIGESTS = {
     "cpe-untilted-4096": {
         "tau1": "e0071a0644969e25",
         "tau2": "43c785557c40860a",
-        "tsim": "eace3c8f55e85437",
+        "tau_sim": "eace3c8f55e85437",
         "censor": "e178f0ff15118b9d",
         "LINE1": "010a18401e59d8a8",
         "LINE2": "64fe30a3a1f74962",
