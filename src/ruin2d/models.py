@@ -22,7 +22,8 @@ keep their results per argument key in a bounded LRU cache, so each
 model's constants are solved, and cross-checked, on the first call only;
 the two ``DistSpec`` builders are kept so too, so equal renewal drivers
 compare equal.  Within one ``cli.run`` the spectral integral of
-``CompoundPoissonExp.ruin_after`` is kept per (driver, p, x, t) as well.
+``CompoundPoissonExp.ruin_after`` is kept per (driver, p, x, t) as well;
+elsewhere only its integrand's node-only columns and each model's lines are.
 
 Each driver class is one row of the driver table, so the generic code
 never branches on the driver type to pick a formula.  Every method takes
@@ -58,7 +59,7 @@ import contextvars
 import functools
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -74,7 +75,7 @@ from .errors import (
     OutOfRange,
     UnsupportedDriver,
 )
-from .numerics import _exp_cdf, integrate, normal_cdf, root_solve
+from .numerics import _exp_cdf, _first_call, integrate, normal_cdf, root_solve
 
 __all__ = [
     "CompoundPoissonExp",
@@ -129,6 +130,23 @@ def _solved_once(fn):
     solve.cache_info = cached.cache_info
     solve.cache_clear = cached.cache_clear
     return solve
+
+
+_band: tuple = (None, None)  # (kept node array, its columns)
+
+
+def _band_trig(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The spectral integrand's node-only columns sin(2u), sin(u)**2 and 2u:
+    kept for the nodes of ``integrate``'s first call on [0, pi/2], one array
+    on every spectral integral, and computed afresh for any other array (an
+    ahead call's).  Holding that array keeps its identity from passing on."""
+    global _band
+    nodes, trig = _band
+    if u is not nodes:
+        trig = np.sin(2.0 * u), np.sin(u) ** 2, 2.0 * u
+        if u is _first_call(0.0, 0.5 * math.pi)[1]:
+            _band = u, trig
+    return trig
 
 
 class _Levy:
@@ -242,10 +260,10 @@ class CompoundPoissonExp(_Levy):
         peak = (lam - mu * p - sm) / (2.0 * p) * x - sm * t
 
         def integrand(u: np.ndarray) -> np.ndarray:
-            s2u = np.sin(2.0 * u)
-            q = sm + width * np.sin(u) ** 2
+            s2u, sin2, two_u = _band_trig(u)
+            q = sm + width * sin2
             expo = (lam - mu * p - q) / (2.0 * p) * x - q * t - peak
-            phase = (width / (4.0 * p)) * s2u * x + 2.0 * u
+            phase = (width / (4.0 * p)) * s2u * x + two_u
             return np.exp(expo) * np.sin(phase) * width * s2u / q
 
         # Integrate the unit-peak integrand to 1e-12 absolute; the bound then
@@ -479,11 +497,16 @@ class TwoLineModel:
                 f"premium rates must satisfy p1 > p2, got p1={self.p1:g}, p2={self.p2:g}"
             )
 
-    @property
+    def __getstate__(self) -> dict:
+        """The fields only: a pickle never carries the cached lines."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    # kept in the instance __dict__; not fields, so ==, hash, repr and replace ignore them
+    @functools.cached_property
     def line1(self) -> LineModel:
         return LineModel(self.driver, self.p1)
 
-    @property
+    @functools.cached_property
     def line2(self) -> LineModel:
         return LineModel(self.driver, self.p2)
 

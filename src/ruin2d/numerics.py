@@ -9,13 +9,16 @@ The quadrature evaluates its integrand ahead, on the panels of the next
 few levels of bisection in one call, so an integrand must be elementwise
 in its abscissae and finite on the open interval of integration, and it
 may be evaluated on panels that the adaptive loop never uses.  The nodes
-it gets are read-only, and the panel sums of one call are taken together.
+it gets are read-only.  The first call's nodes on an interval are kept, one
+array object for every integral on it, so a caller may keep node-only
+columns by its identity.  The panel sums of one call are taken together.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -138,10 +141,9 @@ _WG_FULL = _wg_full
 del _wg_full
 
 
-# Levels of bisection evaluated ahead: below the whole interval on the
-# first call of the integrand, and below a panel whose halves are missing.
+# Levels of bisection below the whole interval evaluated on the first
+# call of the integrand; a later call evaluates the two halves of a panel.
 _FIRST_DEPTH = 5
-_AHEAD_DEPTH = 1
 _MAX_SPLITS = 200  # bisections before integrate refuses with MaxIterations
 
 
@@ -169,6 +171,15 @@ def _geometry(spans: list[tuple[float, float]]) -> tuple[tuple, np.ndarray, np.n
     x = (centre[:, None] + half[:, None] * _NODES).ravel()
     x.flags.writeable = half.flags.writeable = False
     return tuple(spans), x, half
+
+
+def _halves(lo: float, mid: float, hi: float) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """An ahead call's geometry: ``_geometry([(lo, mid), (mid, hi)])``, float for float."""
+    centre = np.array((0.5 * (lo + mid), 0.5 * (mid + hi)))
+    half = np.array((0.5 * (mid - lo), 0.5 * (hi - mid)))
+    x = (centre[:, None] + half[:, None] * _NODES).ravel()
+    x.flags.writeable = half.flags.writeable = False
+    return ((lo, mid), (mid, hi)), x, half
 
 
 @functools.lru_cache(maxsize=8)
@@ -206,15 +217,16 @@ def integrate(
     first 5 levels of bisection (63 panels, 945 nodes), and a bisection
     whose halves are missing passes the 30 nodes of those two halves, so
     ``f`` also sees panels the loop never uses.  The array ``f`` gets is
-    read-only, as the first call's nodes are kept for the next integral
-    on [a, b]; writing into it raises ValueError.  The panel sums of one
-    call are taken together, each the float of one ``np.dot``.  Returns
-    ``(value, err_est)`` where ``err_est`` is the final conservative
-    error bound (the summed Gauss/Kronrod defects).  The worst panel is
-    bisected until the bound drops below ``tol``; exceeding
-    ``_MAX_SPLITS`` splits raises MaxIterations, and so do panels with no
-    float strictly inside once their defects alone exceed ``tol``; a
-    limit that is not finite raises ValueError.
+    read-only, as the first call's nodes are kept, one array object for
+    every integral on [a, b]; writing into it raises ValueError.  No
+    value is kept.  The panel sums of one call are taken together, each
+    the float of one ``np.dot``.  Returns ``(value, err_est)`` where
+    ``err_est`` is the final conservative error bound (the summed
+    Gauss/Kronrod defects).  The worst panel is bisected until the bound
+    drops below ``tol``; exceeding ``_MAX_SPLITS`` splits raises
+    MaxIterations, and so do panels with no float strictly inside once
+    their defects alone exceed ``tol``; a limit that is not finite raises
+    ValueError.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration limits must be finite, got [{a}, {b}]")
@@ -232,10 +244,13 @@ def integrate(
     # panels with no float strictly inside: set aside, their defects counted
     unsplit: list[tuple[float, float, float, float]] = []
     unsplit_err = 0.0
-    for _ in range(_MAX_SPLITS):
-        total_err = -sum(p[0] for p in panels) + unsplit_err
+    for splits in range(_MAX_SPLITS + 1):
+        total_err = -sum(map(itemgetter(0), panels)) + unsplit_err
         if total_err <= tol:
             break
+        if splits == _MAX_SPLITS:
+            raise MaxIterations(
+                f"quadrature error {total_err:g} above tol {tol:g} after {_MAX_SPLITS} panel splits")
         panels.sort()  # worst (most negative first entry) panel first
         worst = panels.pop(0)
         _, lo, hi, v = worst
@@ -248,16 +263,10 @@ def integrate(
                                     "on panels at floating-point resolution")
             continue
         if (lo, mid) not in values:
-            _evaluate(f, _geometry(_panels_below(lo, hi, _AHEAD_DEPTH)), values)
+            _evaluate(f, _halves(lo, mid, hi), values)
         for l, h in ((lo, mid), (mid, hi)):
             v, e = values.pop((l, h))
             panels.append((-e, l, h, v))
-    else:
-        total_err = -sum(p[0] for p in panels) + unsplit_err
-        if total_err > tol:
-            raise MaxIterations(
-                f"quadrature error {total_err:g} above tol {tol:g} after {_MAX_SPLITS} panel splits"
-            )
 
     panels += unsplit
     value = math.fsum(p[3] for p in panels)
