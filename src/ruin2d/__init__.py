@@ -36,9 +36,6 @@ from .errors import (
 )
 from .finite_time import (
     LimitLaw,
-    ah_asymptotic,
-    ah_branches,
-    ah_ruin_after,
     finite_ruin,
     limit_law,
     ruin_after,

@@ -1,5 +1,5 @@
-"""Single-line ruin probabilities: exact finite-time values, large-time
-asymptotics, and the conditional limit laws of the reserve position.
+"""Single-line ruin probabilities: exact finite-time values and the
+conditional limit laws of the reserve position.
 
 Exact finite-time ruin is available for the two concrete drivers.  For
 compound Poisson / exponential claims the probability is the classical
@@ -23,10 +23,9 @@ Every function takes a ``LineModel``; a tilted line ``tilt(line, c)`` is one.
 w(x, t) = P(t < tau < infinity) is exposed directly as ``ruin_after``
 because the two-line decompositions need it without cancellation.
 
-The large-deviation switch between the Cramer branch C e^{-zeta x} and
-the saddle-point branch |D(v)| t^{-1/2} e^{-t kappa*(-v)} lives in
-``ah_branches``/``ah_asymptotic``, and ``limit_law`` builds the limiting
-conditional densities of X(t) on the ray x = vt.
+``limit_law`` builds the limiting conditional densities of X(t) on the
+ray x = vt.  The large-time law of psi(x, t) itself (Hoglund 1990) is not
+a route here; the tests keep it as an oracle for ``finite_ruin``.
 """
 
 from __future__ import annotations
@@ -45,14 +44,10 @@ from .models import LineModel, _zeta_and_constant, saddle
 
 __all__ = [
     "FiniteRuinResult",
-    "AhAsymptotics",
     "LimitLaw",
     "ultimate_ruin",
     "finite_ruin",
     "ruin_after",
-    "ah_branches",
-    "ah_asymptotic",
-    "ah_ruin_after",
     "limit_law",
 ]
 
@@ -71,7 +66,7 @@ class FiniteRuinResult:
     """A finite-time ruin probability with its evaluation pedigree."""
 
     value: float
-    method: Literal["exact_cpe", "exact_brownian", "ah_asymptotic"]
+    method: Literal["exact_cpe", "exact_brownian"]
     quad_err: float
 
     def __post_init__(self) -> None:
@@ -79,25 +74,6 @@ class FiniteRuinResult:
             raise InternalInconsistency(f"probability {self.value!r} outside [0, 1]")
         if self.quad_err < 0.0:
             raise InternalInconsistency("quadrature error must be nonnegative")
-
-
-@dataclass(frozen=True)
-class AhAsymptotics:
-    """Both large-time branches of psi(x, t) at velocity v = x/t.
-
-    ``cramer`` is C e^{-zeta x}; ``saddle`` is the local-limit value
-    |D(v)| t^{-1/2} e^{-t kappa*(-v)}.  ``regime`` names the branch that
-    approximates psi(x, t); the deferred-ruin mass w(x, t) follows the
-    opposite branch.
-    """
-
-    v: float
-    critical_velocity: float
-    regime: Literal["cramer", "saddle"]
-    cramer: float
-    saddle: float
-    zeta: float
-    C: float
 
 
 @dataclass(frozen=True)
@@ -172,51 +148,6 @@ def finite_ruin(model: LineModel, x: float, t: float) -> FiniteRuinResult:
     """
     line = _line_at(model, x, t)
     return _result(line, *line.driver.finite_ruin(line.p, x, t))
-
-
-def ah_branches(model: LineModel, x: float, t: float) -> AhAsymptotics:
-    """Evaluate both large-time branches of psi(x, t) at v = x/t.
-
-    The Cramer branch dominates for v below the critical velocity
-    -kappa'(-zeta); beyond it the probability is carried by paths moving
-    at atypical speed and the saddle-point branch takes over.  Exactly on
-    the critical ray the expansion constants degenerate, so a relative
-    guard band of 1e-6 refuses the call.
-    """
-    line = _as_line(model)
-    if not (0.0 < x < math.inf and 0.0 < t < math.inf):
-        raise OutOfRange(f"need finite x > 0 and t > 0, got x={x:g}, t={t:g}")
-    v = x / t
-    zeta, c = _zeta_and_constant(line)
-    w_c = -line.kappa_prime(-zeta)
-    _guard_velocity(v, w_c, "the critical velocity")
-    sd = saddle(line, v)
-    c_v = (sd.theta_conj - sd.theta_v) / (sd.theta_v * sd.theta_conj)
-    saddle_val = abs(c_v) / math.sqrt(2.0 * math.pi * sd.kpp * t) * math.exp(-t * sd.kstar)
-    return AhAsymptotics(
-        v=v,
-        critical_velocity=w_c,
-        regime="cramer" if v < w_c else "saddle",
-        cramer=c * math.exp(-zeta * x),
-        saddle=saddle_val,
-        zeta=zeta,
-        C=c,
-    )
-
-
-def ah_asymptotic(model: LineModel, x: float, t: float) -> FiniteRuinResult:
-    """Large-time approximation of psi(x, t), regime-correct branch."""
-    br = ah_branches(model, x, t)
-    value = br.cramer if br.regime == "cramer" else br.saddle
-    return FiniteRuinResult(value=min(max(value, 0.0), 1.0),
-                            method="ah_asymptotic", quad_err=0.0)
-
-
-def ah_ruin_after(model: LineModel, x: float, t: float) -> float:
-    """Large-time approximation of w(x, t) = P(t < tau < inf); it follows
-    the branch complementary to psi's."""
-    br = ah_branches(model, x, t)
-    return br.saddle if br.regime == "cramer" else br.cramer
 
 
 def limit_law(model: LineModel, v: float, side: Literal["survival", "ruin"]) -> LimitLaw:

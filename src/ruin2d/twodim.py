@@ -16,9 +16,10 @@ under a tilted law:
 These identities are exact for the two concrete drivers because
 psi_i(y) e^{g_i y} = C_i for every y (exponential claims are memoryless at
 overshoot; Brownian paths have none).  The same fact makes the two-term
-constant C-tilde_j(v) of OR and SIM equal C_j at every velocity, so those
-two expansions are the exact assembly split into its two terms; under
-phase-type claims the overshoot keeps a memory and C-tilde_j(v) != C_j.
+constant C-tilde_j(v) equal C_j, so the OR and SIM expansions, and AND's
+below the branch velocity -kappa_2'(-g3), are the exact assembly split
+into its two terms; under phase-type claims C-tilde_j(v) != C_j.  Only
+AND's large-velocity branch is an approximation.
 
 The saddle quantities reuse a shared-driver identity throughout: since
 kappa_1' - kappa_2' = p1 - p2, the kappa_i-conjugate of the kappa_2
@@ -277,26 +278,30 @@ def _conjugate_pair(model2: TwoLineModel, i: int, v: float) -> tuple[float, floa
 
 def _two_term_pre(model2: TwoLineModel, x1: float,
                   x2: float) -> tuple[float, float, AdjustmentData]:
+    _check_reserves(x1, x2)
     if not x2 > x1:
         raise OutOfRange(
             f"two-term expansions need x2 > x1, got ({x1:g}, {x2:g}); "
             f"the lower cone reduces to one-line values"
         )
-    _check_reserves(x1, x2)
     T = crossing_time(x1, x2, model2.p1, model2.p2)
     return T, x2 / T, adjustment(model2)
 
 
-def _two_term_or_sim(model2: TwoLineModel, x1: float, x2: float, event: str) -> ExpansionTerms:
-    """The exact assembly A + psi_j(x_j) * B, split into its two terms:
-    C-tilde_j(v) e^{-gamma_j x_j} is psi_j(x_j), read as in ``exact``."""
-    T, v, adj = _two_term_pre(model2, x1, x2)
+def _exact_terms(model2: TwoLineModel, x1: float, x2: float, event: str,
+                 T: float, v: float, adj: AdjustmentData) -> ExpansionTerms:
+    """The exact assembly A + psi_j(x_j) * B of OR, SIM or AND, split into
+    its two terms: C-tilde_j(v) e^{-gamma_j x_j} is psi_j(x_j), read as in
+    ``exact``."""
     settled, b, _, j = _conditioned(model2, x1, x2, T, event, adj)
     psi_j = ultimate_ruin((model2.line1, model2.line2)[j - 1], (x1, x2)[j - 1])
-    cone = _classify(model2, adj, x1, x2, "sim") if x1 > 0.0 else ConeLabel.D2
-    return ExpansionTerms(term1=settled.value, term2=psi_j * b,
-                          constants={f"C{j}_tilde": (adj.C1, adj.C2)[j - 1]},
-                          cone=cone, velocity=v)
+    constants = {f"C{j}_tilde": (adj.C1, adj.C2)[j - 1]}
+    kind, axis = "sim", ConeLabel.D2
+    if event == "AND":  # below the branch velocity; see two_term_and
+        kind, axis, constants["branch"] = "and", ConeLabel.D2_HAT, "small_v"
+    return ExpansionTerms(term1=settled.value, term2=psi_j * b, constants=constants,
+                          cone=_classify(model2, adj, x1, x2, kind) if x1 > 0.0 else axis,
+                          velocity=v)
 
 
 def two_term_or(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
@@ -304,7 +309,7 @@ def two_term_or(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
 
     C-tilde_2(v) = C_2 for both Levy drivers, so the total is ``exact``'s
     value bit for bit; phase-type claims are where the two would part."""
-    return _two_term_or_sim(model2, x1, x2, "OR")
+    return _exact_terms(model2, x1, x2, "OR", *_two_term_pre(model2, x1, x2))
 
 
 def two_term_sim(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
@@ -312,40 +317,36 @@ def two_term_sim(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
 
     C-tilde_1(v) = C_1 for both Levy drivers, so the total is ``exact``'s
     value bit for bit; phase-type claims are where the two would part."""
-    return _two_term_or_sim(model2, x1, x2, "SIM")
+    return _exact_terms(model2, x1, x2, "SIM", *_two_term_pre(model2, x1, x2))
 
 
 def two_term_and(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
     """psi_and ~ w_1(x1, T) + {C-bar_2 e^{-g2 x2} psi_2^(-g2)(x2, T)
-    + C-bar_1 e^{-g2 x2 - gtilde x1} psi_1^(-g3)(x1, T)}."""
+    + C-bar_1 e^{-g2 x2 - gtilde x1} psi_1^(-g3)(x1, T)}, the paper's
+    approximation, for v >= -kappa_2'(-gamma_3).  Below it the expansion is
+    the exact AND assembly split as OR's is, ``exact``'s value bit for bit."""
     T, v, adj = _two_term_pre(model2, x1, x2)
     l1, l2 = model2.line1, model2.line2
     boundary = -l2.kappa_prime(-adj.gamma3)
     _guard_velocity(v, boundary, "-kappa_2'(-gamma_3)")
-    gt = adj.gamma_tilde
     if v < boundary:
-        c2_bar = 0.0
-        # C2_hat handles the coincident case gamma3 == gamma2, where the
-        # derivative-ratio expression would flip sign
-        c1_bar = adj.C2_hat
-        branch = "small_v"
-    else:
-        theta_v, theta_2 = _conjugate_pair(model2, 2, v)
-        _, theta_1 = _conjugate_pair(model2, 1, v)
-        c2_norm = (theta_2 - theta_v) / ((theta_2 + adj.gamma2) * (theta_v + adj.gamma2))
-        c2_bar = _psi_bar_star(l2, theta_2) / abs(c2_norm)
-        c1_norm = (theta_1 - theta_v) / ((theta_1 + adj.gamma3) * (theta_v + adj.gamma3))
-        c1_bar = (_psi_star(l2, theta_1) - 1.0 / theta_v) / abs(c1_norm)
-        branch = "large_v"
+        return _exact_terms(model2, x1, x2, "AND", T, v, adj)
+    gt = adj.gamma_tilde
+    theta_v, theta_2 = _conjugate_pair(model2, 2, v)
+    _, theta_1 = _conjugate_pair(model2, 1, v)
+    c2_norm = (theta_2 - theta_v) / ((theta_2 + adj.gamma2) * (theta_v + adj.gamma2))
+    c2_bar = _psi_bar_star(l2, theta_2) / abs(c2_norm)
+    c1_norm = (theta_1 - theta_v) / ((theta_1 + adj.gamma3) * (theta_v + adj.gamma3))
+    c1_bar = (_psi_star(l2, theta_1) - 1.0 / theta_v) / abs(c1_norm)
     term1 = ruin_after(l1, x1, T).value
     piece2 = c2_bar * math.exp(-adj.gamma2 * x2) * \
-        finite_ruin(tilt(l2, -adj.gamma2), x2, T).value if c2_bar != 0.0 else 0.0
+        finite_ruin(tilt(l2, -adj.gamma2), x2, T).value
     piece1 = c1_bar * math.exp(-adj.gamma2 * x2 - gt * x1) * \
         finite_ruin(tilt(l1, -adj.gamma3), x1, T).value
     cone = _classify(model2, adj, x1, x2, "and") if x1 > 0.0 else ConeLabel.D2_HAT
     return ExpansionTerms(term1=term1, term2=piece1 + piece2,
                           constants={"C1_bar": c1_bar, "C2_bar": c2_bar,
-                                     "gamma_tilde": gt, "branch": branch},
+                                     "gamma_tilde": gt, "branch": "large_v"},
                           cone=cone, velocity=v)
 
 

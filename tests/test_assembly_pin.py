@@ -68,8 +68,8 @@ PINS = {
     ("cpe", "exact", 0.8): "4c953db0ab972dba3fb798b46c11d5f2f5ecb9f92f52e0bca525532a25612843",
     ("cpe", "exact", 0.95): "072b4da219e12860b15a2ce2b9b711afc8e1077bc3c295e2f7425b722c7ea24a",
     ("cpe", "exact", 1.5): "70139843121486aa7ebebc0016c9f36e7e111b3a281dbfce80dd376d014af0ad",
-    ("cpe", "two_term", 0.0): "26ab110c7f8ce54ed13079a9dbe0a12b0f0cebf20399bbd65bd24a198cf40818",
-    ("cpe", "two_term", 0.2): "abbf76b3526b431951a93eb4205a9b5b4d77e5ab8158073ec694675ad410c49e",
+    ("cpe", "two_term", 0.0): "1877bc0ec34196757581201e45f8456853437666ea4398e0eb54ef260909357e",
+    ("cpe", "two_term", 0.2): "c73cf7bac89ac960cb784ca5edbeed603fdfaa8fabc01103eeaa1af8186bdba6",
     ("cpe", "two_term", 0.5): "c8a1e87d07855e76e308791d0884c4dc4981f435d40ed891b0c141d54c58c51f",
     ("cpe", "two_term", 0.6): "ec44b30104bba6827750034f957cf1d4a17757790b57cf87004e6057ef130942",
     ("cpe", "two_term", 0.8): "7b99aa7cf962c925ed854f4e98007c3801146b6ee7cd498d423e864d0218f67d",
@@ -89,8 +89,8 @@ PINS = {
     ("brownian", "exact", 0.8): "8c8fcdf143450f6a08fb506e9ffdf95d97cc27114ef4810f5f5184f93fae2b6d",
     ("brownian", "exact", 0.95): "ffce4cb196b82a46537197ba511e360dc5a35682c308f3272a9db8989acd9de6",
     ("brownian", "exact", 1.5): "75ad3c89f5a66c6f808a7986ab18152cc9cd6fd129a2e1e89d6ddea43fa5696c",
-    ("brownian", "two_term", 0.0): "f85d08ccd5a15abbec4fca3b7a4ef5c167e15d2225be629fdc61f6e5f1a5f7da",
-    ("brownian", "two_term", 0.2): "17b314da621acdffe1490bb504df086e2f311517861ccf7f569b640194390fab",
+    ("brownian", "two_term", 0.0): "b5331d088d33e26a42430b371f1ebd0b83dfbf6d7a23ad6a591de8a3bb8fb4ef",
+    ("brownian", "two_term", 0.2): "592e74d444b1cd7f0f77fe2004f127e6205a5ca736c33a08e121440d10bfa44f",
     ("brownian", "two_term", 0.5): "14e8bf474c11f51a31b2c9947de90616c30d0a5c4057e7b482945d30a5e9e18a",
     ("brownian", "two_term", 0.6): "b93daae593cfffb7d66d83b7ba4bf263d62b91bd95667d255fc02a40b76dbf7c",
     ("brownian", "two_term", 0.8): "66018312e4d22f391e99e8ed2260ede61d600f313300df47a594803ac0e8473e",

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from ruin2d.errors import BoundaryVelocity, OutOfRange, UnsupportedDriver
-from ruin2d.finite_time import (
-    ah_asymptotic,
-    ah_branches,
-    ah_ruin_after,
-    finite_ruin,
-    limit_law,
-    ruin_after,
-    ultimate_ruin,
-)
+from ruin2d.finite_time import finite_ruin, limit_law, ruin_after, ultimate_ruin
 from ruin2d.models import (
     CompoundPoissonExp,
     LineModel,
@@ -37,6 +29,20 @@ def _ig_first_passage(x: float, p: float, t: float) -> float:
         return x / np.sqrt(2.0 * np.pi * s ** 3) * np.exp(-(x + p * s) ** 2 / (2.0 * s))
     val, _ = integrate(dens, 1e-12, t, tol=1e-13)
     return val
+
+
+def _hoglund(line: LineModel, x: float, t: float) -> tuple[float, float]:
+    """Hoglund's large-time law (1990, Ann. Probab. 18) of (psi(x, t),
+    w(x, t)) at v = x/t: below the critical velocity -kappa'(-gamma), psi
+    follows the Cramer branch C e^{-gamma x} and w the saddle-point branch
+    |D(v)| e^{-t kappa*(-v)} / sqrt(2 pi kappa''(theta_v) t); above it the
+    two swap.  An oracle for the exact rows, built from public solves."""
+    gamma, c = line_adjustment(line)
+    sd = saddle(line, x / t)
+    d_v = (sd.theta_conj - sd.theta_v) / (sd.theta_v * sd.theta_conj)
+    local = abs(d_v) / math.sqrt(2.0 * math.pi * sd.kpp * t) * math.exp(-t * sd.kstar)
+    cramer = c * math.exp(-gamma * x)
+    return (cramer, local) if x / t < -line.kappa_prime(-gamma) else (local, cramer)
 
 
 # --- ultimate ruin -----------------------------------------------------------
@@ -152,36 +158,26 @@ def test_tilted_line_is_a_line_model(driver, c):
         assert finite_ruin(tilted, x, t) == finite_ruin(plain, x, t)
         assert ruin_after(tilted, x, t) == ruin_after(plain, x, t)
         assert ultimate_ruin(tilted, x) == ultimate_ruin(plain, x)
-        assert ah_branches(tilted, x, t) == ah_branches(plain, x, t)
 
 
-# --- large-time branches -----------------------------------------------------
+# --- large-time law, as an oracle --------------------------------------------
 
 def test_critical_velocity_both_drivers():
     # -kappa'(-gamma): 1.0 for both reference lines
-    assert ah_branches(CPE1, 20.0, 40.0).critical_velocity == pytest.approx(1.0, abs=1e-10)
-    assert ah_branches(BM1, 20.0, 40.0).critical_velocity == pytest.approx(1.0, abs=1e-10)
-
-
-def test_regime_switch_and_guard_band():
-    assert ah_branches(CPE1, 16.0, 40.0).regime == "cramer"
-    assert ah_branches(CPE1, 80.0, 40.0).regime == "saddle"
-    with pytest.raises(BoundaryVelocity):
-        ah_branches(CPE1, 40.0, 40.0)
+    for line in (CPE1, BM1):
+        assert -line.kappa_prime(-line_adjustment(line)[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_cramer_branch_is_lundberg_tail():
-    br = ah_branches(CPE1, 16.0, 40.0)
-    assert br.zeta == pytest.approx(1.0, abs=1e-10)
-    assert br.C == pytest.approx(0.5, abs=1e-10)
-    assert br.cramer == pytest.approx(0.5 * math.exp(-16.0), rel=1e-10)
+    assert line_adjustment(CPE1) == pytest.approx((1.0, 0.5), abs=1e-10)
+    assert _hoglund(CPE1, 16.0, 40.0)[0] == pytest.approx(0.5 * math.exp(-16.0), rel=1e-10)
 
 
 def test_cramer_regime_converges_to_exact():
     ratios = []
     for t in (20.0, 50.0, 100.0):
         x = 0.4 * t
-        ratios.append(ah_asymptotic(CPE1, x, t).value / finite_ruin(CPE1, x, t).value)
+        ratios.append(_hoglund(CPE1, x, t)[0] / finite_ruin(CPE1, x, t).value)
     assert abs(ratios[-1] - 1.0) < 0.01
     assert abs(ratios[0] - 1.0) > abs(ratios[-1] - 1.0)
 
@@ -190,7 +186,7 @@ def test_saddle_regime_converges_to_exact():
     ratios = []
     for t in (15.0, 30.0, 60.0):
         x = 2.0 * t
-        ratios.append(ah_asymptotic(BM1, x, t).value / finite_ruin(BM1, x, t).value)
+        ratios.append(_hoglund(BM1, x, t)[0] / finite_ruin(BM1, x, t).value)
     assert abs(ratios[1] - 1.0) < 0.05
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
 
@@ -201,7 +197,7 @@ def test_deferred_branch_tracks_exact_tail():
     ratios = []
     for t in (20.0, 40.0, 80.0):
         x = 0.5 * t
-        ratios.append(ah_ruin_after(CPE1, x, t) / ruin_after(CPE1, x, t).value)
+        ratios.append(_hoglund(CPE1, x, t)[1] / ruin_after(CPE1, x, t).value)
     assert ratios[0] > ratios[1] > ratios[2] > 1.0
     assert ratios[2] < 1.3
 

@@ -11,7 +11,7 @@ import pytest
 from ruin2d.cli import run
 from ruin2d.cones import classify, exit_rate
 from ruin2d.errors import ConfigError, OutOfRange
-from ruin2d.finite_time import ah_branches, finite_ruin, limit_law, ruin_after, ultimate_ruin
+from ruin2d.finite_time import finite_ruin, limit_law, ruin_after, ultimate_ruin
 from ruin2d.models import (
     CompoundPoissonExp,
     Renewal,
@@ -71,21 +71,27 @@ def test_nonfinite_flag_exits_2(capsys, argv, flag):
         (lambda: ruin_after(LINE, 1.0, INF), OutOfRange),
         (lambda: ruin_after(LINE, NAN, 1.0), OutOfRange),
         (lambda: ruin_after(LINE, 1.0, NAN), OutOfRange),
-        (lambda: ah_branches(LINE, NAN, 1.0), OutOfRange),
-        (lambda: ah_branches(LINE, 1.0, INF), OutOfRange),
         (lambda: saddle(LINE, NAN), OutOfRange),
         (lambda: saddle(LINE, INF), OutOfRange),
         (lambda: limit_law(LINE, NAN, "ruin"), OutOfRange),
         (lambda: two_term_or(CPE, 1.0, INF), OutOfRange),
         (lambda: two_term_sim(CPE, 1.0, INF), OutOfRange),
         (lambda: two_term_and(CPE, 1.0, INF), OutOfRange),
+        (lambda: two_term_or(CPE, NAN, 3.0), OutOfRange),
+        (lambda: two_term_or(CPE, 1.0, NAN), OutOfRange),
+        (lambda: two_term_sim(CPE, NAN, 3.0), OutOfRange),
+        (lambda: two_term_sim(CPE, 1.0, NAN), OutOfRange),
+        (lambda: two_term_and(CPE, NAN, 3.0), OutOfRange),
+        (lambda: two_term_and(CPE, 1.0, NAN), OutOfRange),
         (lambda: scale_to_canonical(NAN, 1.0, 3.0, 1.0, 0.5, 0.5), ConfigError),
         (lambda: scale_to_canonical(1.0, 1.0, 3.0, 1.0, NAN, 0.5), ConfigError),
     ],
     ids=["ultimate_nan", "ultimate_inf", "finite_x_inf", "finite_t_inf", "finite_x_nan",
          "finite_t_nan", "after_x_inf", "after_t_inf", "after_x_nan", "after_t_nan",
-         "ah_x_nan", "ah_t_inf", "saddle_nan", "saddle_inf", "limit_law_nan",
-         "two_term_or", "two_term_sim", "two_term_and", "scale_u1_nan", "scale_delta1_nan"],
+         "saddle_nan", "saddle_inf", "limit_law_nan",
+         "two_term_or", "two_term_sim", "two_term_and", "two_term_or_x1_nan",
+         "two_term_or_x2_nan", "two_term_sim_x1_nan", "two_term_sim_x2_nan",
+         "two_term_and_x1_nan", "two_term_and_x2_nan", "scale_u1_nan", "scale_delta1_nan"],
 )
 def test_nonfinite_real_is_refused(call, exc):
     with pytest.raises(exc, match="finite"):

@@ -20,7 +20,7 @@ PUBLIC_NAMES = [
     "OutOfDomain", "OutOfRange", "Renewal", "Ruin2dError",
     "RuinEstimate", "RuinQuery", "SaddleData", "SafeLevel", "SimConfig",
     "StandardBrownian", "TwoLineModel", "UnsupportedDriver",
-    "adjustment", "ah_asymptotic", "ah_branches", "ah_ruin_after", "check_limits",
+    "adjustment", "check_limits",
     "classify", "cones", "crossing_time", "default_safe_level", "deterministic_dist",
     "errors", "estimate", "exact", "exit_rate", "exponential_dist", "finite_ruin",
     "finite_time", "gamma_ray", "joint_cumulant", "leading", "limit_law",

@@ -256,8 +256,32 @@ def test_two_term_or_sim_exact_where_c_tilde_branches(model2, x1, x2):
 def test_two_term_and_small_velocity_exact():
     for m, x1, x2 in ((CPE, 1.0, 3.0), (CPE_D2, 1.0, 4.0), (BM, 1.0, 4.0)):
         tt = two_term_and(m, x1, x2)
-        assert tt.constants["branch"] == "small_v"
-        assert tt.total == pytest.approx(_psi(m, "AND", x1, x2).value, rel=1e-10)
+        assert tt.constants == {"C2_tilde": adjustment(m).C2, "branch": "small_v"}
+        assert tt.total == _psi(m, "AND", x1, x2).value
+
+
+# (driver, p1, p2): small-velocity cells of the grid below
+SMALL_V_CELLS = {("cpe", 3.0, 1.0): 40, ("cpe", 3.0, 1.5): 45, ("cpe", 2.5, 1.0): 25,
+                 ("bm", 3.0, 1.0): 30, ("bm", 3.0, 1.5): 0, ("bm", 2.5, 1.0): 20}
+
+
+@pytest.mark.parametrize("driver, p1, p2", sorted(SMALL_V_CELLS))
+def test_two_term_and_small_velocity_total_is_exact_bit_for_bit(driver, p1, p2):
+    # below -kappa_2'(-gamma_3) the AND expansion is the exact assembly
+    # split in two, so its total is exact's float on every cell
+    d = CompoundPoissonExp(1.0, 2.0) if driver == "cpe" else StandardBrownian()
+    model2, small = TwoLineModel(d, p1, p2), 0
+    for i in range(1, 20):
+        for K in (1.0, 2.0, 5.0, 10.0, 20.0):
+            x1, x2 = i / 20 * K, K
+            try:
+                tt = two_term_and(model2, x1, x2)
+            except BoundaryVelocity:
+                continue
+            if tt.constants["branch"] == "small_v":
+                assert tt.total == _psi(model2, "AND", x1, x2).value, (x1, x2)
+                small += 1
+    assert small == SMALL_V_CELLS[(driver, p1, p2)]
 
 
 def test_two_term_and_large_velocity_converges():
