@@ -63,10 +63,9 @@ def _as_line(model: LineModel) -> LineModel:
 
 @dataclass(frozen=True)
 class FiniteRuinResult:
-    """A finite-time ruin probability with its evaluation pedigree."""
+    """A finite-time ruin probability with its error bound."""
 
     value: float
-    method: Literal["exact_cpe", "exact_brownian"]
     quad_err: float
 
     def __post_init__(self) -> None:
@@ -116,7 +115,7 @@ def ruin_after(model: LineModel, x: float, t: float) -> FiniteRuinResult:
     stays accurate when it is exponentially smaller than either one.
     """
     line = _line_at(model, x, t)
-    return _result(line, *line.driver.ruin_after(line.p, x, t))
+    return _result(*line.driver.ruin_after(line.p, x, t))
 
 
 def _line_at(model: LineModel, x: float, t: float) -> LineModel:
@@ -126,7 +125,7 @@ def _line_at(model: LineModel, x: float, t: float) -> LineModel:
     return line
 
 
-def _result(line: LineModel, value: float, err: float) -> FiniteRuinResult:
+def _result(value: float, err: float) -> FiniteRuinResult:
     """A driver row's (value, err), clamped into [0, 1] unless the value
     lies outside by more than its error bound."""
     if not 0.0 <= value <= 1.0:
@@ -136,7 +135,7 @@ def _result(line: LineModel, value: float, err: float) -> FiniteRuinResult:
                 f"value {value!r} outside [0, 1] by more than the error bound {err:g}"
             )
         value = min(max(value, 0.0), 1.0)
-    return FiniteRuinResult(value=value, method=line.driver.method, quad_err=err)
+    return FiniteRuinResult(value=value, quad_err=err)
 
 
 def finite_ruin(model: LineModel, x: float, t: float) -> FiniteRuinResult:
@@ -147,7 +146,7 @@ def finite_ruin(model: LineModel, x: float, t: float) -> FiniteRuinResult:
     transform here and is refused.
     """
     line = _line_at(model, x, t)
-    return _result(line, *line.driver.finite_ruin(line.p, x, t))
+    return _result(*line.driver.finite_ruin(line.p, x, t))
 
 
 def limit_law(model: LineModel, v: float, side: Literal["survival", "ruin"]) -> LimitLaw:

@@ -44,8 +44,7 @@ the premium rate ``p`` where the quantity depends on it:
 * ``ruin_after``: the deferred ruin w(x, t) = P(t < tau < infinity) and
   its error bound,
 * ``finite_ruin``: psi(x, t) = psi(x) - w(x, t) and its error bound; the
-  Brownian row has the reflection formula instead,
-* ``method``: the label of those two closed forms.
+  Brownian row has the reflection formula instead.
 
 The renewal driver has no cumulant: its cumulant rows and both
 finite-time rows raise UnsupportedDriver, its tilt is that of the claim
@@ -174,8 +173,6 @@ class CompoundPoissonExp(_Levy):
     lam: float
     mu: float
 
-    method = "exact_cpe"
-
     def __post_init__(self) -> None:
         for name, value in (("claim rate lam", self.lam), ("claim size rate mu", self.mu)):
             if not 0.0 < value < math.inf:
@@ -283,7 +280,6 @@ class StandardBrownian(_Levy):
 
     theta_lower = -math.inf
     claim_rate = 0.0
-    method = "exact_brownian"
 
     def kappa(self, p: float, theta: float) -> float:
         return 0.5 * theta * theta + p * theta

@@ -16,10 +16,10 @@ under a tilted law:
 These identities are exact for the two concrete drivers because
 psi_i(y) e^{g_i y} = C_i for every y (exponential claims are memoryless at
 overshoot; Brownian paths have none).  The same fact makes the two-term
-constant C-tilde_j(v) equal C_j, so the OR and SIM expansions, and AND's
-below the branch velocity -kappa_2'(-g3), are the exact assembly split
-into its two terms; under phase-type claims C-tilde_j(v) != C_j.  Only
-AND's large-velocity branch is an approximation.
+constant C-tilde_j(v) equal C_j, so ``exact`` and the OR, SIM and small-v
+AND expansions read one assembly: each line above as A + psi_j(x_j) * B,
+with its error bound and the ray's cone, the x1 = 0 axis included.  Under
+phase-type claims C-tilde_j(v) != C_j.  Only AND above -kappa_2'(-g3) approximates.
 
 The saddle quantities reuse a shared-driver identity throughout: since
 kappa_1' - kappa_2' = p1 - p2, the kappa_i-conjugate of the kappa_2
@@ -156,35 +156,40 @@ def _brownian_closed(model2: TwoLineModel, x1: float, x2: float, T: float,
     )
 
 
-def _conditioned(model2: TwoLineModel, x1: float, x2: float, T: float, event: str,
-                 adj: AdjustmentData):
-    """(A, B, B's quadrature error, j) with psi = A + psi_j(x_j) * B for OR,
-    SIM or AND at x2 > x1: A is settled by T on the leading line i (ruin by
-    T, or after T for AND) and B is taken under the -gamma_j tilt of line i."""
+def _assembly(model2: TwoLineModel, x1: float, x2: float, T: float, event: str,
+              adj: AdjustmentData):
+    """(A, psi_j(x_j) * B, their error bound, cone, j) of psi = A + psi_j(x_j) * B for
+    OR, SIM or AND at x2 > x1 >= 0: A is settled by T on the leading line i (ruin by T,
+    or after T for AND), B is under line i's -gamma_j tilt, the cone ``_classify``'s."""
     i, j = (2, 1) if event == "SIM" else (1, 2)
     line, x = (model2.line1, model2.line2)[i - 1], (x1, x2)[i - 1]
     tilted = tilt(line, -(adj.gamma1, adj.gamma2)[j - 1])
     if event == "AND":
         settled = ruin_after(line, x, T)
         r = finite_ruin(tilted, x, T)
-        return settled, r.value, r.quad_err, j
-    settled = finite_ruin(line, x, T)
-    # B is the survival P(tau > T) of the tilted line; where its ruin is
-    # certain that is the ruin after T, taken without the 1 - psi subtraction
-    if tilted.drift <= 0.0:
-        r = ruin_after(tilted, x, T)
-        return settled, r.value, r.quad_err, j
-    r = finite_ruin(tilted, x, T)
-    return settled, 1.0 - r.value, r.quad_err, j
+        b = r.value
+    else:
+        settled = finite_ruin(line, x, T)
+        # B is the survival P(tau > T) of the tilted line; where its ruin is
+        # certain that is the ruin after T, taken without the 1 - psi subtraction
+        if tilted.drift <= 0.0:
+            r = ruin_after(tilted, x, T)
+            b = r.value
+        else:
+            r = finite_ruin(tilted, x, T)
+            b = 1.0 - r.value
+    psi_j = ultimate_ruin((model2.line1, model2.line2)[j - 1], (x1, x2)[j - 1])
+    cone = _classify(model2, adj, x1, x2, "and" if event == "AND" else "sim")
+    return settled.value, psi_j * b, settled.quad_err + psi_j * r.quad_err, cone, j
 
 
 def exact(model2: TwoLineModel, query: RuinQuery) -> RuinEstimate:
     """Exact ruin probability for the queried event.
 
-    Upper-cone values come from the conditioning-at-T assembly; for the
-    Brownian driver the reflection closed form of the event is evaluated
-    as well and the two routes must agree to 1e-8.  The OR value is checked against
-    the one-line sandwich max(psi_1, psi_2) <= psi_or <= psi_1 + psi_2.
+    Upper-cone values and cones, the x1 = 0 axis included, are ``_assembly``'s;
+    for the Brownian driver the reflection closed form of the event is
+    evaluated as well and the two routes must agree to 1e-8.  The OR value is
+    checked against the sandwich max(psi_1, psi_2) <= psi_or <= psi_1 + psi_2.
     """
     x1, x2 = query.x1, query.x2
     l1, l2 = model2.line1, model2.line2
@@ -193,20 +198,16 @@ def exact(model2: TwoLineModel, query: RuinQuery) -> RuinEstimate:
         return RuinEstimate(value=ultimate_ruin(line, x), method="exact",
                             cone=None, diagnostics={"quad_err": 0.0})
 
-    psi1 = ultimate_ruin(l1, x1)
-    psi2 = ultimate_ruin(l2, x2)
     if x2 <= x1:
-        value = psi2 if query.event == "OR" else psi1
+        value = ultimate_ruin(l2, x2) if query.event == "OR" else ultimate_ruin(l1, x1)
         return RuinEstimate(value=value, method="exact", cone=ConeLabel.LOWER_CONE,
                             diagnostics={"quad_err": 0.0})
 
     T = crossing_time(x1, x2, model2.p1, model2.p2)
-    adj = adjustment(model2)
-    settled, b, b_err, j = _conditioned(model2, x1, x2, T, query.event, adj)
-    psi_j = (psi1, psi2)[j - 1]
-    value = settled.value + psi_j * b
-    err = settled.quad_err + psi_j * b_err
-    diag: dict = {"T": T, "v": x2 / T, "terms": (settled.value, psi_j * b), "quad_err": err}
+    settled, term2, err, cone, _ = _assembly(model2, x1, x2, T, query.event,
+                                             adjustment(model2))
+    value = settled + term2
+    diag: dict = {"T": T, "v": x2 / T, "terms": (settled, term2), "quad_err": err}
 
     if isinstance(model2.driver, StandardBrownian):
         closed = _brownian_closed(model2, x1, x2, T, query.event)
@@ -217,16 +218,14 @@ def exact(model2: TwoLineModel, query: RuinQuery) -> RuinEstimate:
             )
         diag["closed_form_delta"] = closed - value
 
-    slack = 2.0 * err + 1e-12
-    if query.event == "OR" and not (
-        max(psi1, psi2) - slack <= value <= psi1 + psi2 + slack
-    ):
-        raise InternalInconsistency(
-            f"OR sandwich violated: psi1={psi1!r}, psi2={psi2!r}, psi_or={value!r}"
-        )
+    if query.event == "OR":
+        psi1, psi2 = ultimate_ruin(l1, x1), ultimate_ruin(l2, x2)
+        slack = 2.0 * err + 1e-12
+        if not max(psi1, psi2) - slack <= value <= psi1 + psi2 + slack:
+            raise InternalInconsistency(
+                f"OR sandwich violated: psi1={psi1!r}, psi2={psi2!r}, psi_or={value!r}"
+            )
     value = min(max(value, 0.0), 1.0)
-    cone = _classify(model2, adj, x1, x2, "and" if query.event == "AND" else "sim") \
-        if x1 > 0.0 else None
     return RuinEstimate(value=value, method="exact", cone=cone, diagnostics=diag)
 
 
@@ -290,17 +289,13 @@ def _two_term_pre(model2: TwoLineModel, x1: float,
 
 def _exact_terms(model2: TwoLineModel, x1: float, x2: float, event: str,
                  T: float, v: float, adj: AdjustmentData) -> ExpansionTerms:
-    """The exact assembly A + psi_j(x_j) * B of OR, SIM or AND, split into
-    its two terms: C-tilde_j(v) e^{-gamma_j x_j} is psi_j(x_j), read as in
-    ``exact``."""
-    settled, b, _, j = _conditioned(model2, x1, x2, T, event, adj)
-    psi_j = ultimate_ruin((model2.line1, model2.line2)[j - 1], (x1, x2)[j - 1])
+    """``_assembly``'s two terms of OR, SIM or AND: C-tilde_j(v) e^{-gamma_j x_j}
+    is psi_j(x_j), read as in ``exact``."""
+    settled, term2, _, cone, j = _assembly(model2, x1, x2, T, event, adj)
     constants = {f"C{j}_tilde": (adj.C1, adj.C2)[j - 1]}
-    kind, axis = "sim", ConeLabel.D2
     if event == "AND":  # below the branch velocity; see two_term_and
-        kind, axis, constants["branch"] = "and", ConeLabel.D2_HAT, "small_v"
-    return ExpansionTerms(term1=settled.value, term2=psi_j * b, constants=constants,
-                          cone=_classify(model2, adj, x1, x2, kind) if x1 > 0.0 else axis,
+        constants["branch"] = "small_v"
+    return ExpansionTerms(term1=settled, term2=term2, constants=constants, cone=cone,
                           velocity=v)
 
 
@@ -343,11 +338,10 @@ def two_term_and(model2: TwoLineModel, x1: float, x2: float) -> ExpansionTerms:
         finite_ruin(tilt(l2, -adj.gamma2), x2, T).value
     piece1 = c1_bar * math.exp(-adj.gamma2 * x2 - gt * x1) * \
         finite_ruin(tilt(l1, -adj.gamma3), x1, T).value
-    cone = _classify(model2, adj, x1, x2, "and") if x1 > 0.0 else ConeLabel.D2_HAT
     return ExpansionTerms(term1=term1, term2=piece1 + piece2,
                           constants={"C1_bar": c1_bar, "C2_bar": c2_bar,
                                      "gamma_tilde": gt, "branch": "large_v"},
-                          cone=cone, velocity=v)
+                          cone=_classify(model2, adj, x1, x2, "and"), velocity=v)
 
 
 def _d_constants(model2: TwoLineModel, i: int, w: float) -> tuple[float, float]:

@@ -61,14 +61,14 @@ def _digest(model2, a, method) -> str:
 
 # (driver, method, a): sha256 over the K x event grid of that ray
 PINS = {
-    ("cpe", "exact", 0.0): "e5688835259728e7a44a54d3bddc947f640548065ce8648d9753744d7fb25f5b",
+    ("cpe", "exact", 0.0): "2882ddd4578f3373f0406bd6ba4f545cb2848e63aeb51875639e01b8c000f1e0",
     ("cpe", "exact", 0.2): "1acf67f16f927d061614b84ef776312c07ac588e5d6e3cee7e6a8243bb497609",
     ("cpe", "exact", 0.5): "0aff5dc8700652007b53ce9b81536b920b9faf56560ef05455afab1acd97a432",
     ("cpe", "exact", 0.6): "fa7f8a8e4f70cf2ce40af619a513afa2e520192e03d65127d60b8db5e13a6aae",
     ("cpe", "exact", 0.8): "4c953db0ab972dba3fb798b46c11d5f2f5ecb9f92f52e0bca525532a25612843",
     ("cpe", "exact", 0.95): "072b4da219e12860b15a2ce2b9b711afc8e1077bc3c295e2f7425b722c7ea24a",
     ("cpe", "exact", 1.5): "70139843121486aa7ebebc0016c9f36e7e111b3a281dbfce80dd376d014af0ad",
-    ("cpe", "two_term", 0.0): "1877bc0ec34196757581201e45f8456853437666ea4398e0eb54ef260909357e",
+    ("cpe", "two_term", 0.0): "43b161b056c48d0a50ae1b0a7475b0a354ecc0915bc39ec86bd2d635592cc7fd",
     ("cpe", "two_term", 0.2): "c73cf7bac89ac960cb784ca5edbeed603fdfaa8fabc01103eeaa1af8186bdba6",
     ("cpe", "two_term", 0.5): "c8a1e87d07855e76e308791d0884c4dc4981f435d40ed891b0c141d54c58c51f",
     ("cpe", "two_term", 0.6): "ec44b30104bba6827750034f957cf1d4a17757790b57cf87004e6057ef130942",
@@ -82,14 +82,14 @@ PINS = {
     ("cpe", "leading", 0.8): "991d857523ef282c3349c668f9121156390fa8b1101b0eff2b08f8cde8921764",
     ("cpe", "leading", 0.95): "0d71b4b4044a94e6c722d84ae2a5ee97965022a5ba3ce269deeafaf00116ca49",
     ("cpe", "leading", 1.5): "ad3d5dae9094c1b3e16e277baf243f2d119f958744e939c682d478bb8aab02c4",
-    ("brownian", "exact", 0.0): "d423cd6cbc22bc4f328dd7d367587e1bab207867741a3c20999cbc246eb23ca3",
+    ("brownian", "exact", 0.0): "4e711fec860fc601f1fe5613cac67995782997e5c8c6f506fa2afe6e873e3d20",
     ("brownian", "exact", 0.2): "a499548afe913555e03649ada80e282ab3de4d5da9ed507171c32a64d580275f",
     ("brownian", "exact", 0.5): "7c805bbd0ba166e1a3c942f82f496eda2f90865a3ad7204caa2fe63c16ce445e",
     ("brownian", "exact", 0.6): "a4b6beed31c6fdee242849148dc6ad71cf06874512a07865cf14c4edba67d74d",
     ("brownian", "exact", 0.8): "8c8fcdf143450f6a08fb506e9ffdf95d97cc27114ef4810f5f5184f93fae2b6d",
     ("brownian", "exact", 0.95): "ffce4cb196b82a46537197ba511e360dc5a35682c308f3272a9db8989acd9de6",
     ("brownian", "exact", 1.5): "75ad3c89f5a66c6f808a7986ab18152cc9cd6fd129a2e1e89d6ddea43fa5696c",
-    ("brownian", "two_term", 0.0): "b5331d088d33e26a42430b371f1ebd0b83dfbf6d7a23ad6a591de8a3bb8fb4ef",
+    ("brownian", "two_term", 0.0): "ad9a2a76764f247e743f473de351d25535d8b61ee45b291e53c70df1d9598aad",
     ("brownian", "two_term", 0.2): "592e74d444b1cd7f0f77fe2004f127e6205a5ca736c33a08e121440d10bfa44f",
     ("brownian", "two_term", 0.5): "14e8bf474c11f51a31b2c9947de90616c30d0a5c4057e7b482945d30a5e9e18a",
     ("brownian", "two_term", 0.6): "b93daae593cfffb7d66d83b7ba4bf263d62b91bd95667d255fc02a40b76dbf7c",

@@ -332,12 +332,28 @@ class TestPrecedence:
             (["--event", "sim"], "event", "SIM"),
             (["--x2", "4"], "x2", 4.0),
             (["--method", "leading"], "method", "Leading"),
+            (["--method", "twoterm"], "method", "TwoTerm"),
         ],
     )
     def test_flag_beats_file(self, config_file, capsys, flags, field, expect):
         code, out, _ = run_cli(["compute", "--config", config_file, *flags], capsys)
         assert code == 0
         assert rows_json(out)[0][field] == expect
+
+    def test_list_values_in_file(self, capsys, tmp_path):
+        # k and event may be JSON lists; they read as the comma lists of the flags
+        doc = {"model": {"driver": "cpe", "lambda": 1.0, "mu": 2.0, "p1": 3.0, "p2": 1.0},
+               "query": {"a": 0.5, "k": [1, 2.5], "event": ["or", "and"]},
+               "output": {"format": "json"}}
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["sweep", "--config", str(path)], capsys)
+        assert code == 0
+        code, want, _ = run_cli(["sweep", *CPE_FLAGS, "--a", "0.5", "--k", "1,2.5",
+                                 "--event", "or,and", "--format", "json"], capsys)
+        assert code == 0 and out == want
+        assert [(r["K"], r["event"]) for r in rows_json(out)] == \
+            [(1.0, "OR"), (1.0, "AND"), (2.5, "OR"), (2.5, "AND")]
 
     def test_event_override_changes_value(self, config_file, capsys):
         code, out, _ = run_cli(["compute", "--config", config_file, "--event", "sim"], capsys)
@@ -435,6 +451,18 @@ class TestExitCodes:
              "the raw triple fixes the reserves; a ray spec cannot also be given"),
             (["compute", *CPE_FLAGS, "--a", "0.5", "--k", "10"], "compute needs reserves (x1, x2)"),
             (["mc", *CPE_FLAGS, "--k", "10"], "mc needs reserves (x1, x2)"),
+            (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", ","],
+             "empty event list"),
+            (["sweep", *CPE_FLAGS, "--a", "0.5", "--k", "1,x"], "bad k entry 'x'"),
+            (["compute", "--driver", "renewal", "--interarrival", "det:x", "--claim", "exp:2",
+              "--p1", "3", "--p2", "1", "--x1", "1", "--x2", "3"], "bad interarrival spec"),
+            (["compute", "--driver", "renewal", "--interarrival", "gam:1", "--claim", "exp:2",
+              "--p1", "3", "--p2", "1", "--x1", "1", "--x2", "3"],
+             "unknown interarrival kind 'gam'"),
+            (["compute", *RAW_FLAGS, "--p1", "3"],
+             "give either the raw (u, c, delta) triple or p1/p2 with reserves, not both"),
+            (["compute", "--driver", "cpe", "--lambda", "1", "--mu", "2", "--p1", "3",
+              "--x1", "1", "--x2", "3"], "premium rates p1 and p2 are required"),
         ],
     )
     def test_config_errors_are_exit_2(self, capsys, argv, needle):

@@ -10,6 +10,7 @@ from ruin2d.models import (
     LineModel,
     Renewal,
     StandardBrownian,
+    TwoLineModel,
     deterministic_dist,
     exponential_dist,
     line_adjustment,
@@ -135,6 +136,11 @@ def test_finite_ruin_guards():
     with pytest.raises(BoundaryVelocity):
         # zero safety loading: spectral band touches the origin
         finite_ruin(LineModel(CompoundPoissonExp(2.0, 2.0), 1.0), 1.0, 1.0)
+
+
+def test_finite_ruin_refuses_a_two_line_model():
+    with pytest.raises(UnsupportedDriver, match="^expected a line model, got TwoLineModel$"):
+        finite_ruin(TwoLineModel(CompoundPoissonExp(1.0, 2.0), 3.0, 1.0), 1.0, 1.0)
 
 
 def test_finite_ruin_unwraps_tilted_models():
