@@ -337,15 +337,20 @@ class DistSpec:
     """A nonnegative distribution for the renewal driver.
 
     Carries the moment generating function with the supremum of its
-    domain, a vectorised sampler, and (optionally) the exponentially
+    domain, an in-place sampler, and (optionally) the exponentially
     tilted family member used for importance sampling.
+
+    ``sample(rng, out)`` fills the float64 array ``out`` in place, in
+    row-major order, as one draw of ``out.size`` values would: the
+    exponential scales ``standard_exponential`` by 1/rate, the floats and
+    stream position of numpy's ``exponential(1/rate, out.size)``.
     """
 
     name: str
     mean: float
     mgf: Callable[[float], float]
     mgf_sup: float
-    sample: Callable[[np.random.Generator, int], np.ndarray]
+    sample: Callable[[np.random.Generator, np.ndarray], None]
     tilted: Callable[[float], "DistSpec"] | None = None
 
     def __post_init__(self) -> None:
@@ -358,6 +363,11 @@ def exponential_dist(rate: float) -> DistSpec:
     """Exponential distribution of the given rate, tiltable within (-inf, rate)."""
     if not 0.0 < rate < math.inf:
         raise ConfigError(f"exponential rate must be positive and finite, got {rate!r}")
+    scale = 1.0 / rate
+
+    def _sample(rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_exponential(out=out)
+        out *= scale  # numpy's exponential(scale) is scale times this draw
 
     def _tilt(theta: float) -> DistSpec:
         if theta >= rate:
@@ -369,7 +379,7 @@ def exponential_dist(rate: float) -> DistSpec:
         mean=1.0 / rate,
         mgf=lambda th: rate / (rate - th) if th < rate else math.inf,
         mgf_sup=rate,
-        sample=lambda rng, n: rng.exponential(1.0 / rate, n),
+        sample=_sample,
         tilted=_tilt,
     )
 
@@ -384,7 +394,7 @@ def deterministic_dist(value: float) -> DistSpec:
         mean=value,
         mgf=lambda th: math.exp(th * value),
         mgf_sup=math.inf,
-        sample=lambda rng, n: np.full(n, value),
+        sample=lambda rng, out: out.fill(value),
         tilted=lambda theta: deterministic_dist(value),
     )
 

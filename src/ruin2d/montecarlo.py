@@ -21,7 +21,12 @@ Cost model.  The draws take about half of the jump engine's time, and
 the stream contract fixes them: a refill draws the gaps of _BLOCK rounds
 for its live lanes.  Claims are drawn on demand, in pieces of 8, 8, 16,
 32 and 64 rounds, so a chunk that resolves in its first rounds draws few
-of them.  The rest is array passes and a fixed Python overhead per step.
+of them.  Both are drawn in place into one buffer per chunk, which the
+engine keeps between calls (``_lease``): (128 + 64) x chunk_size floats
+per worker, 12 MB at the default chunk_size of 8192.  A buffer made per
+call was mapped and faulted in afresh each time, about 1500 minor page
+faults per 4096-path CPE estimate.  The rest is array passes and a fixed
+Python overhead per step.
 The engine advances its lanes by sub-blocks sized by rounds x lanes
 (about _SUB_BLOCK values: one round at full width, up to a claim piece
 when few lanes are live), so that overhead is paid once per sub-block.
@@ -57,8 +62,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple, Union
@@ -93,6 +100,7 @@ __all__ = [
 
 _BLOCK = 128  # rounds drawn per RNG refill in the jump engine
 _PIECE = 8  # claim rows of a block's first piece; each later piece ends at twice its start
+_BUF_ROWS = _BLOCK + _BLOCK // 2  # a block's gaps, then one claim piece of at most 64 rows
 _SUB_BLOCK = 8192  # about rounds x slots per step of the jump engine (see _Blocks)
 _MAX_ROUNDS = 5_000_000  # a jump chunk still live after this many rounds is a bug
 _MASK64 = (1 << 64) - 1
@@ -394,8 +402,28 @@ def _event_weight(model2: TwoLineModel, cfg: SimConfig, tau: np.ndarray,
 # jump-driver chunk engine (compound Poisson and renewal)
 
 
+_FREE: list = []  # buffers of ended chunks, for the next ones (see _lease)
+_FREE_LOCK = threading.Lock()
+
+
+@contextmanager
+def _lease(size: int, keep: int) -> Iterator[np.ndarray]:
+    """A float64 buffer of at least size values for one chunk, from the
+    free list or new, put back when the chunk ends, raising or not; the
+    list keeps the last keep buffers put back (keep: the run's workers)."""
+    with _FREE_LOCK:
+        i = next((i for i, b in enumerate(_FREE) if b.size >= size), None)
+        buf = np.empty(size) if i is None else _FREE.pop(i)
+    try:
+        yield buf
+    finally:
+        with _FREE_LOCK:
+            _FREE.append(buf)
+            del _FREE[:-keep]
+
+
 class _Blocks:
-    """Gap and claim draws of a jump-driven chunk.
+    """Gap and claim draws of a jump-driven chunk, into the rows of buf.
 
     Each refill draws the gaps of _BLOCK rounds for the lanes live at that
     moment; the lane in slot j reads column pos[j] of the block (pos is
@@ -409,13 +437,17 @@ class _Blocks:
     only follows the last row of a block, when every piece of its claims
     has been drawn.
 
+    The gaps fill the first _BLOCK rows of buf (_BUF_ROWS x lanes values)
+    and each claim piece the rows after them, over the piece before;
+    ``walk`` copies what it reads, so nothing it returns views buf.
+
     ``walk`` reads a sub-block of rounds sized by rows x slots: about
     _SUB_BLOCK values, so one row at full width and up to a whole piece
     when few lanes are live.  A sub-block never crosses a piece or a
     refill."""
 
-    def __init__(self, rng: np.random.Generator, ia: DistSpec, cl: DistSpec):
-        self.rng, self.ia, self.cl = rng, ia, cl
+    def __init__(self, rng: np.random.Generator, ia: DistSpec, cl: DistSpec, buf: np.ndarray):
+        self.rng, self.ia, self.cl, self.buf = rng, ia, cl, buf
         self.gaps = self.claims = self.pos = None
         self.row = self.end = _BLOCK  # next round; end of the drawn claim rows
 
@@ -430,13 +462,15 @@ class _Blocks:
         rounds and faster only on thin late ones."""
         nl = t.size
         if self.row == _BLOCK:
-            self.gaps = self.ia.sample(self.rng, _BLOCK * nl).reshape(_BLOCK, nl)
+            self.gaps = self.buf[:_BLOCK * nl].reshape(_BLOCK, nl)
+            self.ia.sample(self.rng, self.gaps)
             self.pos = None
             self.row = self.end = 0
         if self.row == self.end:
             rows = max(self.row, _PIECE)
             width = self.gaps.shape[1]
-            self.claims = self.cl.sample(self.rng, rows * width).reshape(rows, width)
+            self.claims = self.buf[_BLOCK * width:(_BLOCK + rows) * width].reshape(rows, width)
+            self.cl.sample(self.rng, self.claims)
             self.end += rows
         r0 = self.row
         R = min(max(1, _SUB_BLOCK // nl), self.end - r0, limit)
@@ -463,7 +497,6 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     p1, p2 = model2.p1, model2.p2
     d = model2.driver if cfg.tilt is None else model2.driver.tilted(p2, cfg.tilt)[0]
     ia, cl = d.jump_dists()
-    blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl)
     t_hor, level = cfg.horizon.limits()
     ev = _Events(width)
 
@@ -472,37 +505,38 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     t = np.zeros(width)
     s = np.zeros(width)
     steps = 0
-    while ev.running():
-        if steps >= _MAX_ROUNDS:
-            raise InternalInconsistency("jump engine failed to resolve a chunk")
-        live = ev.compact(refill=blocks.row == _BLOCK)
-        if live is not None:
-            blocks.keep(live)  # a refill resets pos anyway
-            t, s = t[live], s[live]
-        T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
-        R = T.shape[0]
+    with _lease(_BUF_ROWS * width, cfg.workers) as buf:
+        blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl, buf)
+        while ev.running():
+            if steps >= _MAX_ROUNDS:
+                raise InternalInconsistency("jump engine failed to resolve a chunk")
+            live = ev.compact(refill=blocks.row == _BLOCK)
+            if live is not None:
+                blocks.keep(live)  # a refill resets pos anyway
+                t, s = t[live], s[live]
+            T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
+            R = T.shape[0]
 
-        # b - S < 0 exactly when S > b for finite IEEE values, so each line
-        # is ruined where the claims pass its barrier
-        p1t = p1 * T
-        p2t = p2 * T
-        hits = np.zeros((5, R, ev.ids.size), dtype=bool)
-        np.greater(S, p1t + x1, out=hits[0])
-        np.greater(S, p2t + x2, out=hits[1])
-        np.logical_and(hits[0], hits[1], out=hits[2])
-        if level < math.inf:
-            np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
-            np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
-        over = T > t_hor if t_hor < math.inf and T[-1].max() > t_hor else None
-        if over is not None:
-            hits &= ~over  # a lane past the horizon sees nothing from that round on
-        ev.step(hits, T, S, steps + 1)
-        if over is not None:  # and, if still live, stops there
-            ev.stop(np.flatnonzero(over[-1] & ev.live()), _CENSOR_TIME)
-        t, s = T[-1], S[-1]
-        steps += R
-
-    return ev.result(model2, cfg)
+            # b - S < 0 exactly when S > b for finite IEEE values, so each
+            # line is ruined where the claims pass its barrier
+            p1t = p1 * T
+            p2t = p2 * T
+            hits = np.zeros((5, R, ev.ids.size), dtype=bool)
+            np.greater(S, p1t + x1, out=hits[0])
+            np.greater(S, p2t + x2, out=hits[1])
+            np.logical_and(hits[0], hits[1], out=hits[2])
+            if level < math.inf:
+                np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
+                np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
+            over = T > t_hor if t_hor < math.inf and T[-1].max() > t_hor else None
+            if over is not None:
+                hits &= ~over  # a lane past the horizon sees nothing from that round on
+            ev.step(hits, T, S, steps + 1)
+            if over is not None:  # and, if still live, stops there
+                ev.stop(np.flatnonzero(over[-1] & ev.live()), _CENSOR_TIME)
+            t, s = T[-1], S[-1]
+            steps += R
+        return ev.result(model2, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -740,24 +774,25 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
             s = _passage(rng, np.full(hit.size, x), np.full(hit.size, abs(p) * x))
             out[hit] = np.where(s <= t_cap, s, math.inf)
             continue
-        blocks = _Blocks(rng, *d.jump_dists())
         t = np.zeros(width)
         s = np.zeros(width)
         ids = np.arange(width)
-        while ids.size:
-            T, S = blocks.walk(t, s, _MAX_ROUNDS)
-            ruin = x + p * T - S < 0.0
-            stop = ruin | (T >= t_cap)
-            t, s = T[-1], S[-1]
-            done = stop.any(axis=0)
-            if done.any():
-                lanes = np.flatnonzero(done)
-                r = stop[:, lanes].argmax(axis=0)
-                hit = ruin[r, lanes]
-                out[ids[lanes[hit]]] = T[r[hit], lanes[hit]]
-                live = ~done
-                ids, t, s = ids[live], t[live], s[live]
-                blocks.keep(live)
+        with _lease(_BUF_ROWS * width, 1) as buf:
+            blocks = _Blocks(rng, *d.jump_dists(), buf)
+            while ids.size:
+                T, S = blocks.walk(t, s, _MAX_ROUNDS)
+                ruin = x + p * T - S < 0.0
+                stop = ruin | (T >= t_cap)
+                t, s = T[-1], S[-1]
+                done = stop.any(axis=0)
+                if done.any():
+                    lanes = np.flatnonzero(done)
+                    r = stop[:, lanes].argmax(axis=0)
+                    hit = ruin[r, lanes]
+                    out[ids[lanes[hit]]] = T[r[hit], lanes[hit]]
+                    live = ~done
+                    ids, t, s = ids[live], t[live], s[live]
+                    blocks.keep(live)
     return taus
 
 

@@ -4,9 +4,13 @@
 of 8, 8, 16, 32 and 64 rows, as the lanes reach them.  That keeps every
 stream bit for bit only because numpy's samplers consume the stream one
 sample after another: a draw of n values in pieces gives the values, and
-leaves the stream where, one draw of n would.  These tests pin that
-premise, so that a numpy upgrade that breaks it fails here, and check
-that ``_Blocks`` reads the rows of the eager ``(128, lanes)`` draw.
+leaves the stream where, one draw of n would.  ``DistSpec.sample``
+fills a given array, and ``_Blocks`` draws each piece into the rows of
+one buffer after the gaps, over the piece before; the exponential fills
+with ``standard_exponential`` and scales by 1/rate, which numpy's
+``exponential`` does too.  These tests pin both premises, so that a
+numpy upgrade that breaks either fails here, and check that ``_Blocks``
+reads the rows of the eager ``(128, lanes)`` draw.
 
 ``walk`` sums a sub-block's rounds one row at a time, which makes the
 additions of ``np.add.accumulate(axis=0)`` in the same order; that
@@ -19,14 +23,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruin2d.models import deterministic_dist, exponential_dist
-from ruin2d.montecarlo import _BLOCK, _Blocks, _chunk_rng
+from ruin2d.montecarlo import _BLOCK, _BUF_ROWS, _Blocks, _chunk_rng
 
 PIECES = (8, 8, 16, 32, 64)
 DISTS = {"exponential": exponential_dist(2.0), "deterministic": deterministic_dist(1.0)}
 
 
+def _draw(d, rng, n):
+    out = np.empty(n)
+    d.sample(rng, out)
+    return out
+
+
+def _bits(x):
+    return x.view(np.uint64)
+
+
 def test_pieces_fill_one_block():
     assert sum(PIECES) == _BLOCK
+    assert _BUF_ROWS == _BLOCK + max(PIECES)
 
 
 @pytest.mark.parametrize("dist", sorted(DISTS))
@@ -34,9 +49,40 @@ def test_pieces_fill_one_block():
 def test_pieces_equal_one_draw(dist, lanes):
     d = DISTS[dist]
     eager, lazy = _chunk_rng(3, 5), _chunk_rng(3, 5)
-    whole = d.sample(eager, _BLOCK * lanes)
-    parts = np.concatenate([d.sample(lazy, rows * lanes) for rows in PIECES])
+    whole = _draw(d, eager, _BLOCK * lanes)
+    parts = np.concatenate([_draw(d, lazy, rows * lanes) for rows in PIECES])
     assert np.array_equal(parts, whole)
+    assert np.array_equal(lazy.random(4), eager.random(4))
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 2.0, 4 / 3])
+@pytest.mark.parametrize("n", [1, 7, 128 * 4096])
+def test_in_place_exponential_is_numpys_exponential(rate, n):
+    # the floats and the stream position of rng.exponential(1 / rate, n)
+    ref, got = _chunk_rng(3, 5), _chunk_rng(3, 5)
+    want = ref.exponential(1.0 / rate, n)
+    assert np.array_equal(_bits(_draw(exponential_dist(rate), got, n)), _bits(want))
+    assert np.array_equal(_bits(got.random(4)), _bits(ref.random(4)))
+
+
+@pytest.mark.parametrize("dist", sorted(DISTS))
+@pytest.mark.parametrize("lanes", [1, 7, 4096])
+def test_pieces_over_one_buffer_equal_one_draw(dist, lanes):
+    # gaps into the first _BLOCK rows, then each piece into the rows after
+    # them, over the piece before, as _Blocks draws them
+    d = DISTS[dist]
+    eager, lazy = _chunk_rng(3, 5), _chunk_rng(3, 5)
+    whole = _draw(d, eager, 2 * _BLOCK * lanes).reshape(2 * _BLOCK, lanes)
+    buf = np.full(_BUF_ROWS * lanes, np.nan)
+    gaps = buf[:_BLOCK * lanes].reshape(_BLOCK, lanes)
+    d.sample(lazy, gaps)
+    parts = [gaps.copy()]
+    for rows in PIECES:
+        piece = buf[_BLOCK * lanes:(_BLOCK + rows) * lanes].reshape(rows, lanes)
+        d.sample(lazy, piece)
+        parts.append(piece.copy())
+    assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
+    assert np.array_equal(_bits(gaps), _bits(whole[:_BLOCK]))  # the pieces left the gaps
     assert np.array_equal(lazy.random(4), eager.random(4))
 
 
@@ -65,14 +111,21 @@ def test_row_sums_equal_accumulate(data, rows, kind, seed):
 
 
 def _eager_blocks(seed, chunk, widths):
-    """(gaps, claims) of each refill as one (128, lanes) draw apiece."""
+    """(gaps, claims) of each refill as one (128, lanes) draw apiece, of
+    Exp(1.5) gaps and Exp(2) claims."""
     rng = _chunk_rng(seed, chunk)
-    ia, cl = exponential_dist(1.5), exponential_dist(2.0)
     out = []
     for nl in widths:
-        gaps = ia.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)
-        out.append((gaps, cl.sample(rng, _BLOCK * nl).reshape(_BLOCK, nl)))
+        gaps = rng.exponential(1.0 / 1.5, (_BLOCK, nl))
+        out.append((gaps, rng.exponential(1.0 / 2.0, (_BLOCK, nl))))
     return out
+
+
+def _blocks(seed, chunk, lanes):
+    """_Blocks of Exp(1.5) gaps and Exp(2) claims, over a buffer for lanes
+    lanes that holds NaN to start with."""
+    return _Blocks(_chunk_rng(seed, chunk), exponential_dist(1.5), exponential_dist(2.0),
+                   np.full(_BUF_ROWS * lanes, np.nan))
 
 
 def _walk(blocks, nl, rounds):
@@ -100,7 +153,7 @@ def _same_rows(walks, gaps, claims):
 def test_walk_reads_the_eager_rows_in_the_first_piece():
     nl = 8192
     (gaps, claims), = _eager_blocks(7, 0, [nl])
-    blocks = _Blocks(_chunk_rng(7, 0), exponential_dist(1.5), exponential_dist(2.0))
+    blocks = _blocks(7, 0, nl)
     t, s = np.zeros(nl), np.zeros(nl)
     for r in range(5):
         T, S = blocks.walk(t, s, 5)
@@ -114,7 +167,7 @@ def test_walk_reads_the_eager_rows_in_the_first_piece():
 def test_walk_sums_rows_as_one_round_at_a_time_would():
     nl = 3
     (gaps, claims), = _eager_blocks(7, 1, [nl])
-    blocks = _Blocks(_chunk_rng(7, 1), exponential_dist(1.5), exponential_dist(2.0))
+    blocks = _blocks(7, 1, nl)
     t, s = np.full(nl, 0.1), np.full(nl, 0.2)
     T, S = blocks.walk(t, s, _BLOCK)
     assert T.shape == (PIECES[0], nl)
@@ -128,7 +181,7 @@ def test_walk_crosses_two_refills_on_the_eager_rows():
     # block to three (lanes 1, 20 and 500 of the 4096); then a block of three
     keep = np.isin(np.arange(4096), [1, 20, 500])
     eager = _eager_blocks(11, 4, [8192, 4096, 3])
-    blocks = _Blocks(_chunk_rng(11, 4), exponential_dist(1.5), exponential_dist(2.0))
+    blocks = _blocks(11, 4, 8192)
 
     walks, sizes = _walk(blocks, 8192, _BLOCK)
     assert sizes == [1] * _BLOCK
