@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from .cones import _classify, _partition, classify
+from .cones import ConeLabel, _classify, _partition
 from .errors import ConfigError, NumericalRefusal
 from .models import (
     _SPECTRAL_MEMO,
@@ -347,9 +347,15 @@ def _sim_config(cfg: Dict[str, Any]) -> Callable[[TwoLineModel], SimConfig]:
 # ---------------------------------------------------------------------------
 # row production
 
-def _cone_name(model2: TwoLineModel, x1: float, x2: float) -> str:
+def _cone_name(model2: TwoLineModel, x1: float, x2: float, event: str) -> str:
+    """The cone of ``event``'s rows at (x1, x2) as ``exact`` reads it: the
+    AND partition for AND and the SIM one otherwise, through ``_classify``
+    on x2 > x1 >= 0; "" where the driver has no partition."""
+    if x2 <= x1:
+        return ConeLabel.LOWER_CONE.value
     try:
-        return classify(model2, x1, x2).value
+        return _classify(model2, adjustment(model2), x1, x2,
+                         "and" if event == "AND" else "sim").value
     except NumericalRefusal:
         return ""
 
@@ -365,11 +371,10 @@ def _mc_rows(model2: TwoLineModel, x1: float, x2: float, events: List[str],
     def row(event: str) -> OutputRow:
         if not rows:
             ests = estimate(model2, x1, x2, events, sim_cfg())
-            cone = _cone_name(model2, x1, x2)
             for ev, est in ests.items():
                 rows[ev] = OutputRow(
                     x1=x1, x2=x2, event=ev, method=_METHOD_LABELS["mc"],
-                    value=est.p_hat, cone=cone,
+                    value=est.p_hat, cone=_cone_name(model2, x1, x2, ev),
                     diagnostics={"std_err": est.std_err, "ci_lo": est.ci[0],
                                  "ci_hi": est.ci[1], "n": est.n,
                                  "bias_bound": est.bias_bound})
@@ -399,7 +404,7 @@ def _row(model2: TwoLineModel, x1: float, x2: float, event: str, method: str,
            else leading(model2, x1, x2, event))
     row.value = est.value
     row.cone = (est.cone.value if est.cone
-                else _cone_name(model2, x1, x2) if method == "exact" else "")
+                else _cone_name(model2, x1, x2, event) if method == "exact" else "")
     row.diagnostics = dict(est.diagnostics)
     return row
 

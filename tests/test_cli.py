@@ -201,9 +201,10 @@ class TestCompare:
 
     # sha256 prefixes of the output, unchanged since compare called exact
     # a second time for each event's Exact row, except where the TwoTerm
-    # rows became the exact assembly split in two
-    @pytest.mark.parametrize("fmt, digest", [("json", "0fad97be0abc21d2"),
-                                             ("csv", "1d7bfc100c6a3d6f")])
+    # rows became the exact assembly split in two and where the AND MC row
+    # took the AND partition's cone
+    @pytest.mark.parametrize("fmt, digest", [("json", "c71258db0a4cbb33"),
+                                             ("csv", "fffc62e4d5f2d002")])
     def test_one_exact_call_per_event(self, fmt, digest, capsys, monkeypatch):
         calls = []
         real = cli.exact
@@ -220,6 +221,26 @@ class TestCompare:
         assert code == 0
         assert sorted(calls) == ["AND", "OR", "SIM"]
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
+    # the AND rows read the AND partition (D2_hat where the SIM one has
+    # D0); on the x1 = 0 axis D2 is empty at p2 = 1, so OR and SIM lie on
+    # its closing ray, and not at p2 = 1.5; the LINE rows take OR's cone
+    @pytest.mark.parametrize("p2, x1, x2, want", [
+        ("1", "1", "3", {"OR": "D0", "SIM": "D0", "AND": "D2_hat"}),
+        ("1", "0", "3", {"OR": "BoundaryRay", "SIM": "BoundaryRay", "AND": "D2_hat"}),
+        ("1.5", "0", "3", {"OR": "D2", "SIM": "D2", "AND": "D2_hat"}),
+        ("1", "0", "0", {"OR": "LowerCone", "SIM": "LowerCone", "AND": "LowerCone"}),
+    ])
+    def test_mc_rows_report_the_exact_rows_cones(self, p2, x1, x2, want, capsys):
+        flags = [*CPE_FLAGS[:-1], p2]
+        code, out, _ = run_cli(
+            ["compare", *flags, "--x1", x1, "--x2", x2, "--event", "or,sim,and,line1,line2",
+             "--method", "exact,mc", "--n", "256", "--format", "json"], capsys)
+        assert code == 0
+        cones = {(r["event"], r["method"]): r["cone"] for r in rows_json(out)}
+        for ev in ("OR", "SIM", "AND", "LINE1", "LINE2"):
+            assert cones[ev, "MC"] == cones[ev, "Exact"] == want.get(ev, want["OR"]), ev
 
 
 class TestReuse:
