@@ -24,7 +24,7 @@ for its live lanes.  Claims are drawn on demand, in pieces of 8, 8, 16,
 of them.  Both are drawn in place into one buffer per chunk, which the
 engine keeps between calls (``_lease``): (128 + 64) x chunk_size floats
 per worker, 12 MB at the default chunk_size of 8192.  A buffer made per
-call was mapped and faulted in afresh each time, about 1500 minor page
+call was mapped and faulted in afresh each time, about 1530 minor page
 faults per 4096-path CPE estimate.  The rest is array passes and a fixed
 Python overhead per step.
 The engine advances its lanes by sub-blocks sized by rounds x lanes

@@ -8,7 +8,9 @@ chunk that raises must leave the list as fit for the next run as one
 that ends.
 """
 
+import dataclasses
 import hashlib
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -78,9 +80,12 @@ def test_estimate_after_a_raising_chunk_equals_its_pin(monkeypatch):
     assert _tilted_estimate() == TILTED_PIN
 
 
-def test_no_buffer_serves_two_live_chunks(monkeypatch):
-    # each running jump chunk's leases are recorded until the chunk returns;
-    # the first two leases wait for each other, so two chunks are live at once
+@pytest.fixture()
+def watched(monkeypatch):
+    """The leases of the jump chunks, by thread, and every lease that
+    shares memory with one a live chunk holds: a chunk's leases are live
+    until it returns.  The first two leases wait for each other, so two
+    chunks are live at once."""
     lock = threading.Lock()
     live, clashes, leases = {}, [], []
     both = threading.Barrier(2, timeout=30)
@@ -112,14 +117,31 @@ def test_no_buffer_serves_two_live_chunks(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_lease", lease)
     monkeypatch.setattr(montecarlo, "_jump_chunk", chunk)
+    return leases, clashes
+
+
+def test_no_buffer_serves_two_live_chunks(watched):
+    leases, clashes = watched
     assert _tilted_estimate() == TILTED_PIN
     assert len(leases) == 4 and not clashes
-    assert len(montecarlo._FREE) <= TILTED.workers
+
+
+def test_more_workers_than_cores_share_the_free_list(watched):
+    leases, clashes = watched
+    cfg = SimConfig(n=48 * 128, seed=3, horizon=LEVEL, tilt=-0.75, workers=6, chunk_size=128)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = estimate(CPE, 1.0, 3.0, "OR", cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(leases) == 48 and not clashes
+    assert got == estimate(CPE, 1.0, 3.0, "OR", dataclasses.replace(cfg, workers=1))
 
 
 def test_free_list_holds_at_most_the_last_runs_workers():
-    for workers, keep in ((2, 2), (1, 1), (3, 3)):
+    for workers in (2, 1, 3):
         estimate(CPE, 1.0, 3.0, "OR", SimConfig(n=6 * 512, seed=4, horizon=LEVEL,
                                                 workers=workers, chunk_size=512))
-        assert len(montecarlo._FREE) <= keep
+        assert len(montecarlo._FREE) <= workers
         assert len({b.ctypes.data for b in montecarlo._FREE}) == len(montecarlo._FREE)
