@@ -17,28 +17,30 @@ the epochs, the censor codes and one value column per event, all
 read-only.  ``estimate`` sums the value columns chunk by chunk, and
 ``simulate`` yields each chunk's columns as one read-only block.
 
-Cost model.  The draws take about half of the jump engine's time, and
-the stream contract fixes them: a refill draws the gaps of _BLOCK rounds
-for its live lanes.  Claims are drawn on demand, in pieces of 8, 8, 16,
-32 and 64 rounds, so a chunk that resolves in its first rounds draws few
-of them.  Both are drawn in place into one buffer per chunk, which the
-engine keeps between calls (``_lease``): (128 + 64) x chunk_size floats
-per worker, 12 MB at the default chunk_size of 8192.  A buffer made per
-call was mapped and faulted in afresh each time, about 1530 minor page
-faults per 4096-path CPE estimate.  The rest is array passes and a fixed
-Python overhead per step.
-The engine advances its lanes by sub-blocks sized by rounds x lanes
-(about _SUB_BLOCK values: one round at full width, up to a claim piece
-when few lanes are live), so that overhead is paid once per sub-block.
-Its running sums are taken row by row, one numpy call per round over all
-the sub-block's lanes, since numpy's accumulate along the round axis
-runs a short strided loop per lane (see ``_Blocks.walk``).  ``_Events``
-spends its calls on the lanes with something new only.  The engine
-compacts its slots at one place per pass, when ``_Events.compact`` finds
-an eighth of them held by stopped lanes (or any, before a refill).  The
-exact Brownian engine makes one pass, tilted or not: three full-width
-draws, then a normal and a uniform per crossing; a tilt adds one pass to
-record the claim levels.
+Cost model.  The draws take about two thirds of the jump engine's time,
+and the stream contract fixes them: a refill draws the gaps of _BLOCK
+rounds for its live lanes.  Claims are drawn on demand, in pieces of 8,
+8, 16, 32 and 64 rounds, so a chunk that resolves in its first rounds
+draws few of them.  Both are drawn in place into one buffer per chunk,
+which the engine keeps between calls (``_lease``): (128 + 64) x
+chunk_size floats per worker, 12 MB at the default chunk_size of 8192.
+A step's own arrays take the part of it the block does not hold, so a
+warm call maps nothing; a buffer made per call was mapped and faulted in
+afresh each time, about 1530 minor page faults per 4096-path CPE
+estimate.  The rest is array passes and a fixed Python overhead per
+step, which holds the GIL.  The engine advances its lanes by sub-blocks
+of up to _SUB_BLOCK values (4 rounds at the full width of a default
+chunk, up to a claim piece when few lanes are live), so that overhead is
+paid once per sub-block.  Its running sums are taken row by row, one
+numpy call per round over all the sub-block's lanes, since numpy's
+accumulate along the round axis runs a short strided loop per lane (see
+``_Blocks.walk``).  ``_Events`` finds each first sighting by a reduction
+along rows and spends its other calls on the lanes with something new
+only.  The engine compacts its slots at one place per pass, when
+``_Events.compact`` finds an eighth of them held by stopped lanes (or
+any, before a refill).  The exact Brownian engine makes one pass, tilted
+or not: three full-width draws, then a normal and a uniform per
+crossing; a tilt adds one pass to record the claim levels.
 
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
@@ -101,7 +103,8 @@ __all__ = [
 _BLOCK = 128  # rounds drawn per RNG refill in the jump engine
 _PIECE = 8  # claim rows of a block's first piece; each later piece ends at twice its start
 _BUF_ROWS = _BLOCK + _BLOCK // 2  # a block's gaps, then one claim piece of at most 64 rows
-_SUB_BLOCK = 8192  # about rounds x slots per step of the jump engine (see _Blocks)
+_SUB_BLOCK = 32768  # at most rounds x slots per step of the jump engine (see _Blocks)
+_COUNTDOWN = np.arange(_BLOCK, 0, -1, dtype=np.uint8)[:, None]  # R - r at round r of R: [-R:]
 _MAX_ROUNDS = 5_000_000  # a jump chunk still live after this many rounds is a bug
 _MASK64 = (1 << 64) - 1
 
@@ -264,11 +267,11 @@ class _Events:
     event is decided instead of drifting until the whole record resolves.
     A lane that no event decides has no weight, only its censor code.
 
-    Cost model: a step makes a few passes over its (5, R, slots)
-    sightings to find the lanes with something new, then a fixed number
-    of numpy calls on those lanes alone, so its Python overhead is paid
-    once per sub-block, not once per round.  Compaction is deferred (see
-    ``compact``)."""
+    Cost model: a step makes a few passes along the rows of its
+    (5, R, slots) sightings to find each event's first round, then a
+    fixed number of numpy calls on the lanes with something new alone, so
+    its Python overhead is paid once per sub-block, not once per round.
+    Compaction is deferred (see ``compact``)."""
 
     def __init__(self, width: int):
         # rows: LINE1, LINE2, SIM
@@ -291,36 +294,48 @@ class _Events:
         happens, and nothing it shows later in the sub-block is recorded.
 
         hits is a (5, R, slots) bool array, in the order of ``seen``: a
-        line below zero, both at once, a line past the safe level.  t and s
-        are the times and claim levels of the rounds, (R, slots) arrays;
-        round r is step n + r."""
+        line below zero, both at once, a line past the safe level; step
+        overwrites it.  t and s are the times and claim levels of the
+        rounds, (R, slots) arrays; round r is step n + r."""
         R = hits.shape[1]
-        news = np.greater(hits[:, 0] if R == 1 else hits.any(axis=1), self.seen)
+        # per event and slot, R - the round of its first sighting in the
+        # sub-block, 0 if none: the max over rounds of hits x (R, ..., 1),
+        # a reduction along whole rows
+        left = hits.view(np.uint8)
+        np.multiply(left, _COUNTDOWN[-R:], out=left)
+        left = left.max(axis=1)
+        # R - the round of the first sighting: R + 1 if sighted before
+        before = self.seen.view(np.uint8) * (R + 1)
+        news = np.greater(left, before)
         idx = news.any(axis=0).nonzero()[0]
         if not idx.size:
             return
-        new = news.take(idx, axis=1)
-        # round of each first sighting: -1 if sighted before, R if not yet
-        first = np.where(new, hits.take(idx, axis=2).argmax(axis=1) if R > 1 else 0, R)
-        first[self.seen.take(idx, axis=1)] = -1
-        f1, f2, fs, g1, g2 = first
-        k = np.maximum(np.maximum(np.minimum(f1, g1), np.minimum(f2, g2)),
-                       np.minimum(fs, np.minimum(g1, g2)))
-        e, j = np.nonzero(new[:3] & (first[:3] <= k))
+        L = np.maximum(left, before).take(idx, axis=1)
+        l1, l2, ls, m1, m2 = L
+        # R - the round at which each lane is decided (each line ruined or
+        # retired, and SIM happened or told apart from a retirement), 0 if
+        # it is not
+        K = np.minimum(np.minimum(np.maximum(l1, m1), np.maximum(l2, m2)),
+                       np.maximum(ls, np.maximum(m1, m2)))
+        rec = news[:3].take(idx, axis=1)
+        rec &= L[:3] >= K
+        e, j = rec.nonzero()
         if e.size:
-            r, lanes = first[e, j], idx[j]
-            dest = e * self.censor.size + self.ids[lanes]  # into the raveled outputs
-            self.tau.reshape(-1)[dest] = t[r, lanes]
-            self.s_e.reshape(-1)[dest] = s[r, lanes]
-            self.n_e.reshape(-1)[dest] = n + r
+            r = R - L[:3][rec].astype(np.int64)
+            lanes = idx.take(j)
+            at = r * t.shape[1] + lanes  # into the raveled rounds
+            dest = e * self.censor.size + self.ids.take(lanes)  # into the raveled outputs
+            self.tau.put(dest, t.take(at))
+            self.s_e.put(dest, s.take(at))
+            self.n_e.put(dest, r + n)
         # the lanes that stop below get every flag, so the extra ones are moot
         self.seen |= news
-        done = (k < R).nonzero()[0]
+        done = K.nonzero()[0]
         if not done.size:
             return
         # a decided lane that misses an event has retired a line
-        declared = np.maximum(np.maximum(f1[done], f2[done]), fs[done]) > k[done]
-        self.stop(idx[done], np.where(declared, _CENSOR_SAFE, 0))
+        declared = np.minimum(np.minimum(l1.take(done), l2.take(done)), ls.take(done)) < K.take(done)
+        self.stop(idx.take(done), np.where(declared, _CENSOR_SAFE, 0))
 
     def stop(self, lanes: np.ndarray, code) -> None:
         """Stop the live lanes at indices lanes with censor code code, one
@@ -423,7 +438,8 @@ def _lease(size: int, keep: int) -> Iterator[np.ndarray]:
 
 
 class _Blocks:
-    """Gap and claim draws of a jump-driven chunk, into the rows of buf.
+    """Gap and claim draws of a jump-driven chunk, and the arrays of its
+    steps, in buf: _BUF_ROWS x the chunk's width values.
 
     Each refill draws the gaps of _BLOCK rounds for the lanes live at that
     moment; the lane in slot j reads column pos[j] of the block (pos is
@@ -437,27 +453,32 @@ class _Blocks:
     only follows the last row of a block, when every piece of its claims
     has been drawn.
 
-    The gaps fill the first _BLOCK rows of buf (_BUF_ROWS x lanes values)
-    and each claim piece the rows after them, over the piece before;
-    ``walk`` copies what it reads, so nothing it returns views buf.
+    The gaps fill the first _BLOCK rows of buf and each claim piece the
+    rows after them, over the piece before.  A step's arrays, under 4
+    values per lane-round, take the values the block does not hold: those
+    after the claim piece or, if more, the gap rows before the piece,
+    which every lane has walked past.  They are the running sums ``walk``
+    returns, then ``bar`` (R, slots) and ``flags`` (6, R, slots) for the
+    caller's barrier products and hit planes, so a step maps nothing; the
+    next walk overwrites them.
 
-    ``walk`` reads a sub-block of rounds sized by rows x slots: about
-    _SUB_BLOCK values, so one row at full width and up to a whole piece
-    when few lanes are live.  A sub-block never crosses a piece or a
-    refill."""
+    ``walk`` reads a sub-block of R rounds sized by rows x slots: at most
+    _SUB_BLOCK values and a quarter of the free ones, so 4 rounds at the
+    full width of a default chunk and up to a whole piece when few lanes
+    are live.  A sub-block never crosses a piece or a refill."""
 
     def __init__(self, rng: np.random.Generator, ia: DistSpec, cl: DistSpec, buf: np.ndarray):
         self.rng, self.ia, self.cl, self.buf = rng, ia, cl, buf
-        self.gaps = self.claims = self.pos = None
+        self.gaps = self.claims = self.pos = self.bar = self.flags = None
         self.row = self.end = _BLOCK  # next round; end of the drawn claim rows
 
     def walk(self, t: np.ndarray, s: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray]:
         """Epochs and claim totals of the slots, at times t and claim
         totals s now, after each of the next R <= limit rounds: two
         (R, slots) arrays, summed round by round as one round at a time
-        would.  The running sums add one row to the next, R - 1 calls
-        over whole rows: ``np.add.accumulate(axis=0)`` makes the same
-        additions in the same order, but loops over the rounds of one
+        would.  Each running sum adds a row of draws to the row before, R
+        calls over whole rows: ``np.add.accumulate(axis=0)`` makes the
+        same additions in the same order, but loops over the rounds of one
         slot at a time, 4-25x slower on the wide sub-blocks of the first
         rounds and faster only on thin late ones."""
         nl = t.size
@@ -466,26 +487,29 @@ class _Blocks:
             self.ia.sample(self.rng, self.gaps)
             self.pos = None
             self.row = self.end = 0
+        bw = self.gaps.shape[1]
         if self.row == self.end:
             rows = max(self.row, _PIECE)
-            width = self.gaps.shape[1]
-            self.claims = self.buf[_BLOCK * width:(_BLOCK + rows) * width].reshape(rows, width)
+            self.claims = self.buf[_BLOCK * bw:(_BLOCK + rows) * bw].reshape(rows, bw)
             self.cl.sample(self.rng, self.claims)
             self.end += rows
-        r0 = self.row
-        R = min(max(1, _SUB_BLOCK // nl), self.end - r0, limit)
+        r0, piece = self.row, self.claims.shape[0]
+        lo, hi = (_BLOCK + piece) * bw, self.buf.size
+        if (self.end - piece) * bw > hi - lo:  # the walked gap rows are more
+            lo, hi = 0, (self.end - piece) * bw
+        R = min(max(1, min(_SUB_BLOCK, (hi - lo) // 4) // nl), self.end - r0, limit)
         self.row += R
-        c0 = r0 - self.end + self.claims.shape[0]
-        gaps, claims = self.gaps[r0:r0 + R], self.claims[c0:c0 + R]
-        if self.pos is None:
-            T, S = gaps.copy(), claims.copy()
-        else:
-            T, S = gaps.take(self.pos, axis=1), claims.take(self.pos, axis=1)
-        T[0] += t
-        S[0] += s
-        for r in range(1, R):
-            np.add(T[r - 1], T[r], out=T[r])
-            np.add(S[r - 1], S[r], out=S[r])
+        k = R * nl
+        free = self.buf[lo:hi]
+        T, S, self.bar = free[:3 * k].reshape(3, R, nl)
+        self.flags = free[3 * k:].view(np.bool_)[:6 * k].reshape(6, R, nl)
+        c0 = r0 - self.end + piece
+        for start, draws, x in ((t, self.gaps[r0:r0 + R], T), (s, self.claims[c0:c0 + R], S)):
+            if self.pos is not None:  # the slots' columns, into bar for now
+                draws = np.take(draws, self.pos, axis=1, out=self.bar, mode="clip")
+            np.add(draws[0], start, out=x[0])
+            for prev, row, d in zip(x, x[1:], draws[1:]):
+                np.add(prev, d, out=row)
         return T, S
 
     def keep(self, live: np.ndarray) -> None:
@@ -506,7 +530,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     s = np.zeros(width)
     steps = 0
     with _lease(_BUF_ROWS * width, cfg.workers) as buf:
-        blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl, buf)
+        blocks = _Blocks(_chunk_rng(cfg.seed, chunk_idx), ia, cl, buf[:_BUF_ROWS * width])
         while ev.running():
             if steps >= _MAX_ROUNDS:
                 raise InternalInconsistency("jump engine failed to resolve a chunk")
@@ -515,27 +539,26 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
                 blocks.keep(live)  # a refill resets pos anyway
                 t, s = t[live], s[live]
             T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
-            R = T.shape[0]
+            bar, hits = blocks.bar, blocks.flags
 
             # b - S < 0 exactly when S > b for finite IEEE values, so each
-            # line is ruined where the claims pass its barrier
-            p1t = p1 * T
-            p2t = p2 * T
-            hits = np.zeros((5, R, ev.ids.size), dtype=bool)
-            np.greater(S, p1t + x1, out=hits[0])
-            np.greater(S, p2t + x2, out=hits[1])
+            # line is ruined where the claims pass its barrier; no finite
+            # reserve passes an infinite level
+            for i, p, x in ((0, p1, x1), (1, p2, x2)):
+                np.add(np.multiply(T, p, out=bar), x, out=bar)
+                np.greater(S, bar, out=hits[i])
+                np.subtract(np.multiply(T, p, out=bar), S, out=bar)
+                np.greater_equal(bar, level, out=hits[3 + i])
             np.logical_and(hits[0], hits[1], out=hits[2])
-            if level < math.inf:
-                np.greater_equal(np.subtract(p1t, S, out=p1t), level, out=hits[3])
-                np.greater_equal(np.subtract(p2t, S, out=p2t), level, out=hits[4])
-            over = T > t_hor if t_hor < math.inf and T[-1].max() > t_hor else None
-            if over is not None:
-                hits &= ~over  # a lane past the horizon sees nothing from that round on
-            ev.step(hits, T, S, steps + 1)
-            if over is not None:  # and, if still live, stops there
-                ev.stop(np.flatnonzero(over[-1] & ev.live()), _CENSOR_TIME)
-            t, s = T[-1], S[-1]
-            steps += R
+            over = t_hor < math.inf and T[-1].max() > t_hor
+            if over:  # a lane past the horizon sees nothing from that round on
+                hits[:5] &= np.less_equal(T, t_hor, out=hits[5])
+            ev.step(hits[:5], T, S, steps + 1)
+            if over:  # and, if still live, stops there
+                ev.stop(np.flatnonzero(~hits[5, -1] & ev.live()), _CENSOR_TIME)
+            np.copyto(t, T[-1])  # the next walk may draw over T and S
+            np.copyto(s, S[-1])
+            steps += T.shape[0]
         return ev.result(model2, cfg)
 
 
@@ -778,12 +801,13 @@ def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
         s = np.zeros(width)
         ids = np.arange(width)
         with _lease(_BUF_ROWS * width, 1) as buf:
-            blocks = _Blocks(rng, *d.jump_dists(), buf)
+            blocks = _Blocks(rng, *d.jump_dists(), buf[:_BUF_ROWS * width])
             while ids.size:
                 T, S = blocks.walk(t, s, _MAX_ROUNDS)
                 ruin = x + p * T - S < 0.0
                 stop = ruin | (T >= t_cap)
-                t, s = T[-1], S[-1]
+                np.copyto(t, T[-1])  # the next walk may draw over T and S
+                np.copyto(s, S[-1])
                 done = stop.any(axis=0)
                 if done.any():
                     lanes = np.flatnonzero(done)

@@ -83,9 +83,9 @@ def test_estimate_after_a_raising_chunk_equals_its_pin(monkeypatch):
 @pytest.fixture()
 def watched(monkeypatch):
     """The leases of the jump chunks, by thread, and every lease that
-    shares memory with one a live chunk holds: a chunk's leases are live
-    until it returns.  The first two leases wait for each other, so two
-    chunks are live at once."""
+    shares memory with one a live chunk holds: a lease is live from when
+    its chunk takes it until the chunk puts it back.  The first two leases
+    wait for each other, so two chunks are live at once."""
     lock = threading.Lock()
     live, clashes, leases = {}, [], []
     both = threading.Barrier(2, timeout=30)
@@ -103,7 +103,13 @@ def watched(monkeypatch):
                 wait = len(leases) <= 2
             if wait:
                 both.wait()
-            yield buf
+            try:
+                yield buf
+            finally:
+                # before the real lease puts buf back, where another chunk
+                # may take it at once
+                with lock:
+                    live[me] = [b for b in live[me] if b is not buf]
 
     def chunk(*args):
         me = threading.get_ident()

@@ -14,7 +14,8 @@ reads the rows of the eager ``(128, lanes)`` draw.
 
 ``walk`` sums a sub-block's rounds one row at a time, which makes the
 additions of ``np.add.accumulate(axis=0)`` in the same order; that
-premise is pinned here too.
+premise is pinned here too.  The walk tests take each walk's size from
+``_sizes``, the sizing rule of ``_Blocks`` restated.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ruin2d.models import deterministic_dist, exponential_dist
-from ruin2d.montecarlo import _BLOCK, _BUF_ROWS, _Blocks, _chunk_rng
+from ruin2d.montecarlo import _BLOCK, _BUF_ROWS, _PIECE, _SUB_BLOCK, _Blocks, _chunk_rng
 
 PIECES = (8, 8, 16, 32, 64)
 DISTS = {"exponential": exponential_dist(2.0), "deterministic": deterministic_dist(1.0)}
@@ -128,13 +129,31 @@ def _blocks(seed, chunk, lanes):
                    np.full(_BUF_ROWS * lanes, np.nan))
 
 
+def _sizes(lanes, bw, nl, start, rounds):
+    """The rounds of each walk of nl slots over rounds start to start +
+    rounds of a block of bw lanes, in a buffer for a chunk of lanes
+    lanes, by the sizing rule: at most _SUB_BLOCK values, and at most a
+    quarter of the values free for a step's arrays, those after the
+    claim piece or, if more, the gap rows before it, up to the piece's
+    end."""
+    sizes, r = [], start
+    while r < start + rounds:
+        first = 0 if r < _PIECE else 1 << (r.bit_length() - 1)  # the piece's first round
+        piece = max(first, _PIECE)
+        free = max(_BUF_ROWS * lanes - (_BLOCK + piece) * bw, first * bw)
+        sizes.append(min(max(1, min(_SUB_BLOCK, free // 4) // nl), first + piece - r,
+                         start + rounds - r))
+        r += sizes[-1]
+    return sizes
+
+
 def _walk(blocks, nl, rounds):
     """Walk `rounds` rounds for nl lanes, each walk from t = s = 0: the
     (T, S) of every walk, and the number of rounds in each."""
     walks, sizes = [], []
     while sum(sizes) < rounds:
         T, S = blocks.walk(np.zeros(nl), np.zeros(nl), rounds - sum(sizes))
-        walks.append((T, S))
+        walks.append((T.copy(), S.copy()))  # the next walk may overwrite them
         sizes.append(T.shape[0])
     return walks, sizes
 
@@ -155,11 +174,15 @@ def test_walk_reads_the_eager_rows_in_the_first_piece():
     (gaps, claims), = _eager_blocks(7, 0, [nl])
     blocks = _blocks(7, 0, nl)
     t, s = np.zeros(nl), np.zeros(nl)
-    for r in range(5):
-        T, S = blocks.walk(t, s, 5)
-        assert T.shape == (1, nl)  # one round at a time at full width
-        t, s = t + gaps[r], s + claims[r]
-        assert np.array_equal(T[0], t) and np.array_equal(S[0], s)
+    r = 0
+    for size in _sizes(nl, nl, nl, 0, 5):
+        T, S = blocks.walk(t, s, 5 - r)
+        assert T.shape == (size, nl)  # several rounds at full width
+        for i in range(size):
+            t, s = t + gaps[r], s + claims[r]
+            assert np.array_equal(T[i], t) and np.array_equal(S[i], s)
+            r += 1
+    assert r == 5
     # only the first claim piece was drawn
     assert blocks.end == PIECES[0]
 
@@ -184,21 +207,21 @@ def test_walk_crosses_two_refills_on_the_eager_rows():
     blocks = _blocks(11, 4, 8192)
 
     walks, sizes = _walk(blocks, 8192, _BLOCK)
-    assert sizes == [1] * _BLOCK
+    assert sizes == _sizes(8192, 8192, 8192, 0, _BLOCK)
     _same_rows(walks, *eager[0])
 
-    # 8192 // 4096 = 2 rounds per walk, then the three lanes read their own
-    # columns in one walk up to the end of the last piece
+    # several rounds per walk, then the three lanes read their own columns
+    # in one walk up to the end of the last piece
     gaps, claims = eager[1]
     walks, sizes = _walk(blocks, 4096, 64)
-    assert sizes == [2] * 32
+    assert sizes == _sizes(8192, 4096, 4096, 0, 64)
     _same_rows(walks, gaps[:64], claims[:64])
     blocks.keep(keep)
     walks, sizes = _walk(blocks, 3, 64)
-    assert sizes == [64]
+    assert sizes == _sizes(8192, 4096, 3, 64, 64) == [64]
     _same_rows(walks, gaps[64:, keep], claims[64:, keep])
 
     # a refill for the three lanes: one walk per claim piece
     walks, sizes = _walk(blocks, 3, _BLOCK)
-    assert sizes == list(PIECES)
+    assert sizes == _sizes(8192, 3, 3, 0, _BLOCK) == list(PIECES)
     _same_rows(walks, *eager[2])

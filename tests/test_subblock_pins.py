@@ -6,10 +6,11 @@ pieces.  These cases sit where that bookkeeping can slip: a chunk that
 stops inside its first few rounds, chunks whose late refills hold a
 handful of lanes (so their rounds run many at a time), horizon
 censoring on both sides of a refill, and the 4096-lane chunk of a
-``compare --n 4096`` run, whose sub-blocks hold two rounds from the
+``compare --n 4096`` run, whose sub-blocks hold several rounds from the
 first.  The digests were computed with the one-round-at-a-time engine
 (the 4096-lane one with the engine that summed rounds by
-``np.add.accumulate``); any engine change must leave them unchanged.
+``np.add.accumulate``); any engine change must leave them unchanged, and
+so must any sub-block size, from one round per step to a whole piece.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from ruin2d import montecarlo
 from ruin2d.models import CompoundPoissonExp, TwoLineModel, adjustment
 from ruin2d.montecarlo import FixedTime, SimConfig, _jump_chunk, default_safe_level
 
@@ -36,8 +38,8 @@ CASES = {
     # 1804 of 2048 lanes are censored at the horizon, between rounds 113
     # and 204, on both sides of the refill at round 128
     "cpe-fixed-time-refill": (1.0, 3.0, "g2", FixedTime(100.0), 1, 2048, 2048),
-    # the CLI's --n 4096 chunk at (1, 3): 8192 // 4096 = 2 rounds per
-    # sub-block from round 1; chunk 1, a stream that test_engine_streams'
+    # the CLI's --n 4096 chunk at (1, 3): several rounds per sub-block
+    # from round 1; chunk 1, a stream that test_engine_streams'
     # cpe-untilted-1-3 (chunk 0) does not read
     "cpe-untilted-4096": (1.0, 3.0, None, None, 1, 4096, 4096),
 }
@@ -122,4 +124,14 @@ def test_jump_engine_arrays_are_pinned(case):
     res = _run(case)
     assert set(res) == set(ARRAYS)
     assert all(res[k].shape == (CASES[case][5],) for k in ARRAYS)
+    assert {k: _digest(res[k]) for k in ARRAYS} == DIGESTS[case]
+
+
+@pytest.mark.parametrize("sub", [1, 8192, montecarlo._SUB_BLOCK, 2**20])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_sub_block_size_changes_no_value(monkeypatch, case, sub):
+    # 1: one round per step; 2**20: as many rounds as the free rows of the
+    # buffer hold, up to a whole piece
+    monkeypatch.setattr(montecarlo, "_SUB_BLOCK", sub)
+    res = _run(case)
     assert {k: _digest(res[k]) for k in ARRAYS} == DIGESTS[case]
