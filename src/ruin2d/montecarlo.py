@@ -304,7 +304,7 @@ class _Events:
         left = hits.view(np.uint8)
         np.multiply(left, _COUNTDOWN[-R:], out=left)
         left = left.max(axis=1)
-        # R - the round of the first sighting: R + 1 if sighted before
+        # a sighting from before the sub-block counts as round -1: R + 1
         before = self.seen.view(np.uint8) * (R + 1)
         news = np.greater(left, before)
         idx = news.any(axis=0).nonzero()[0]
