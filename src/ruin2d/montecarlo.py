@@ -4,17 +4,22 @@ Event-driven simulation is exact for the jump drivers: the claim
 surplus is nondecreasing between epochs while both reserve lines rise,
 so every ruin (and every simultaneous-ruin spell) can only begin at a
 claim instant.  The Brownian driver needs no time grid, tilted or not:
-``_bm_exact_chunk`` draws the claim level at the crossing time T, where
-both barriers meet, and then every crossing and its epoch exactly, at
-premiums p_i + c under a tilt c.
+``_bm_exact_chunk`` draws the claim level W_T at the crossing time T,
+where both barriers meet.  Given W_T each event's probability is a
+reflection formula, so a Brownian chunk's value for an event is the
+likelihood ratio of W_T times P(event | W_T) (conditional Monte Carlo,
+``_bm_values``), and ``estimate`` draws nothing more.  ``simulate`` then
+draws every crossing and its epoch exactly, at premiums p_i + c under a
+tilt c.
 
 The jump engine keeps its per-chunk bookkeeping (outputs, live-lane
 flags, first sightings, stopping, FixedTime censoring) in one core,
 ``_Events``, and adds only its draws, crossing and safe-level tests; it
 and ``_line_ruin_times`` read their draws through ``_Blocks``.  The exact
-Brownian engine fills the same outputs.  Either returns ``_Events.result``:
-the epochs, the censor codes and one value column per event, all
-read-only.  ``estimate`` sums the value columns chunk by chunk, and
+Brownian engine fills the same outputs for ``simulate``.  Either returns
+``_Events.result``: the epochs, the censor codes and one value column per
+event, all read-only; for ``estimate`` the Brownian engine returns its
+value columns alone.  ``estimate`` sums the value columns chunk by chunk, and
 ``simulate`` yields each chunk's columns as one read-only block.
 
 Cost model.  The draws take about two thirds of the jump engine's time,
@@ -38,9 +43,11 @@ accumulate along the round axis runs a short strided loop per lane (see
 along rows and spends its other calls on the lanes with something new
 only.  The engine compacts its slots at one place per pass, when
 ``_Events.compact`` finds an eighth of them held by stopped lanes (or
-any, before a refill).  The exact Brownian engine makes one pass, tilted
-or not: three full-width draws, then a normal and a uniform per
-crossing; a tilt adds one pass to record the claim levels.
+any, before a refill).  A Brownian ``estimate`` draws one normal per
+lane and builds its five values from four exponentials, in place: an
+array made per operation faulted its pages in afresh on every chunk.
+A Brownian ``simulate`` adds two full-width uniforms, then a normal and
+a uniform per crossing.
 
 Reproducibility contract: path ``i`` lives at lane ``i % chunk_size``
 of chunk ``i // chunk_size``; every chunk consumes its own Philox
@@ -50,18 +57,25 @@ changes any emitted number.
 
 Importance sampling follows the classical exponential change of
 measure: under a tilt ``c`` the claim dynamics are exchanged for their
-tilted family member, and each event is weighed at its own epoch tau,
-the first time it is known, with ``exp(-c Z(tau) + kappa(c) tau)`` where
-``Z = p2 t - S``.  The weight is insensitive to which line it is written
-against because the premium parts cancel.  The renewal driver has no
-continuous-time cumulant, so its weight uses the per-step analogue
+tilted family member, and each event of a jump driver is weighed at its
+own epoch tau, the first time it is known, with
+``exp(-c Z(tau) + kappa(c) tau)`` where ``Z = p2 t - S``.  The weight is
+insensitive to which line it is written against because the premium
+parts cancel.  The renewal driver has no continuous-time cumulant, so
+its weight uses the per-step analogue
 ``exp(-c Z_n + n phi(c))`` with ``phi(c) = log E exp(c (p2 z - s))``.
 OR takes the weight at the first ruin and AND at the second.  Each
 event's column holds these weights, 0 where the event did not happen.
+The Brownian driver weighs the claim level at T instead: under a tilt c
+it draws W_T ~ N(-c T, T), whose likelihood ratio exp(c W_T + c^2 T / 2)
+has finite variance at every c, and given W_T the path's law does not
+depend on the drift, so its value is that ratio times the untilted
+P(event | W_T).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import threading
@@ -85,7 +99,7 @@ from .errors import (
 )
 from .finite_time import _as_line, limit_law
 from .models import DistSpec, LineModel, StandardBrownian, TwoLineModel
-from .numerics import normal_quantile, normal_logcdf
+from .numerics import _exp_cdf, normal_cdf, normal_logcdf, normal_quantile
 from .twodim import _EVENTS, _check_reserves
 
 __all__ = [
@@ -376,22 +390,25 @@ class _Events:
         if (self.tau[2] < np.maximum(self.tau[0], self.tau[1])).any():
             raise InternalInconsistency("SIM recorded before a line's ruin")
 
-    def result(self, model2: TwoLineModel, cfg: SimConfig) -> dict:
+    def result(self, model2: TwoLineModel, cfg: SimConfig,
+               values: Optional[Dict[str, np.ndarray]] = None) -> dict:
         """The chunk's arrays, all read-only: the epochs of both ruins and
         of SIM, the censor codes, and per event the values that
-        ``estimate`` averages and ``simulate`` yields: the weight at the
+        ``estimate`` averages and ``simulate`` yields: the Brownian
+        engine's ``values`` (see ``_bm_values``), or else the weight at the
         event's epoch, 0 where it did not happen.  OR is decided at the
         first ruin, AND at the second.  Refuses SIM before a ruin
-        (``check_sim``) and a negative weight in any event column: every
-        column takes its values from w1, w2 and wsim."""
+        (``check_sim``) and a negative weight in a jump chunk's event
+        column: each takes its values from w1, w2 and wsim."""
         self.check_sim()
         tau1, tau2, tau_sim = self.tau
-        w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
-        if min(w1.min(), w2.min(), wsim.min()) < 0.0:
-            raise InternalInconsistency("negative likelihood weight")
-        res = {"tau1": tau1, "tau2": tau2, "tau_sim": tau_sim, "censor": self.censor,
-               "OR": np.where(tau1 <= tau2, w1, w2), "SIM": wsim,
-               "AND": np.where(tau1 >= tau2, w1, w2), "LINE1": w1, "LINE2": w2}
+        if values is None:
+            w1, w2, wsim = (_event_weight(model2, cfg, *e) for e in zip(self.tau, self.s_e, self.n_e))
+            if min(w1.min(), w2.min(), wsim.min()) < 0.0:
+                raise InternalInconsistency("negative likelihood weight")
+            values = {"OR": np.where(tau1 <= tau2, w1, w2), "SIM": wsim,
+                      "AND": np.where(tau1 >= tau2, w1, w2), "LINE1": w1, "LINE2": w2}
+        res = {"tau1": tau1, "tau2": tau2, "tau_sim": tau_sim, "censor": self.censor, **values}
         for a in (self.tau, *res.values()):
             a.flags.writeable = False
         return res
@@ -590,38 +607,135 @@ def _bridge_epoch(t0: Union[float, np.ndarray], span: Union[float, np.ndarray],
     return t0 + span * np.divide(s, span + s, out=np.zeros_like(s), where=s > 0.0)
 
 
+def _bridge_ruin(x: float, p: float, t: float, T: float, w: float) -> float:
+    """P(a line of reserve x and premium p is ruined by t < T | W_T = w).
+    Given W_t ~ N(w t / T, t (T - t) / T) the bridge from 0 crosses the
+    barrier with probability exp(-k (c - W_t)+), k = 2 x / t and
+    c = x + p t; averaged over W_t, in log space (``_exp_cdf``)."""
+    d = x + p * t - w * t / T
+    sd = math.sqrt(t * (T - t) / T)
+    k = 2.0 * x / t
+    return normal_cdf(-d / sd) + _exp_cdf(k * (0.5 * k * sd * sd - d), d / sd - k * sd)
+
+
+def _bm_probs(model2: TwoLineModel, x1: float, x2: float, T: float, g: np.ndarray,
+              t_hor: float) -> Dict[str, np.ndarray]:
+    """P(event | W_T) per lane for each event, by t_hor (inf: ultimate),
+    where g = x1 + p1 T - W_T.  Given W_T the path is a Brownian bridge
+    before T and free motion after it, whatever the drift, so these are
+    the untilted reflection formulas.  Before T line i is crossed with
+    probability h_i = exp(-2 x_i g+ / T), after T with a_i = exp(-2 p_i g+),
+    or by t_hor with ``finite_ruin``'s passage law.  Line 1's barrier is
+    the lower one before T and line 2's after it, so, with b = 1 - h1 and
+    d = h1 - h2,
+
+        LINE1 = h1 + b a1,        OR = h1 + b a2,
+        SIM = (h2 + d a1) + b a1,  AND = (h2 + d a2) + b a1,
+        LINE2 = (h2 + d a2) + b a2.
+
+    Each inclusion, SIM <= AND <= LINE2 and LINE1 <= OR, then changes one
+    factor of one term from a1 to a2 >= a1, so it holds in floating point
+    too: rounding is monotone.  By a t_hor < T only the bridge counts:
+    OR = LINE1 and SIM = AND = LINE2.  For T = 0 (x2 <= x1) only the free
+    motion counts, from x_i: each event is one closed form for every lane,
+    OR = LINE2 and SIM = AND = LINE1."""
+    driver, p1, p2 = model2.driver, model2.p1, model2.p2
+
+    def after(p: float, gaps: np.ndarray) -> np.ndarray:
+        if t_hor == math.inf:
+            a = gaps * (-2.0 * p)
+            return np.exp(a, out=a)
+        s = t_hor - T  # lane by lane: numpy has no erfc
+        return np.array([driver.finite_ruin(p, a, s)[0] if s > 0.0 else 0.0 for a in gaps.tolist()])
+
+    if t_hor < T:
+        w = ((x1 + p1 * T) - g).tolist()
+        l1, l2 = ([_bridge_ruin(x, p, t_hor, T, wi) for wi in w] for x, p in ((x1, p1), (x2, p2)))
+        return {e: np.array(v) for e, v in zip(_EVENTS, (l1, l2, l2, l1, l2))}
+    if T == 0.0:  # finite_ruin may round a1 above a2
+        a1 = after(p1, np.array([x1]))[0]
+        a2 = max(after(p2, np.array([x2]))[0], a1)
+        return {e: np.full(g.size, v) for e, v in zip(_EVENTS, (a2, a1, a1, a1, a2))}
+    # in place from here, each column over an array that is done with: an
+    # array made per operation faulted its pages in afresh on every chunk,
+    # 3/4 of the time of these lines
+    gp = np.maximum(g, 0.0)
+    a1, a2 = after(p1, gp), after(p2, gp)
+    np.maximum(a2, a1, out=a2)
+    h1 = np.exp(gp * (-2.0 * x1 / T))
+    h2 = np.exp(np.multiply(gp, -2.0 * x2 / T, out=gp), out=gp)
+    b, d = 1.0 - h1, h1 - h2
+    ba1 = b * a1
+    sim = np.multiply(d, a1, out=a1)
+    sim += h2
+    sim += ba1
+    high = np.multiply(d, a2, out=d)  # h2 + d a2
+    high += h2
+    ba2 = np.multiply(b, a2, out=b)
+    both = np.add(high, ba1, out=a2)
+    line2 = np.add(high, ba2, out=high)
+    return {"OR": np.add(h1, ba2, out=ba2), "SIM": sim, "AND": both,
+            "LINE1": np.add(h1, ba1, out=ba1), "LINE2": line2}
+
+
+def _bm_values(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig, T: float,
+               z: np.ndarray, g: np.ndarray) -> Dict[str, np.ndarray]:
+    """Each event's value per lane, L P(event | W_T) (``_bm_probs``), from
+    the chunk's first normals z, W_T = sqrt(T) z - c T under a tilt c.
+    L = exp(c sqrt(T) z - c^2 T / 2) is the likelihood ratio of W_T, 1
+    untilted; it is at most exp(z^2 / 2), so no draw makes it overflow,
+    and a probability is at most 1, so the product is taken directly.
+    Refuses values that break 0 <= SIM <= AND <= LINE2 or 0 <= LINE1 <= OR."""
+    values = _bm_probs(model2, x1, x2, T, g, cfg.horizon.limits()[0])
+    c = cfg.tilt
+    if c is not None:  # in place: each column is an array of its own
+        weight = z * (c * math.sqrt(T))
+        weight -= 0.5 * c * c * T
+        np.exp(weight, out=weight)
+        for v in values.values():
+            v *= weight
+    sim, both, line1 = values["SIM"], values["AND"], values["LINE1"]
+    if not ((0.0 <= sim) & (sim <= both) & (both <= values["LINE2"])
+            & (0.0 <= line1) & (line1 <= values["OR"])).all():
+        raise InternalInconsistency(
+            "Brownian values break 0 <= SIM <= AND <= LINE2 or 0 <= LINE1 <= OR")
+    return values
+
+
 def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
-                    chunk_idx: int, width: int) -> dict:
-    """Brownian chunk with every crossing and its epoch drawn exactly, at
-    premiums q_i = p_i + c under a tilt c (the tilted law of a Brownian
-    line, see ``StandardBrownian.tilted``).
+                    chunk_idx: int, width: int, epochs: bool = True) -> dict:
+    """Brownian chunk: each event's value from the claim level W_T at the
+    crossing time T (``_bm_values``), and, with epochs, every crossing and
+    its epoch drawn exactly, at premiums q_i = p_i + c under a tilt c (the
+    tilted law of a Brownian line, see ``StandardBrownian.tilted``).
+    Without epochs it returns the values alone, from the first draw.
 
-    Draws, in this order: W_T ~ N(0, T), a uniform u and a uniform v, each
-    at full width; then, for the crossing lanes only, in lane order, the
-    passages of line 1 before T, of line 2 before T, of line 2 after T, one
-    uniform per line-2 crossing after T, and the passages of line 1 after T.
+    Draws, in this order: the normals z of W_T = sqrt(T) z - c T at full
+    width; then, with epochs, a uniform u and a uniform v, each at full
+    width; then, for the crossing lanes only, in lane order, the passages
+    of line 1 before T, of line 2 before T, of line 2 after T, one uniform
+    per line-2 crossing after T, and the passages of line 1 after T.
 
-    Both barriers reach b = x1 + q1 T at T, and W_T sits g = b - W_T below
-    it; T is the same at any tilt, since q1 - q2 = p1 - p2.  Before T the
-    bridge crosses line i's barrier with probability exp(-2 x_i g+ / T);
-    line 1's is the lower one, so u decides both, nested.  After T line 2's
-    barrier is the lower one: v decides its crossing, with probability
-    exp(-2 q2 g2) capped at 1, and line 1 can cross only from line 2's
-    epoch, a gap g1 - g2 + (p1 - p2) s2 below its barrier, so its own
-    uniform decides it once s2 is known.  SIM is line 2 before T or line 1
-    after T.  For T = 0 (x2 <= x1) only the after-T step runs, with g1 = x1
-    and g2 = x2.
-
-    Under a tilt every event A is {tau_A < inf} for a stopping time tau_A,
-    at which the claim level is the barrier's, so the weight taken there
-    gives E_c[L(tau_A); tau_A < inf] = P(A) with no truncation (Siegmund
-    1976), for ``estimate`` and for each path of ``simulate`` alike."""
+    Both barriers reach b = x1 + q1 T at T, and the tilted claim level
+    sqrt(T) z sits g = b - sqrt(T) z below it; T is the same at any tilt,
+    since q1 - q2 = p1 - p2.  Before T the bridge crosses line i's barrier
+    with probability exp(-2 x_i g+ / T); line 1's is the lower one, so u
+    decides both, nested.  After T line 2's barrier is the lower one: v
+    decides its crossing, with probability exp(-2 q2 g2) capped at 1, and
+    line 1 can cross only from line 2's epoch, a gap g1 - g2 + (p1 - p2) s2
+    below its barrier, so its own uniform decides it once s2 is known.  SIM
+    is line 2 before T or line 1 after T.  For T = 0 (x2 <= x1) only the
+    after-T step runs, with g1 = x1 and g2 = x2."""
     p1, p2 = model2.p1, model2.p2
     c = 0.0 if cfg.tilt is None else cfg.tilt
     q1, q2 = p1 + c, p2 + c
     rng = _chunk_rng(cfg.seed, chunk_idx)
     T = crossing_time(x1, x2, p1, p2)
-    g = (x1 + q1 * T) - rng.standard_normal(width) * math.sqrt(T)
+    z = rng.standard_normal(width)
+    g = (x1 + q1 * T) - z * math.sqrt(T)
+    values = _bm_values(model2, x1, x2, cfg, T, z, g)
+    if not epochs:
+        return values
     u = rng.random(width)
     v = rng.random(width)
     ev = _Events(width)
@@ -659,31 +773,28 @@ def _bm_exact_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
     if t_hor < math.inf:
         ev.tau[ev.tau > t_hor] = math.inf
         ev.censor[tau_sim == math.inf] = _CENSOR_TIME  # SIM still possible after t_hor
-    if cfg.tilt is not None:
-        # each event's claim level is its barrier's at its epoch: the upper
-        # one's at SIM (an event that never happens weighs 0 at any level)
-        t = np.where(np.isfinite(ev.tau), ev.tau, 0.0)
-        ev.s_e[0] = x1 + p1 * t[0]
-        ev.s_e[1] = x2 + p2 * t[1]
-        ev.s_e[2] = np.maximum(x1 + p1 * t[2], x2 + p2 * t[2])
-    return ev.result(model2, cfg)
+    return ev.result(model2, cfg, values)
 
 
 # ---------------------------------------------------------------------------
 # public driving functions
 
 
-def _chunk_fn(model2: TwoLineModel):
+def _chunk_fn(model2: TwoLineModel, epochs: bool = True):
     """The chunk engine of a run: the exact engine for the Brownian
-    driver, the jump engine for the others."""
-    return _bm_exact_chunk if isinstance(model2.line2.driver, StandardBrownian) else _jump_chunk
+    driver, the jump engine for the others.  Without epochs the Brownian
+    engine returns its value columns alone, all that ``estimate`` reads."""
+    if not isinstance(model2.line2.driver, StandardBrownian):
+        return _jump_chunk
+    return _bm_exact_chunk if epochs else functools.partial(_bm_exact_chunk, epochs=False)
 
 
-def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig):
+def _run_chunks(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
+                epochs: bool = True):
     """Yield per-chunk result dicts in chunk order, fanning the chunk
     computations out over cfg.workers threads.  At most 2 * workers
     chunks are in flight, so memory stays flat in n."""
-    fn = _chunk_fn(model2)
+    fn = _chunk_fn(model2, epochs)
     n_chunks = (cfg.n + cfg.chunk_size - 1) // cfg.chunk_size
     jobs = ((model2, x1, x2, cfg, i, min(cfg.chunk_size, cfg.n - i * cfg.chunk_size))
             for i in range(n_chunks))
@@ -711,8 +822,10 @@ def simulate(model2: TwoLineModel, x1: float, x2: float,
     why anything was left unobserved or declared by a retirement
     ("fixed_time", "safe_level"); and per event of ``OR``, ``SIM``,
     ``AND``, ``LINE1``, ``LINE2`` the value that ``estimate`` averages on
-    the same path: the likelihood weight at the event's epoch, 0 where it
-    did not happen (1 where it did, untilted).
+    the same path: for a jump driver the likelihood weight at the event's
+    epoch, 0 where it did not happen (1 where it did, untilted); for the
+    Brownian driver the likelihood ratio of W_T times P(event | W_T),
+    whatever the drawn epochs show.
     Summed chunk by chunk, the value columns give ``estimate``'s p_hat.
     No column can be written."""
     _check_reserves(x1, x2)
@@ -738,7 +851,12 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
 
     The estimator averages each event's value, its weight at its epoch
     times its indicator (1 * indicator untilted; see ``_Events.result``),
-    and stays unbiased up to the declared horizon truncation.
+    and stays unbiased up to the declared horizon truncation.  For the
+    Brownian driver the value is the likelihood ratio of W_T times
+    P(event | W_T) (see ``_bm_values``), from one normal per path; at
+    x2 <= x1 that is one closed form for every path, so such an estimate
+    is exact: p_hat is the closed form and std_err is 0, each up to the
+    rounding of the sums (below 1e-8 of p_hat for std_err).
     """
     many = isinstance(event, (list, tuple))
     names = list(event) if many else [event]
@@ -754,7 +872,7 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
     # per-event sums of the values and their squares, in chunk order; a
     # repeated name shares one entry
     sums = {name: [0.0, 0.0] for name in names}
-    for res in _run_chunks(model2, x1, x2, config):
+    for res in _run_chunks(model2, x1, x2, config, False):  # the values alone
         for name, acc in sums.items():
             wi = res[name]
             acc[0] += float(wi.sum())

@@ -1,10 +1,11 @@
 """Array-level pins of the Monte Carlo chunk engines.
 
 Every array that the chunk engines return (``_jump_chunk``, and for the
-Brownian driver ``_bm_exact_chunk``, which every ``estimate`` and
-``simulate`` runs) is pinned by a sha256 of its dtype, shape and
-bytes.  ``test_golden.py`` pins only sums, which a permutation of lanes
-inside a chunk would leave unchanged; these pins catch it.  Under the
+Brownian driver ``_bm_exact_chunk``, which every ``simulate`` runs and
+every ``estimate`` runs for its value columns alone) is pinned by a
+sha256 of its dtype, shape and bytes.  ``test_golden.py`` pins only
+sums, which a permutation of lanes inside a chunk would leave unchanged;
+these pins catch it.  Under the
 stream contract lane ``k`` of chunk ``j`` is path ``j * chunk_size + k``
 and draws from the Philox key ``(seed, j)``, so a change that moves any
 digest here changes the emitted paths.
@@ -81,22 +82,22 @@ DIGESTS = {
         "tau2": "bc8cf07639c6d11a",
         "tau_sim": "4ba7f4f6c114cf1c",
         "censor": "bd5a8e4a160525e4",
-        "LINE1": "1e32b3ba1e66c1c9",
-        "LINE2": "3651b89867e47e9a",
-        "SIM": "12e4a953d5570efa",
-        "OR": "62968a71990f9e30",
-        "AND": "52d985ad3dac98a6",
+        "LINE1": "c7661e9ceffe3eff",
+        "LINE2": "ae725a4ecef6a358",
+        "SIM": "b1d79f10c96a1321",
+        "OR": "0291318bb4af1cce",
+        "AND": "52340e81cafa7251",
     },
     "bm-lower-cone": {
         "tau1": "66efc2d923ff9956",
         "tau2": "f4ce840bf4559d93",
         "tau_sim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "LINE1": "b7470fd27b67e79f",
-        "LINE2": "7ffe119fb5668977",
-        "SIM": "b7470fd27b67e79f",
-        "OR": "7ffe119fb5668977",
-        "AND": "b7470fd27b67e79f",
+        "LINE1": "f68f18bb221b04c9",
+        "LINE2": "0324f3820039bf6c",
+        "SIM": "f68f18bb221b04c9",
+        "OR": "0324f3820039bf6c",
+        "AND": "f68f18bb221b04c9",
     },
     "bm-origin": {
         "tau1": "b7470fd27b67e79f",
@@ -114,44 +115,44 @@ DIGESTS = {
         "tau2": "4677c93f88b232e5",
         "tau_sim": "160806ddae9b5432",
         "censor": "eff247a723dcedd5",
-        "LINE1": "541d8f86fbcf5ec1",
-        "LINE2": "5ee3165cb684c395",
-        "SIM": "24a6364936cf2284",
-        "OR": "f1e7a408de31eb40",
-        "AND": "24a6364936cf2284",
+        "LINE1": "e63bf9bcbad10f55",
+        "LINE2": "54636004476b58a6",
+        "SIM": "1fa780f50cd48dff",
+        "OR": "a88d6474be7880e8",
+        "AND": "b839957834b471a1",
     },
     "bm-tail-g1": {
         "tau1": "2042a34b1406c65e",
         "tau2": "272b559189da40f7",
         "tau_sim": "3bb61caacd715e96",
         "censor": "cfab9fd2c97bf618",
-        "LINE1": "e5de6b4ed639997e",
-        "LINE2": "51b63e534b747a2b",
-        "SIM": "5b7e7cfb6e7c0b28",
-        "OR": "b9628dcab2823a21",
-        "AND": "ee5845087a82a5f5",
+        "LINE1": "8b6057286855625a",
+        "LINE2": "d376f9af092a3bd7",
+        "SIM": "74ea7da94acb4847",
+        "OR": "43608c3364269f84",
+        "AND": "0fe002ab5ace1fdc",
     },
     "bm-tail-g2": {
         "tau1": "66efc2d923ff9956",
         "tau2": "5b7d627d8feb2096",
         "tau_sim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "LINE1": "b7470fd27b67e79f",
-        "LINE2": "6422ca7eba45e35f",
-        "SIM": "b7470fd27b67e79f",
-        "OR": "6422ca7eba45e35f",
-        "AND": "b7470fd27b67e79f",
+        "LINE1": "832ec0febe50d970",
+        "LINE2": "7c32fe2e50219a5c",
+        "SIM": "8aec6a2693844dde",
+        "OR": "826aaf40c0ef1eb5",
+        "AND": "c44afc2d0d489fd5",
     },
     "bm-untilted-1-3": {
         "tau1": "e3a48cc14bef8eea",
         "tau2": "c38d3c6fe836c658",
         "tau_sim": "66efc2d923ff9956",
         "censor": "cfab9fd2c97bf618",
-        "LINE1": "84a9d131471e0d60",
-        "LINE2": "cb4be777375afd4e",
-        "SIM": "b7470fd27b67e79f",
-        "OR": "157ad2ee422d9f99",
-        "AND": "b7470fd27b67e79f",
+        "LINE1": "5c72361647f67137",
+        "LINE2": "10d0c94c382e9b71",
+        "SIM": "5f460505d4fb6e6e",
+        "OR": "e7f9cab47c7c62fe",
+        "AND": "40472642b6d08559",
     },
     "cpe-fixed-time": {
         "tau1": "ea51b14b164f6785",
@@ -261,14 +262,14 @@ def _digest(a: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-def _run(case):
+def _run(case, epochs=True):
     name, x1, x2, tilt, horizon, chunk_idx, width, chunk_size = CASES[case]
     model2 = MODELS[name]
     cfg = SimConfig(n=chunk_idx * chunk_size + width, seed=7,
                     horizon=horizon or default_safe_level(model2),
                     tilt=None if tilt is None else _tilt(name, tilt),
                     chunk_size=chunk_size)
-    return _chunk_fn(model2)(model2, x1, x2, cfg, chunk_idx, width), width
+    return _chunk_fn(model2, epochs)(model2, x1, x2, cfg, chunk_idx, width), width
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -277,6 +278,15 @@ def test_engine_arrays_are_pinned(case):
     assert set(res) == set(ARRAYS)
     assert all(res[k].shape == (width,) for k in ARRAYS)
     assert {k: _digest(res[k]) for k in ARRAYS} == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.startswith("bm")))
+def test_brownian_values_alone_are_the_pinned_columns(case):
+    # estimate's Brownian chunk stops after the values: the same five
+    # columns, without an epoch
+    res, _ = _run(case, epochs=False)
+    assert set(res) == set(ARRAYS[4:])
+    assert {k: _digest(res[k]) for k in res} == {k: DIGESTS[case][k] for k in res}
 
 
 # (driver, premium, x, n, salt, t_cap in units of x / |drift|): the

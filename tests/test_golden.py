@@ -114,7 +114,7 @@ def _mc(model2, x1, x2, event, **kw):
 
 def test_mc_untilted():
     assert _mc(MODELS["cpe"], 1.0, 3.0, "OR") == (0.050048828125, 0.0034069646228693014)
-    assert _mc(MODELS["brownian"], 1.0, 3.0, "OR") == (0.00439453125, 0.0010335225132637607)
+    assert _mc(MODELS["brownian"], 1.0, 3.0, "OR") == (0.005060909865903388, 0.0003735224544360163)
 
 
 def test_mc_tilted():

@@ -125,13 +125,13 @@ def _run_cli(argv, capsys):
 
 
 # sha256 prefixes of the output, which every MC row running its own
-# estimate also gives (the Brownian compare rows come from the exact
-# untilted engine); (argv, passes over the chunk engines, digest)
+# estimate also gives (the Brownian compare rows average each event's
+# probability given W_T); (argv, passes over the chunk engines, digest)
 CLI_CASES = {
     "mc": (["mc", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--event", "or,sim,and",
             "--n", "2048", "--seed", "5", "--format", "json"], 1, "486f910352b29251"),
     "compare": (["compare", *BM_FLAGS, "--x1", "1", "--x2", "4",
-                 "--n", "2048", "--seed", "5", "--format", "json"], 1, "54b5ca1e3ec8f7da"),
+                 "--n", "2048", "--seed", "5", "--format", "json"], 1, "08fa893d0c5a0ad4"),
     "compute": (["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3", "--method", "mc",
                  "--event", "or,sim", "--n", "2048", "--seed", "5", "--format", "csv"],
                 1, "117bccf59aad6359"),
