@@ -14,13 +14,13 @@ tilt c.
 
 The jump engine keeps its per-chunk bookkeeping (outputs, live-lane
 flags, first sightings, stopping, FixedTime censoring) in one core,
-``_Events``, and adds only its draws, crossing and safe-level tests; it
-and ``_line_ruin_times`` read their draws through ``_Blocks``.  The exact
-Brownian engine fills the same outputs for ``simulate``.  Either returns
+``_Events``, and adds only its draws (through ``_Blocks``), crossing and
+safe-level tests; ``_line_ruin_times`` runs it too.  The exact Brownian
+engine fills the same outputs for ``simulate``.  Either returns
 ``_Events.result``: the epochs, the censor codes and one value column per
 event, all read-only; for ``estimate`` the Brownian engine returns its
-value columns alone.  ``estimate`` sums the value columns chunk by chunk, and
-``simulate`` yields each chunk's columns as one read-only block.
+value columns alone.  ``estimate`` sums the value columns chunk by chunk,
+and ``simulate`` yields each chunk's columns as one read-only block.
 
 Cost model.  The draws take about two thirds of the jump engine's time,
 and the stream contract fixes them: a refill draws the gaps of _BLOCK
@@ -125,7 +125,7 @@ _MASK64 = (1 << 64) - 1
 
 # ---------------------------------------------------------------------------
 # configuration types; a horizon gives the chunk engines their (stopping
-# time, safe level) in ``limits``, refuses a run it cannot end in ``check``
+# time, safe level) in ``limits``, refuses reserves it cannot serve in ``check``
 # and declares each event's truncation bias in ``bias_bounds``
 
 
@@ -142,8 +142,7 @@ class FixedTime:
     def limits(self) -> Tuple[float, float]:
         return self.t, math.inf
 
-    def check(self, model2: TwoLineModel, x1: float, x2: float,
-              tilt: Optional[float]) -> None:
+    def check(self, x1: float, x2: float) -> None:
         """Every path stops at t, whatever the drift."""
 
     def bias_bounds(self, model2: TwoLineModel, tilt: Optional[float]) -> Dict[str, float]:
@@ -171,20 +170,12 @@ class SafeLevel:
     def limits(self) -> Tuple[float, float]:
         return math.inf, self.L
 
-    def check(self, model2: TwoLineModel, x1: float, x2: float,
-              tilt: Optional[float]) -> None:
-        """Refuse a level below a reserve, and a line whose drift under the
-        tilt is zero: it would neither ruin nor retire."""
+    def check(self, x1: float, x2: float) -> None:
+        """Refuse a level that does not clear both reserves."""
         if self.L <= max(x1, x2):
             raise InvalidHorizon(
                 f"SafeLevel L={self.L:g} must exceed max(x1, x2)={max(x1, x2):g}"
             )
-        for line in (model2.line1, model2.line2):
-            eff = LineModel(*line.driver.tilted(line.p, tilt)) if tilt is not None else line
-            if eff.drift == 0.0:
-                raise InvalidHorizon(
-                    "zero effective drift: a SafeLevel run can neither ruin nor retire"
-                )
 
     def bias_bounds(self, model2: TwoLineModel, tilt: Optional[float]) -> Dict[str, float]:
         """exp(-gamma_i L) per line, and their sum for the two-line events."""
@@ -440,8 +431,8 @@ _FREE_LOCK = threading.Lock()
 
 @contextmanager
 def _lease(size: int, keep: int) -> Iterator[np.ndarray]:
-    """A float64 buffer of at least size values for one chunk, from the
-    free list or new, put back when the chunk ends, raising or not; the
+    """A float64 buffer of at least size values for one jump chunk, from
+    the free list or new, put back when the chunk ends, raising or not; the
     list keeps the last keep buffers put back (keep: the run's workers)."""
     with _FREE_LOCK:
         i = next((i for i, b in enumerate(_FREE) if b.size >= size), None)
@@ -489,9 +480,9 @@ class _Blocks:
         self.gaps = self.claims = self.pos = self.bar = self.flags = None
         self.row = self.end = _BLOCK  # next round; end of the drawn claim rows
 
-    def walk(self, t: np.ndarray, s: np.ndarray, limit: int) -> Tuple[np.ndarray, np.ndarray]:
+    def walk(self, t: np.ndarray, s: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Epochs and claim totals of the slots, at times t and claim
-        totals s now, after each of the next R <= limit rounds: two
+        totals s now, after each of the next R rounds: two
         (R, slots) arrays, summed round by round as one round at a time
         would.  Each running sum adds a row of draws to the row before, R
         calls over whole rows: ``np.add.accumulate(axis=0)`` makes the
@@ -514,7 +505,7 @@ class _Blocks:
         lo, hi = (_BLOCK + piece) * bw, self.buf.size
         if (self.end - piece) * bw > hi - lo:  # the walked gap rows are more
             lo, hi = 0, (self.end - piece) * bw
-        R = min(max(1, min(_SUB_BLOCK, (hi - lo) // 4) // nl), self.end - r0, limit)
+        R = min(max(1, min(_SUB_BLOCK, (hi - lo) // 4) // nl), self.end - r0)
         self.row += R
         k = R * nl
         free = self.buf[lo:hi]
@@ -555,7 +546,7 @@ def _jump_chunk(model2: TwoLineModel, x1: float, x2: float, cfg: SimConfig,
             if live is not None:
                 blocks.keep(live)  # a refill resets pos anyway
                 t, s = t[live], s[live]
-            T, S = blocks.walk(t, s, _MAX_ROUNDS - steps)
+            T, S = blocks.walk(t, s)
             bar, hits = blocks.bar, blocks.flags
 
             # b - S < 0 exactly when S > b for finite IEEE values, so each
@@ -829,7 +820,7 @@ def simulate(model2: TwoLineModel, x1: float, x2: float,
     Summed chunk by chunk, the value columns give ``estimate``'s p_hat.
     No column can be written."""
     _check_reserves(x1, x2)
-    config.horizon.check(model2, x1, x2, config.tilt)
+    config.horizon.check(x1, x2)
     for res in _run_chunks(model2, x1, x2, config):
         tau_or = np.minimum(res["tau1"], res["tau2"])
         censor_reason = _CENSOR_NAMES.take(res["censor"])
@@ -842,7 +833,8 @@ def simulate(model2: TwoLineModel, x1: float, x2: float,
 def estimate(model2: TwoLineModel, x1: float, x2: float,
              event: Union[str, Sequence[str]],
              config: SimConfig) -> Union[McEstimate, Dict[str, McEstimate]]:
-    """Estimate the ultimate probability of ``event`` with a normal CI.
+    """Estimate the probability of ``event`` with a normal CI: ultimate
+    under a SafeLevel, P(event by t) under a FixedTime(t).
 
     ``event`` is one name, answered with an McEstimate, or a list or
     tuple of names, answered with a dict of McEstimates in the order
@@ -857,6 +849,10 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
     x2 <= x1 that is one closed form for every path, so such an estimate
     is exact: p_hat is the closed form and std_err is 0, each up to the
     rounding of the sums (below 1e-8 of p_hat for std_err).
+
+    Any other estimate with p_hat > 0 whose squared values sum below
+    2.2e-308, the smallest normal float (values below about 1.5e-154 /
+    sqrt(n)), is refused with ``OutOfRange``: its std_err would read 0.
     """
     many = isinstance(event, (list, tuple))
     names = list(event) if many else [event]
@@ -866,7 +862,7 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
         if name not in _EVENTS:
             raise OutOfRange(f"unknown event {name!r}")
     _check_reserves(x1, x2)
-    config.horizon.check(model2, x1, x2, config.tilt)
+    config.horizon.check(x1, x2)
     bias = config.horizon.bias_bounds(model2, config.tilt)
 
     # per-event sums of the values and their squares, in chunk order; a
@@ -879,9 +875,13 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
             acc[1] += float((wi * wi).sum())
     n = config.n
     q = normal_quantile(0.5 + config.ci_level / 2.0)
+    closed_form = isinstance(model2.driver, StandardBrownian) and x2 <= x1
     out = {}
     for name, (s1, s2) in sums.items():
         p_hat = s1 / n
+        if p_hat > 0.0 and s2 < np.finfo(float).tiny and not closed_form:
+            raise OutOfRange(f"{name} values of mean {p_hat:.3g} are too small for a "
+                             "std_err: their squares underflow")
         se = math.sqrt(max(s2 / n - p_hat * p_hat, 0.0) / n)
         out[name] = McEstimate(
             p_hat=p_hat,
@@ -899,42 +899,27 @@ def estimate(model2: TwoLineModel, x1: float, x2: float,
 
 def _line_ruin_times(line: LineModel, x: float, n: int, seed: int,
                      t_cap: float, salt: int) -> np.ndarray:
-    """First passage below zero for one line; inf where not ruined by t_cap."""
-    d = line.driver
-    p = line.p
+    """First passage below zero for one line; inf where not ruined by
+    t_cap (a ruin at t_cap counts).  A jump line is line 1 of the two-line
+    engine under FixedTime(t_cap), beside a line at the same reserve and
+    half the premium: paying the same claims from less, that line sits
+    below it and is ruined no later, so each lane's record is decided (SIM
+    sighted) at line 1's ruin, and its tau1 is that time."""
+    d, p = line.driver, line.p
+    cfg = SimConfig(n=n, seed=seed, horizon=FixedTime(t_cap))
+    pair = None if isinstance(d, StandardBrownian) else TwoLineModel(d, p, 0.5 * p)
     taus = np.full(n, math.inf)
-    chunk = 8192
-    n_chunks = (n + chunk - 1) // chunk
-    for ci in range(n_chunks):
-        width = min(chunk, n - ci * chunk)
-        rng = _chunk_rng(seed, (salt << 32) | ci)
-        out = taus[ci * chunk:ci * chunk + width]
-        if isinstance(d, StandardBrownian):
-            # ruined with probability min(1, exp(-2 p x)), at an exact passage
-            hit = np.flatnonzero(rng.random(width) < math.exp(min(-2.0 * p * x, 0.0)))
-            s = _passage(rng, np.full(hit.size, x), np.full(hit.size, abs(p) * x))
-            out[hit] = np.where(s <= t_cap, s, math.inf)
+    for lo in range(0, n, cfg.chunk_size):
+        out = taus[lo:lo + cfg.chunk_size]
+        key = (salt << 32) | lo // cfg.chunk_size
+        if pair is not None:
+            out[:] = _jump_chunk(pair, x, x, cfg, key, out.size)["tau1"]
             continue
-        t = np.zeros(width)
-        s = np.zeros(width)
-        ids = np.arange(width)
-        with _lease(_BUF_ROWS * width, 1) as buf:
-            blocks = _Blocks(rng, *d.jump_dists(), buf[:_BUF_ROWS * width])
-            while ids.size:
-                T, S = blocks.walk(t, s, _MAX_ROUNDS)
-                ruin = x + p * T - S < 0.0
-                stop = ruin | (T >= t_cap)
-                np.copyto(t, T[-1])  # the next walk may draw over T and S
-                np.copyto(s, S[-1])
-                done = stop.any(axis=0)
-                if done.any():
-                    lanes = np.flatnonzero(done)
-                    r = stop[:, lanes].argmax(axis=0)
-                    hit = ruin[r, lanes]
-                    out[ids[lanes[hit]]] = T[r[hit], lanes[hit]]
-                    live = ~done
-                    ids, t, s = ids[live], t[live], s[live]
-                    blocks.keep(live)
+        # ruined with probability min(1, exp(-2 p x)), at an exact passage
+        rng = _chunk_rng(seed, key)
+        hit = np.flatnonzero(rng.random(out.size) < math.exp(min(-2.0 * p * x, 0.0)))
+        s = _passage(rng, np.full(hit.size, x), np.full(hit.size, abs(p) * x))
+        out[hit] = np.where(s <= t_cap, s, math.inf)
     return taus
 
 

@@ -130,29 +130,29 @@ def _blocks(seed, chunk, lanes):
 
 
 def _sizes(lanes, bw, nl, start, rounds):
-    """The rounds of each walk of nl slots over rounds start to start +
-    rounds of a block of bw lanes, in a buffer for a chunk of lanes
-    lanes, by the sizing rule: at most _SUB_BLOCK values, and at most a
-    quarter of the values free for a step's arrays, those after the
-    claim piece or, if more, the gap rows before it, up to the piece's
-    end."""
+    """The rounds of each walk of nl slots from round start of a block of
+    bw lanes until start + rounds is reached, in a buffer for a chunk of
+    lanes lanes, by the sizing rule: at most _SUB_BLOCK values, and at
+    most a quarter of the values free for a step's arrays, those after
+    the claim piece or, if more, the gap rows before it, up to the
+    piece's end."""
     sizes, r = [], start
     while r < start + rounds:
         first = 0 if r < _PIECE else 1 << (r.bit_length() - 1)  # the piece's first round
         piece = max(first, _PIECE)
         free = max(_BUF_ROWS * lanes - (_BLOCK + piece) * bw, first * bw)
-        sizes.append(min(max(1, min(_SUB_BLOCK, free // 4) // nl), first + piece - r,
-                         start + rounds - r))
+        sizes.append(min(max(1, min(_SUB_BLOCK, free // 4) // nl), first + piece - r))
         r += sizes[-1]
     return sizes
 
 
 def _walk(blocks, nl, rounds):
-    """Walk `rounds` rounds for nl lanes, each walk from t = s = 0: the
-    (T, S) of every walk, and the number of rounds in each."""
+    """Walk nl lanes until `rounds` rounds are reached, each walk from
+    t = s = 0: the (T, S) of every walk, and the number of rounds in
+    each."""
     walks, sizes = [], []
     while sum(sizes) < rounds:
-        T, S = blocks.walk(np.zeros(nl), np.zeros(nl), rounds - sum(sizes))
+        T, S = blocks.walk(np.zeros(nl), np.zeros(nl))
         walks.append((T.copy(), S.copy()))  # the next walk may overwrite them
         sizes.append(T.shape[0])
     return walks, sizes
@@ -175,14 +175,14 @@ def test_walk_reads_the_eager_rows_in_the_first_piece():
     blocks = _blocks(7, 0, nl)
     t, s = np.zeros(nl), np.zeros(nl)
     r = 0
-    for size in _sizes(nl, nl, nl, 0, 5):
-        T, S = blocks.walk(t, s, 5 - r)
+    for size in _sizes(nl, nl, nl, 0, PIECES[0]):
+        T, S = blocks.walk(t, s)
         assert T.shape == (size, nl)  # several rounds at full width
         for i in range(size):
             t, s = t + gaps[r], s + claims[r]
             assert np.array_equal(T[i], t) and np.array_equal(S[i], s)
             r += 1
-    assert r == 5
+    assert r == PIECES[0]
     # only the first claim piece was drawn
     assert blocks.end == PIECES[0]
 
@@ -192,7 +192,7 @@ def test_walk_sums_rows_as_one_round_at_a_time_would():
     (gaps, claims), = _eager_blocks(7, 1, [nl])
     blocks = _blocks(7, 1, nl)
     t, s = np.full(nl, 0.1), np.full(nl, 0.2)
-    T, S = blocks.walk(t, s, _BLOCK)
+    T, S = blocks.walk(t, s)
     assert T.shape == (PIECES[0], nl)
     for r in range(PIECES[0]):
         t, s = t + gaps[r], s + claims[r]

@@ -427,6 +427,15 @@ class TestExitCodes:
         assert code == 3
         assert "refused" in err
 
+    def test_underflowing_mc_estimate_is_exit_3(self, capsys):
+        # every OR value is about 1e-287, so its std_err would read 0
+        code, _, err = run_cli(
+            ["mc", *BM_FLAGS, "--x1", "200", "--x2", "300", "--event", "or",
+             "--n", "5000", "--seed", "1", "--horizon-time", "1000", "--tilt", "-4"],
+            capsys)
+        assert code == 3
+        assert "squares underflow" in err
+
     def test_io_failure_is_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             ["compute", *CPE_FLAGS, "--x1", "1", "--x2", "3",

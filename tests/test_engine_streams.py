@@ -292,19 +292,24 @@ def test_brownian_values_alone_are_the_pinned_columns(case):
 # (driver, premium, x, n, salt, t_cap in units of x / |drift|): the
 # single-line ruin times that check_limits("lln_ruin_time") averages; n
 # spans one full and one partial chunk, and a cap of 1 leaves paths
-# unruined.  The renewal case's partial chunk has 4096 lanes, so its
-# sub-blocks hold two rounds from the first (its digest was taken with
-# the engine that summed rounds by np.add.accumulate)
+# unruined.  A jump line's times are the two-line engine's tau1 under
+# FixedTime(t_cap), so none passes the cap; the renewal pair's unit gaps
+# put epochs on t_cap = 50 itself, and a ruin there counts.  The renewal
+# cases' partial chunk has 4096 lanes, so its sub-blocks hold two rounds
+# from the first (the uncapped digest was taken with the engine that
+# summed rounds by np.add.accumulate)
 LINE_CASES = {
     "cpe-lln-x10": (CompoundPoissonExp(2.0, 2.0), 0.5, 10.0, 9000, 1, 50.0),
     "cpe-lln-capped": (CompoundPoissonExp(2.0, 2.0), 0.5, 10.0, 9000, 1, 1.0),
     "bm-lln-x10": (StandardBrownian(), -0.5, 10.0, 9000, 2, 50.0),
     "renewal-lln-x10": (RW.driver, 0.3, 10.0, 12288, 1, 50.0),
+    "renewal-lln-capped": (RW.driver, 0.3, 10.0, 12288, 2, 1.0),
 }
 LINE_DIGESTS = {
     "bm-lln-x10": "c97c1c2e046f6b30",
-    "cpe-lln-capped": "51a43434c301f5c9",
+    "cpe-lln-capped": "62ec818a11cc5013",
     "cpe-lln-x10": "1c9af0cf9cc488d9",
+    "renewal-lln-capped": "6ce018b822633e14",
     "renewal-lln-x10": "4daf8fef386b3944",
 }
 
@@ -313,6 +318,10 @@ LINE_DIGESTS = {
 def test_line_ruin_times_are_pinned(case):
     driver, p, x, n, salt, cap = LINE_CASES[case]
     line = LineModel(driver, p)
-    taus = _line_ruin_times(line, x, n, 7, cap * x / -line.drift, salt)
+    t_cap = cap * x / -line.drift
+    taus = _line_ruin_times(line, x, n, 7, t_cap, salt)
     assert taus.shape == (n,)
+    assert (taus[np.isfinite(taus)] <= t_cap).all()
+    if case == "renewal-lln-capped":
+        assert t_cap == 50.0 and (taus == t_cap).any()
     assert _digest(taus) == LINE_DIGESTS[case]

@@ -485,10 +485,36 @@ class TestEstimateGuards:
         with pytest.raises(InvalidHorizon, match="must exceed max"):
             estimate(CPE, 1.0, 3.0, "OR", cfg(100, 1, SafeLevel(2.0)))
 
-    def test_zero_tilted_drift(self):
-        # tilt -1.0 stalls line 2 of the renewal pair exactly
-        with pytest.raises(InvalidHorizon, match="zero effective drift"):
-            estimate(RW, 1.0, 2.0, "LINE2", cfg(100, 1, tilt=-1.0))
+    @pytest.mark.parametrize("case", ["cpe", "bm", "renewal"])
+    def test_zero_tilted_drift_runs(self, case):
+        # a tilt under which a line's drift is zero is run, not refused: a
+        # zero-mean walk leaves the band [0, x + L] in finite expected time.
+        # CPE line 2 drifts at 1.1e-16 at c = -mu + sqrt(lam mu / p2), the
+        # Brownian line 2 at exactly 0 at c = -p2, and the renewal engine,
+        # which tilts the shared walk at p2, stalls line 1 of
+        # Renewal(exp(1), exp(2)) exactly at c = -1.25
+        rwe = TwoLineModel(Renewal(exponential_dist(1.0), exponential_dist(2.0)), 3.0, 1.0)
+        model, event, tilt, target = {
+            "cpe": (CPE, "LINE2", -2.0 + math.sqrt(2.0), 0.5 * math.exp(-3.0)),
+            "bm": (BM, "OR", -1.0, exact(BM, RuinQuery("OR", 1.0, 3.0)).value),
+            "renewal": (rwe, "OR", -1.25, exact(CPE, RuinQuery("OR", 1.0, 3.0)).value),
+        }[case]
+        est = estimate(model, 1.0, 3.0, event, cfg(16_384, 7, default_safe_level(model), tilt=tilt))
+        assert abs(est.p_hat - target) <= 4.0 * est.std_err
+
+    def test_underflowing_squares_are_refused(self):
+        # every OR value is about 1e-287, so its square underflows to 0 and
+        # std_err would read 0 for a positive p_hat
+        with pytest.raises(OutOfRange, match="squares underflow"):
+            estimate(BM, 200.0, 300.0, "OR", cfg(5_000, 1, FixedTime(1000.0), tilt=-4.0))
+
+    def test_lower_cone_brownian_estimate_is_exact_below_underflow(self):
+        # at x2 <= x1 every Brownian value is the closed form, here
+        # exp(-2 p2 x2) = exp(-400), whose square underflows; std_err 0 is right
+        est = estimate(BM, 250.0, 200.0, ["OR", "LINE2"], cfg(5_000, 1, SafeLevel(300.0)))
+        for e in est.values():
+            assert e.p_hat == pytest.approx(math.exp(-400.0), rel=1e-12)
+            assert e.std_err == 0.0
 
     def test_unknown_event(self):
         with pytest.raises(OutOfRange, match="unknown event"):
